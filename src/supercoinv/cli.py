@@ -147,6 +147,21 @@ def _reports_csv(reports) -> str:
     return _csv_rows(rows, ["id", "status", "seconds", "witness"])
 
 
+def _reports_json(reports) -> str:
+    return json.dumps(reports, indent=2, sort_keys=True)
+
+
+def _artifact_json(artifact) -> str:
+    return json.dumps(artifact.to_json(), indent=2)
+
+
+# renderers by --format, one set per artifact shape; ``table --format json``
+# uses the same ones, so it reprints an artifact as the command that made it
+_REPORTS = {"json": _reports_json, "csv": _reports_csv, "text": _reports_text}
+_FROBENIUS = {"json": _artifact_json, "csv": _frobenius_csv, "text": _frobenius_text}
+_COEFF_TABLE = {"json": _artifact_json, "csv": _coeff_table_csv, "text": _coeff_table_text}
+
+
 def _verify_job(payload):
     check_id, params, ceiling, cache_dir = payload
     session = checks.CheckSession(ceiling=ceiling, cache_dir=cache_dir)
@@ -179,12 +194,7 @@ def _run_verify(args) -> int:
             for check_id, params, _c, _d in jobs
         ]
     reports.sort(key=lambda rec: rec["id"])
-    if args.format == "json":
-        _emit(json.dumps(reports, indent=2, sort_keys=True), args)
-    elif args.format == "csv":
-        _emit(_reports_csv(reports), args)
-    else:
-        _emit(_reports_text(reports), args)
+    _emit(_REPORTS[args.format](reports), args)
     return 0 if all(rec["status"] == "pass" for rec in reports) else 1
 
 
@@ -201,13 +211,7 @@ def _run_compute(args) -> int:
         else:
             _emit(json.dumps({"n": n, "k": k, "j": j, "hilbert": poly.to_json()}, indent=2), args)
     else:
-        series = session.frobenius(n, k, j)
-        if args.format == "text":
-            _emit(_frobenius_text(series), args)
-        elif args.format == "csv":
-            _emit(_frobenius_csv(series), args)
-        else:
-            _emit(json.dumps(series.to_json(), indent=2), args)
+        _emit(_FROBENIUS[args.format](session.frobenius(n, k, j)), args)
     return 0
 
 
@@ -216,12 +220,7 @@ def _run_expand(args) -> int:
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
     series = session.frobenius(n, k, j)
     table = coinvariant.coeff_table(series, degree_bound=args.degree_bound)
-    if args.format == "text":
-        _emit(_coeff_table_text(table), args)
-    elif args.format == "csv":
-        _emit(_coeff_table_csv(table), args)
-    else:
-        _emit(json.dumps(table.to_json(), indent=2), args)
+    _emit(_COEFF_TABLE[args.format](table), args)
     return 0
 
 
@@ -249,13 +248,11 @@ def _run_table(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, list) and data and "status" in data[0]:
-        text = _reports_text(data) if args.format == "text" else _reports_csv(data)
+        text = _REPORTS[args.format](data)
     elif isinstance(data, dict) and "components" in data:
-        series = FrobeniusSeries.from_json(data)
-        text = _frobenius_text(series) if args.format == "text" else _frobenius_csv(series)
+        text = _FROBENIUS[args.format](FrobeniusSeries.from_json(data))
     elif isinstance(data, dict) and "entries" in data:
-        table = CoeffTable.from_json(data)
-        text = _coeff_table_text(table) if args.format == "text" else _coeff_table_csv(table)
+        text = _COEFF_TABLE[args.format](CoeffTable.from_json(data))
     elif args.format == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
     else:

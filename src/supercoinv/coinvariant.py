@@ -8,9 +8,15 @@ Its multidegree-d component equals
 which is an exact rewriting of the span over all products (monomial times
 lower invariant) and is what the recursion below computes; invariant bases of
 every lower multidegree enter through the recursion.  Ideal components are
-S_n-stable by this same structure: the invariant generators are audited to be
-pointwise fixed when built, and variables are permuted among themselves, so
-stability propagates through the recursion by induction.
+S_n-stable by this same structure: the invariant generators are checked to be
+fixed by every adjacent transposition when built, and variables are permuted
+among themselves, so stability propagates through the recursion by induction.
+
+Variables and permutations act on coordinate indices, never on monomials per
+vector entry: multiplication by a variable and the action of a permutation
+are signed index maps of a component (``superring.shift_map`` and
+``superring.permutation_action``), built once per component and applied to
+every basis vector.
 """
 
 from __future__ import annotations
@@ -172,6 +178,9 @@ class IdealComponentCache:
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
+        for name, value in (("n", n), ("k", k), ("j", j)):
+            if value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value}")
         self.n = n
         self.k = k
         self.j = j
@@ -259,16 +268,6 @@ class IdealComponentCache:
         return SubspaceBasis.from_rows(len(monos), rows)
 
 
-def _variable_monomial(n: int, k: int, j: int, kind: str, set_idx: int, pos: int):
-    bos = [[0] * n for _ in range(k)]
-    fer = [0] * j
-    if kind == "b":
-        bos[set_idx][pos] = 1
-    else:
-        fer[set_idx] = 1 << pos
-    return (tuple(tuple(e) for e in bos), tuple(fer))
-
-
 def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBasis:
     """Reduced-echelon basis of the ideal's multidegree-d component."""
     deg = (tuple(deg[0]), tuple(deg[1]))
@@ -281,7 +280,7 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
         return basis
     n, k, j = cache.n, cache.k, cache.j
     r, s = deg
-    monos, index = cache.monomial_space(deg)
+    monos, _index = cache.monomial_space(deg)
     if len(monos) > cache.ceiling:
         raise CeilingExceeded(deg, len(monos), cache.ceiling)
     total = sum(r) + sum(s)
@@ -291,12 +290,12 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
             if r[a] == 0:
                 continue
             pred = (r[:a] + (r[a] - 1,) + r[a + 1 :], s)
-            vectors.extend(_shifted_vectors(cache, pred, index, "b", a))
+            vectors.extend(_shifted_vectors(cache, pred, "b", a))
         for c in range(j):
             if s[c] == 0:
                 continue
             pred = (r, s[:c] + (s[c] - 1,) + s[c + 1 :])
-            vectors.extend(_shifted_vectors(cache, pred, index, "f", c))
+            vectors.extend(_shifted_vectors(cache, pred, "f", c))
         inv = cache.invariant_basis(deg)
         vectors.extend(dict(row) for row in inv.vectors)
     basis = span_basis(vectors, len(monos), prefilter=False)
@@ -304,46 +303,48 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
     return basis
 
 
-def _shifted_vectors(cache, pred: Multidegree, index, kind: str, set_idx: int):
-    n, k, j = cache.n, cache.k, cache.j
+def _shifted_vectors(cache, pred: Multidegree, kind: str, set_idx: int):
+    """The ideal basis at ``pred`` times each variable of one set, as vectors.
+
+    Each variable acts through one signed index map of the predecessor
+    component (``superring.shift_map``), built once per component and
+    variable, so no monomial is multiplied per vector entry.  Bosonic maps
+    have no signs and no zeros; fermionic maps carry the ordering sign and
+    drop the entries where the fermion is already present.
+    """
     pred_basis = ideal_component(cache, pred)
     if not pred_basis.vectors:
         return
-    pred_monos, _pred_index = cache.monomial_space(pred)
+    n, k, j = cache.n, cache.k, cache.j
+    r, s = pred
     for pos in range(n):
-        var = _variable_monomial(n, k, j, kind, set_idx, pos)
+        signs, tgt = superring.shift_map(n, k, j, r, s, kind, set_idx, pos)
+        if kind == "b":
+            for row in pred_basis.vectors:
+                yield {tgt[i]: v for i, v in row.items()}
+            continue
         for row in pred_basis.vectors:
             vec = {}
-            for idx, val in row.items():
-                prod = superring.mono_mul(var, pred_monos[idx])
-                if prod is None:
-                    continue
-                sign, m2 = prod
-                vec[index[m2]] = val if sign > 0 else -val
+            for i, v in row.items():
+                sign = signs[i]
+                if sign:
+                    vec[tgt[i]] = v if sign > 0 else -v
             if vec:
                 yield vec
 
 
-def _index_action(monos, index, sigma):
-    """Signed index permutation of a class representative on a component."""
-    act = superring.act_mono
-    out = [None] * len(monos)
-    for idx, m in enumerate(monos):
-        sign, m2 = act(sigma, m)
-        out[idx] = (sign, index[m2])
-    return out
+def _signed_action(cache: IdealComponentCache, deg: Multidegree, sigma):
+    return superring.permutation_action(cache.n, cache.k, cache.j, deg[0], deg[1], sigma)
+
+
+def _fixed_trace(signs, targets) -> int:
+    """Trace of a signed index permutation: the signs at its fixed indices."""
+    return sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
 
 
 def ambient_trace(cache: IdealComponentCache, deg: Multidegree, sigma) -> int:
     """Trace on the full monomial component by signed fixed-point counting."""
-    monos, _index = cache.monomial_space(deg)
-    act = superring.act_mono
-    tr = 0
-    for m in monos:
-        sign, m2 = act(sigma, m)
-        if m2 == m:
-            tr += sign
-    return tr
+    return _fixed_trace(*_signed_action(cache, deg, sigma))
 
 
 def quotient_character(
@@ -364,17 +365,15 @@ def quotient_character(
         raise ValueError(f"cycle type {rho} is not a partition of n={cache.n}")
     sigma = snchar.class_representative(rho)
     basis = ideal_component(cache, deg)
-    monos, index = cache.monomial_space(deg)
-    amb = ambient_trace(cache, deg, sigma)
+    signs, targets = _signed_action(cache, deg, sigma)
+    amb = _fixed_trace(signs, targets)
     if not basis.vectors:
         return amb
-    action = _index_action(monos, index, sigma)
     if check_invariant:
         for row in basis.vectors:
             img = {}
             for idx, val in row.items():
-                sign, tgt = action[idx]
-                img[tgt] = val if sign > 0 else -val
+                img[targets[idx]] = val if signs[idx] > 0 else -val
             if basis.reduce(img):
                 from .exactla import SubspaceNotInvariant
 
@@ -383,15 +382,15 @@ def quotient_character(
                 )
     # invert the signed index permutation once, then read each diagonal
     # coefficient straight off the pivot coordinate
-    inverse = [None] * len(action)
-    for idx, (sign, tgt) in enumerate(action):
-        inverse[tgt] = (sign, idx)
+    inverse = [0] * len(targets)
+    for idx, tgt in enumerate(targets):
+        inverse[tgt] = idx
     tr_ideal = 0
     for pivot, row in zip(basis.pivots, basis.vectors):
-        sign, pre = inverse[pivot]
+        pre = inverse[pivot]
         val = row.get(pre, 0)
         if val:
-            tr_ideal += val if sign > 0 else -val
+            tr_ideal += val if signs[pre] > 0 else -val
     return amb - tr_ideal
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "monomial_space_dim",
     "all_perms",
     "reynolds",
+    "permutation_action",
+    "shift_map",
     "invariant_vectors",
     "invariant_basis",
     "mono_to_bytes",
@@ -92,6 +94,28 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _act_exponents(sigma, e: tuple) -> tuple:
+    out = [0] * len(e)
+    for i, x in enumerate(e):
+        if x:
+            out[sigma[i]] = x
+    return tuple(out)
+
+
+def _act_mask(sigma, mask: int):
+    """(sign, image mask): the sign is the parity sigma induces on the occupied positions."""
+    imgs = [sigma[i] for i in _bits(mask)]
+    inv = 0
+    for t in range(len(imgs)):
+        for u in range(t + 1, len(imgs)):
+            if imgs[t] > imgs[u]:
+                inv += 1
+    nm = 0
+    for i in imgs:
+        nm |= 1 << i
+    return (-1 if inv & 1 else 1), nm
+
+
 def act_mono(sigma, m: Monomial):
     """Relabel position indices by sigma; returns (sign, canonical monomial).
 
@@ -99,29 +123,13 @@ def act_mono(sigma, m: Monomial):
     positions within each fermionic set (cross-set order never changes).
     """
     bos, fer = m
-    nbos = []
-    for e in bos:
-        out = [0] * len(e)
-        for i, x in enumerate(e):
-            if x:
-                out[sigma[i]] = x
-        nbos.append(tuple(out))
     sign = 1
     nfer = []
     for mask in fer:
-        imgs = [sigma[i] for i in _bits(mask)]
-        inv = 0
-        for t in range(len(imgs)):
-            for u in range(t + 1, len(imgs)):
-                if imgs[t] > imgs[u]:
-                    inv += 1
-        if inv & 1:
-            sign = -sign
-        nm = 0
-        for i in imgs:
-            nm |= 1 << i
+        sg, nm = _act_mask(sigma, mask)
+        sign *= sg
         nfer.append(nm)
-    return sign, (tuple(nbos), tuple(nfer))
+    return sign, (tuple(_act_exponents(sigma, e) for e in bos), tuple(nfer))
 
 
 def poly_add_term(poly: dict, mono: Monomial, coeff) -> None:
@@ -246,6 +254,11 @@ def _masks(count: int, n: int) -> tuple:
     return tuple(out)
 
 
+def _groups(n: int, r, s) -> list:
+    """Per-set factor lists of a component: compositions, then masks."""
+    return [_compositions(ra, n) for ra in r] + [_masks(sc, n) for sc in s]
+
+
 @cache
 def monomial_space(n: int, k: int, j: int, r, s):
     """Canonically ordered monomial basis of a multidegree component.
@@ -253,6 +266,9 @@ def monomial_space(n: int, k: int, j: int, r, s):
     Returns (monomials, index) where index maps monomial -> position.  The
     order is the lexicographic product of per-set composition lists and mask
     lists; it is fixed so matrix layouts and cache files are reproducible.
+    The index of a monomial is therefore mixed radix in the positions of its
+    per-set factors within those lists, the last set varying fastest, which
+    ``_index_map`` relies on.
     """
     r = tuple(r)
     s = tuple(s)
@@ -262,9 +278,8 @@ def monomial_space(n: int, k: int, j: int, r, s):
         raise ValueError("multidegree must be nonnegative")
     if any(x > n for x in s):
         return (), {}
-    groups = [_compositions(ra, n) for ra in r] + [_masks(sc, n) for sc in s]
     monos = []
-    for combo in product(*groups):
+    for combo in product(*_groups(n, r, s)):
         bos = tuple(combo[:k])
         fer = tuple(combo[k:])
         monos.append((bos, fer))
@@ -301,37 +316,124 @@ def reynolds(n: int, poly: dict) -> dict:
     return {m: c * scale for m, c in out.items()}
 
 
+def _index_map(factor_maps, index: dict):
+    """Signed index map of a component assembled from one map per set.
+
+    ``factor_maps[g]`` is (signs, positions, size): the factor at position d
+    of the g-th per-set list goes to ``signs[d]`` times the factor at
+    ``positions[d]`` of a target list of ``size`` factors, sign 0 where the
+    image vanishes.  Positions combine in the mixed radix of
+    ``monomial_space`` and signs multiply.  Returns (signs, targets), two
+    lists over the source component; the targets are the int objects of the
+    target component's ``index``, so the vectors keyed by them share them.
+    """
+    signs, targets = [1], [0]
+    for fsigns, fpositions, size in factor_maps:
+        signs = [a * b for a in signs for b in fsigns]
+        targets = [a * size + b for a in targets for b in fpositions]
+    canon = list(index.values())
+    return signs, [canon[t] if sign else 0 for sign, t in zip(signs, targets)]
+
+
+def permutation_action(n: int, k: int, j: int, r, s, sigma):
+    """Signed index permutation of sigma on a component, as (signs, targets).
+
+    ``act_mono(sigma, monos[i]) == (signs[i], monos[targets[i]])``; each
+    per-set factor is acted on once, not each monomial.
+    """
+    maps = []
+    for g, factors in enumerate(_groups(n, r, s)):
+        where = {f: d for d, f in enumerate(factors)}
+        if g < k:
+            fsigns = [1] * len(factors)
+            images = [_act_exponents(sigma, e) for e in factors]
+        else:
+            fsigns, images = [], []
+            for mask in factors:
+                sign, image = _act_mask(sigma, mask)
+                fsigns.append(sign)
+                images.append(image)
+        maps.append((fsigns, [where[f] for f in images], len(factors)))
+    return _index_map(maps, monomial_space(n, k, j, r, s)[1])
+
+
+def shift_map(n: int, k: int, j: int, r, s, kind: str, set_idx: int, pos: int):
+    """Signed index map of left multiplication by one variable on component (r, s).
+
+    The variable is bosonic (``kind == "b"``) or fermionic (``"f"``), of set
+    ``set_idx`` at position ``pos``.  Returns (signs, targets) over the
+    component: the product with ``monos[i]`` is ``signs[i]`` times monomial
+    ``targets[i]`` of the component one degree higher in that set, or zero
+    where ``signs[i] == 0`` (the fermion is already present).  Entry by entry
+    this is what ``mono_mul(variable, monos[i])`` gives, but it is read off
+    the per-set factor lists instead of multiplying monomials.
+    """
+    groups = _groups(n, r, s)
+    maps = [([1] * len(f), range(len(f)), len(f)) for f in groups]
+    r2, s2 = list(r), list(s)
+    if kind == "b":
+        g = set_idx
+        r2[set_idx] += 1
+        target = _compositions(r2[set_idx], n)
+        where = {e: d for d, e in enumerate(target)}
+        fsigns = maps[g][0]
+        fpositions = [where[e[:pos] + (e[pos] + 1,) + e[pos + 1 :]] for e in groups[g]]
+    else:
+        g = k + set_idx
+        s2[set_idx] += 1
+        target = _masks(s2[set_idx], n)
+        where = {mask: d for d, mask in enumerate(target)}
+        bit = 1 << pos
+        # the new factor moves right past every fermion of the earlier sets
+        # and past the lower positions of its own set
+        before = sum(s[:set_idx])
+        fsigns = [
+            0 if mask & bit else -1 if (before + (mask & (bit - 1)).bit_count()) & 1 else 1
+            for mask in groups[g]
+        ]
+        fpositions = [0 if mask & bit else where[mask | bit] for mask in groups[g]]
+    maps[g] = (fsigns, fpositions, len(target))
+    return _index_map(maps, monomial_space(n, k, j, tuple(r2), tuple(s2))[1])
+
+
 def invariant_vectors(n: int, k: int, j: int, r, s):
     """Integer spanning vectors of the invariant subspace of a component.
 
-    One full |S_n| Reynolds sum is evaluated per monomial orbit (the sums of
-    two monomials in one orbit agree up to sign, so representatives suffice);
-    orbits whose signed sum cancels contribute nothing.  Every returned
-    vector is audited to be fixed by the adjacent transpositions.
+    Each monomial orbit is walked breadth-first from its first unvisited
+    monomial along the signed index maps of the adjacent transpositions,
+    giving every monomial reached a sign.  Two conflicting signs for one
+    monomial mean the stabilizer holds an element acting by -1, so the
+    orbit's Reynolds sum cancels and the orbit contributes nothing.
+    Otherwise the orbit's signed indicator is its Reynolds sum divided by
+    the stabilizer order: the span, hence the reduced echelon basis, is the
+    one full Reynolds sums give.  Every edge walked checks that the vector
+    is fixed by that transposition; as every generator is checked on every
+    orbit element, each returned vector is verified S_n-invariant, which is
+    no weaker than auditing the finished vectors against the generators.
     """
     monos, index = monomial_space(n, k, j, r, s)
-    perms = all_perms(n)
-    gens = _adjacent_transpositions(n)
-    visited = [False] * len(monos)
+    gens = [permutation_action(n, k, j, r, s, tau) for tau in _adjacent_transpositions(n)]
+    sign_of = [0] * len(monos)  # 0 while unvisited
     vectors = []
-    for start, m in enumerate(monos):
-        if visited[start]:
+    for start in range(len(monos)):
+        if sign_of[start]:
             continue
-        acc: dict = {}
-        orbit = set()
-        for sigma in perms:
-            sign, m2 = act_mono(sigma, m)
-            acc[m2] = acc.get(m2, 0) + sign
-            orbit.add(m2)
-        for m2 in orbit:
-            visited[index[m2]] = True
-        vec = {index[m2]: c for m2, c in acc.items() if c}
-        if not vec:
-            continue
-        for tau in gens:
-            if _act_vector(tau, vec, monos, index) != vec:
-                raise AssertionError("Reynolds output not fixed by a transposition")
-        vectors.append(vec)
+        sign_of[start] = 1
+        orbit = [start]
+        fixed = True
+        for idx in orbit:  # grows while walked: breadth-first
+            here = sign_of[idx]
+            for signs, targets in gens:
+                tgt = targets[idx]
+                want = here * signs[idx]
+                seen = sign_of[tgt]
+                if not seen:
+                    sign_of[tgt] = want
+                    orbit.append(tgt)
+                elif seen != want:
+                    fixed = False
+        if fixed:
+            vectors.append({idx: sign_of[idx] for idx in orbit})
     return monos, index, vectors
 
 
@@ -342,14 +444,6 @@ def _adjacent_transpositions(n: int) -> tuple:
         tau[i], tau[i + 1] = tau[i + 1], tau[i]
         gens.append(tuple(tau))
     return tuple(gens)
-
-
-def _act_vector(sigma, vec: dict, monos, index) -> dict:
-    out: dict = {}
-    for idx, c in vec.items():
-        sign, m2 = act_mono(sigma, monos[idx])
-        out[index[m2]] = sign * c
-    return out
 
 
 def invariant_basis(n: int, k: int, j: int, r, s) -> SubspaceBasis:

@@ -148,6 +148,34 @@ def test_cli_table_renders_artifacts(tmp_path):
     assert "Frobenius series" in out
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"],
+        ["expand", "--n", "2", "--k", "1", "--j", "1"],
+        ["verify", "artin", "--n", "3", "--format", "json"],
+    ],
+    ids=["frobenius", "coeff_table", "reports"],
+)
+def test_cli_table_json_reprints_artifact(tmp_path, make):
+    artifact = tmp_path / "artifact.json"
+    code, _out, _ = _run_cli(make + ["--out", str(artifact)])
+    assert code == 0
+    code, out, _ = _run_cli(["table", str(artifact), "--format", "json"])
+    assert code == 0
+    assert out == artifact.read_text()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--j"])
+def test_cli_negative_size_exit_2(flag):
+    argv = ["compute", "--n", "3", "--k", "1", "--j", "1"]
+    argv[argv.index(flag) + 1] = "-1"
+    code, out, err = _run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]} must be a nonnegative integer" in err
+
+
 def test_cli_ceiling_resource_error():
     code, _out, err = _run_cli(
         ["compute", "--n", "4", "--k", "2", "--j", "0", "--ceiling", "10"]

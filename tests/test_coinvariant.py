@@ -206,6 +206,14 @@ def test_eviction_persists_to_disk(tmp_path):
     assert loaded.vectors == direct.vectors
 
 
+@pytest.mark.parametrize("n,k,j", [(-1, 1, 0), (3, -1, 0), (3, 1, -2)])
+def test_negative_sizes_rejected(n, k, j):
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        IdealComponentCache(n, k, j)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        hilbert_series(n, k, j)
+
+
 def test_ceiling_exceeded_reports_offender():
     cache = IdealComponentCache(4, 2, 0, ceiling=10)
     with pytest.raises(CeilingExceeded) as err:

@@ -16,9 +16,11 @@ from supercoinv.superring import (
     mono_to_bytes,
     monomial_space,
     monomial_space_dim,
+    permutation_action,
     poly_add_term,
     poly_mul,
     reynolds,
+    shift_map,
     superderivation,
 )
 
@@ -251,12 +253,70 @@ def test_invariant_basis_hand_cases():
     assert basis.vectors[0] == {0: 1, 1: 1, 2: 1}
 
 
+def _components_upto(n, k, j, top):
+    """Every multidegree (r, s) of total degree at most top."""
+    degs = [((), ())]
+    for _ in range(k):
+        degs = [(r + (a,), s) for r, s in degs for a in range(top + 1)]
+    for _ in range(j):
+        degs = [(r, s + (c,)) for r, s in degs for c in range(top + 1)]
+    return [(r, s) for r, s in degs if sum(r) + sum(s) <= top]
+
+
+def test_shift_maps_match_mono_mul():
+    # every entry of every variable's map is the product mono_mul gives,
+    # a killed product included
+    for n, k, j in [(3, 2, 0), (3, 1, 1), (3, 0, 2), (2, 2, 2)]:
+        for r, s in _components_upto(n, k, j, 4):
+            monos, _index = monomial_space(n, k, j, r, s)
+            variables = [("b", a, p) for a in range(k) for p in range(n)]
+            variables += [("f", c, p) for c in range(j) for p in range(n)]
+            for kind, i, p in variables:
+                if kind == "b":
+                    var = _mono(n, k, j, bos=[(i, p, 1)])
+                    r2, s2 = r[:i] + (r[i] + 1,) + r[i + 1 :], s
+                else:
+                    var = _mono(n, k, j, fer=[(i, p)])
+                    r2, s2 = r, s[:i] + (s[i] + 1,) + s[i + 1 :]
+                targets_monos, _ = monomial_space(n, k, j, r2, s2)
+                signs, targets = shift_map(n, k, j, r, s, kind, i, p)
+                assert len(signs) == len(targets) == len(monos)
+                for idx, m in enumerate(monos):
+                    prod = mono_mul(var, m)
+                    if prod is None:
+                        assert signs[idx] == 0
+                    else:
+                        assert (signs[idx], targets_monos[targets[idx]]) == prod
+
+
+def test_permutation_action_matches_act_mono():
+    for n, k, j in [(3, 2, 0), (3, 1, 1), (3, 0, 2), (2, 2, 2)]:
+        for r, s in _components_upto(n, k, j, 3):
+            monos, _index = monomial_space(n, k, j, r, s)
+            for sigma in all_perms(n):
+                signs, targets = permutation_action(n, k, j, r, s, sigma)
+                assert [(sg, monos[t]) for sg, t in zip(signs, targets)] == [
+                    act_mono(sigma, m) for m in monos
+                ]
+
+
 def test_invariant_vectors_match_full_reynolds():
     # spanning vectors agree with averaging every monomial separately
-    for (n, k, j, r, s) in [(3, 1, 0, (2,), ()), (3, 0, 2, (), (1, 1)), (2, 1, 1, (1,), (1,))]:
-        monos, index, vectors = invariant_vectors(n, k, j, r, s)
-        from supercoinv.exactla import span_basis
+    from supercoinv.exactla import span_basis
 
+    shapes = [
+        (3, 1, 0, (2,), ()),
+        (3, 0, 2, (), (1, 1)),
+        (2, 1, 1, (1,), (1,)),
+        # orbits whose Reynolds sums cancel: odd stabilizer elements
+        (3, 0, 2, (), (2, 2)),
+        (4, 1, 1, (2,), (2,)),
+        (2, 0, 1, (), (2,)),
+        # two bosonic sets
+        (3, 2, 0, (2, 1), ()),
+    ]
+    for n, k, j, r, s in shapes:
+        monos, index, vectors = invariant_vectors(n, k, j, r, s)
         direct = []
         for m in monos:
             avg = reynolds(n, {m: 1})
@@ -266,6 +326,10 @@ def test_invariant_vectors_match_full_reynolds():
         a = span_basis(vectors, len(monos), prefilter=False)
         b = span_basis(direct, len(monos), prefilter=False)
         assert a.pivots == b.pivots and a.vectors == b.vectors
+        for vec in vectors:
+            poly = {monos[i]: c for i, c in vec.items()}
+            for sigma in all_perms(n):
+                assert act_poly(sigma, poly) == poly
 
 
 def test_byte_encoding_roundtrip():
