@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import checks, coinvariant
 from .coinvariant import CeilingExceeded, CoeffTable, FrobeniusSeries
-from .superschur import super_cauchy_check
+from .superschur import QUPoly, super_cauchy_check
 
 
 def _load_envelope() -> dict:
@@ -129,6 +129,19 @@ def _frobenius_csv(series: FrobeniusSeries) -> str:
     return _csv_rows(rows, ["r", "s", "mu", "mult"])
 
 
+def _hilbert_text(artifact) -> str:
+    return artifact["hilbert"].pretty()
+
+
+def _hilbert_csv(artifact) -> str:
+    rows = [[json.dumps(list(e)), c] for e, c in sorted(artifact["hilbert"].coeffs.items())]
+    return _csv_rows(rows, ["exponents", "dim"])
+
+
+def _hilbert_json(artifact) -> str:
+    return json.dumps({**artifact, "hilbert": artifact["hilbert"].to_json()}, indent=2)
+
+
 def _reports_text(reports) -> str:
     lines = []
     for rec in reports:
@@ -159,6 +172,8 @@ def _artifact_json(artifact) -> str:
 # uses the same ones, so it reprints an artifact as the command that made it
 _REPORTS = {"json": _reports_json, "csv": _reports_csv, "text": _reports_text}
 _FROBENIUS = {"json": _artifact_json, "csv": _frobenius_csv, "text": _frobenius_text}
+# the Hilbert artifact is {"n", "k", "j", "hilbert": QUPoly}
+_HILBERT = {"json": _hilbert_json, "csv": _hilbert_csv, "text": _hilbert_text}
 _COEFF_TABLE = {"json": _artifact_json, "csv": _coeff_table_csv, "text": _coeff_table_text}
 
 
@@ -202,14 +217,8 @@ def _run_compute(args) -> int:
     n, k, j = args.n, args.k or 0, args.j or 0
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
     if args.series == "hilbert":
-        poly = session.hilbert(n, k, j)
-        if args.format == "text":
-            _emit(poly.pretty(), args)
-        elif args.format == "csv":
-            rows = [[json.dumps(list(e)), c] for e, c in sorted(poly.coeffs.items())]
-            _emit(_csv_rows(rows, ["exponents", "dim"]), args)
-        else:
-            _emit(json.dumps({"n": n, "k": k, "j": j, "hilbert": poly.to_json()}, indent=2), args)
+        artifact = {"n": n, "k": k, "j": j, "hilbert": session.hilbert(n, k, j)}
+        _emit(_HILBERT[args.format](artifact), args)
     else:
         _emit(_FROBENIUS[args.format](session.frobenius(n, k, j)), args)
     return 0
@@ -253,6 +262,9 @@ def _run_table(args) -> int:
         text = _FROBENIUS[args.format](FrobeniusSeries.from_json(data))
     elif isinstance(data, dict) and "entries" in data:
         text = _COEFF_TABLE[args.format](CoeffTable.from_json(data))
+    elif isinstance(data, dict) and "hilbert" in data:
+        poly = QUPoly.from_json(data["k"], data["j"], data["hilbert"])
+        text = _HILBERT[args.format]({**data, "hilbert": poly})
     elif args.format == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
     else:

@@ -223,10 +223,15 @@ class IdealComponentCache:
             return
         monos, _index = self.monomial_space(deg)
         vectors = []
-        for row in basis.vectors:
+        for pivot, row in zip(basis.pivots, basis.vectors):
+            # the file holds the reduced-echelon row over Q: value 1 at its pivot
+            d = row[pivot]
             vectors.append(
                 [
-                    [superring.mono_to_bytes(monos[i], self.n).hex(), str(Fraction(v))]
+                    [
+                        superring.mono_to_bytes(monos[i], self.n).hex(),
+                        str(v) if d == 1 else str(Fraction(v, d)),
+                    ]
                     for i, v in sorted(row.items())
                 ]
             )
@@ -255,17 +260,44 @@ class IdealComponentCache:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         monos, index = self.monomial_space(deg)
+        n, k, j = self.n, self.k, self.j
+        expected = {
+            "n": n,
+            "k": k,
+            "j": j,
+            "r": list(deg[0]),
+            "s": list(deg[1]),
+            "dim": len(monos),
+        }
+        for key, want in expected.items():
+            if payload.get(key) != want:
+                raise ValueError(
+                    f"cache file {path} does not match the request: "
+                    f"{key} is {payload.get(key)!r}, expected {want!r}"
+                )
+        pivots, vectors = payload["pivots"], payload["vectors"]
+        if len(pivots) != len(vectors):
+            raise ValueError(
+                f"corrupt cache file {path}: {len(pivots)} pivots, {len(vectors)} rows"
+            )
         rows = {}
-        for pivot, row in zip(payload["pivots"], payload["vectors"]):
+        for pivot, row in zip(pivots, vectors):
             vec = {}
-            for hexmono, val in row:
-                mono = superring.mono_from_bytes(bytes.fromhex(hexmono), self.n, self.k, self.j)
-                frac = Fraction(val)
-                vec[index[mono]] = int(frac) if frac.denominator == 1 else frac
+            try:
+                for hexmono, val in row:
+                    mono = superring.mono_from_bytes(bytes.fromhex(hexmono), n, k, j)
+                    vec[index[mono]] = Fraction(val) if "/" in val else int(val)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"corrupt cache file {path}: row {pivot}: {exc!r}") from exc
+            if vec.get(pivot) != 1:
+                raise ValueError(f"corrupt cache file {path}: row {pivot} is not 1 at its pivot")
             rows[pivot] = vec
-        if len(rows) != len(payload["pivots"]):
+        if len(rows) != len(pivots):
             raise ValueError(f"corrupt cache file {path}: duplicate pivots")
-        return SubspaceBasis.from_rows(len(monos), rows)
+        try:
+            return SubspaceBasis.from_rows(len(monos), rows)
+        except ValueError as exc:
+            raise ValueError(f"corrupt cache file {path}: {exc}") from exc
 
 
 def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBasis:
@@ -381,7 +413,8 @@ def quotient_character(
                     f"ideal component at {deg} not stable under cycle type {rho}"
                 )
     # invert the signed index permutation once, then read each diagonal
-    # coefficient straight off the pivot coordinate
+    # coefficient straight off the pivot coordinate: a row with pivot value d
+    # contributes its entry there over d
     inverse = [0] * len(targets)
     for idx, tgt in enumerate(targets):
         inverse[tgt] = idx
@@ -390,7 +423,10 @@ def quotient_character(
         pre = inverse[pivot]
         val = row.get(pre, 0)
         if val:
-            tr_ideal += val if signs[pre] > 0 else -val
+            if signs[pre] < 0:
+                val = -val
+            d = row[pivot]
+            tr_ideal += val if d == 1 else Fraction(val, d)
     return amb - tr_ideal
 
 

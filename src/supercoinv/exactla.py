@@ -1,17 +1,21 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, computed in integers.
 
-Vectors are plain dicts {coordinate: value} with int or Fraction values and no
-stored zeros; mixed int/Fraction arithmetic keeps the common all-integer case
-fast.  Bases are held in reduced echelon form: every basis vector has value 1
-at its own pivot coordinate and value 0 at every other pivot, so membership
-coefficients can be read directly off pivot coordinates.  The reduced echelon
-basis of a subspace is unique, which makes all results independent of
-insertion order.
+Vectors are plain dicts {coordinate: value} with no stored zeros.  Callers
+may pass int or Fraction values; the engine's own callers pass integers.
+Bases are held in reduced echelon form, each row stored as the primitive
+integer multiple of its reduced-echelon row over Q: a positive pivot value d
+at its own pivot, value 0 at every other pivot, and entries with gcd 1.
+Elimination never leaves the integers for integer input; a value is divided
+by d only where it is read as a rational number, so membership coefficients
+are still read directly off pivot coordinates.  The reduced echelon basis of
+a subspace and its primitive integer rows are unique, which makes all results
+independent of insertion order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "DimensionMismatch",
@@ -21,8 +25,6 @@ __all__ = [
     "span_basis",
     "column_space",
     "solve_columns",
-    "restricted_trace",
-    "bareiss_rank",
     "modular_rank_profile",
 ]
 
@@ -92,20 +94,31 @@ class SparseMatrix:
 
 
 class SubspaceBasis:
-    """Reduced-echelon basis of a subspace of Q^dim.
+    """Reduced-echelon basis of a subspace of Q^dim, held in integers.
 
-    Rows are stored keyed by pivot coordinate; each row has value 1 at its
-    pivot and value 0 at every other pivot.  An occurrence index (coordinate
-    -> set of pivots whose row touches it) makes back-substitution linear in
-    the rows actually affected instead of scanning the whole basis.  Treat
-    instances as frozen once built: ``insert`` is for construction only.
+    Rows are stored keyed by pivot coordinate.  Each stored row is the
+    primitive integer multiple of its reduced-echelon row over Q: a positive
+    pivot value d at its own pivot, 0 at every other pivot, entries with gcd
+    1.  That multiple is unique, so the stored rows are canonical too.
+    Elimination is fraction-free (Bareiss-style): a hit pivot with
+    coefficient c is cleared as ``w <- (d/g) w - (c/g) row`` with
+    ``g = gcd(c, d)``, and a value is divided by d only where it is read as a
+    rational number (``reduce``, ``coefficients``, ``solve_columns``).  The
+    pivot values other than 1 are also kept in ``_den`` (pivot -> d); it
+    stays empty while every reduced-echelon row is integral, and then
+    elimination never looks a pivot value up.  An occurrence index
+    (coordinate -> set of pivots whose row touches it) makes
+    back-substitution linear in the rows actually affected instead of
+    scanning the whole basis.  Treat instances as frozen once built:
+    ``insert`` is for construction only.
     """
 
-    __slots__ = ("dim", "_rows", "_occ", "_sorted")
+    __slots__ = ("dim", "_rows", "_den", "_occ", "_sorted")
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, dict] = {}
+        self._den: dict[int, int] = {}
         self._occ: dict[int, set] = {}
         self._sorted: list[int] | None = []
 
@@ -121,6 +134,7 @@ class SubspaceBasis:
 
     @property
     def vectors(self) -> list[dict]:
+        """The stored primitive integer rows, in pivot order."""
         return [self._rows[p] for p in self.pivots]
 
     def row(self, pivot: int) -> dict:
@@ -129,19 +143,30 @@ class SubspaceBasis:
     def is_full(self) -> bool:
         return len(self._rows) == self.dim
 
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec after eliminating all pivot coordinates.
+    def _eliminate(self, vec: dict):
+        """(w, scale): scale * (residual of vec), scale a positive integer.
 
         Eliminating a pivot only introduces non-pivot coordinates (reduced
-        echelon form), so one pass over the initial support suffices.
+        echelon form), so one pass over the pivots in the initial support
+        suffices, in any order.
         """
         w = dict(vec)
         rows = self._rows
-        hits = [i for i in w if i in rows]
-        for p in hits:
+        den = self._den
+        scale = 1
+        for p in w.keys() & rows.keys():
             c = w.pop(p, 0)
             if not c:
                 continue
+            if den and p in den:
+                d = den[p]
+                if type(c) is int:
+                    g = gcd(c, d)
+                    d //= g
+                    c //= g
+                if d != 1:
+                    scale *= d
+                    w = {i: d * v for i, v in w.items()}
             for i, v in rows[p].items():
                 if i == p:
                     continue
@@ -149,40 +174,55 @@ class SubspaceBasis:
                 if nv:
                     w[i] = nv
                 else:
-                    w.pop(i, None)
-        return w
+                    del w[i]
+        return w, scale
+
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec after eliminating all pivot coordinates."""
+        w, scale = self._eliminate(vec)
+        if scale == 1:
+            return w
+        return {i: _exact_div(v, scale) for i, v in w.items()}
 
     def contains(self, vec: dict) -> bool:
         for i in vec:
             if not 0 <= i < self.dim:
                 raise DimensionMismatch(f"coordinate {i} outside ambient dimension {self.dim}")
-        return not self.reduce(vec)
+        return not self._eliminate(vec)[0]
 
     def coefficients(self, vec: dict):
-        """Coordinates of vec in this basis, or None when vec is outside.
+        """Coordinates of vec in the basis ``vectors``, or None when vec is outside.
 
-        In reduced echelon form the coefficient of basis vector i is simply
-        vec[pivots[i]], provided the residual vanishes.
+        In reduced echelon form the coefficient of the row with pivot p and
+        pivot value d is simply vec[p] / d, provided the residual vanishes.
         """
         if not self.contains(vec):
             return None
-        return [vec.get(p, 0) for p in self.pivots]
+        den = self._den
+        return [_exact_div(vec.get(p, 0), den.get(p, 1)) for p in self.pivots]
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; returns False when vec was already contained."""
-        w = self.reduce(vec)
+        w, _scale = self._eliminate(vec)
         if not w:
             return False
         p = min(w)
-        c = w.pop(p)
-        if c != 1:
-            w = {i: _exact_div(v, c) for i, v in w.items()}
+        w = _primitive(w, p)
+        d = w.pop(p)
         rows = self._rows
+        den = self._den
         occ = self._occ
         # keep reduced form: clear the new pivot from the rows that carry it
         for q in occ.pop(p, ()):
             other = rows[q]
             cv = other.pop(p)
+            if d != 1:
+                g = gcd(cv, d)
+                cv //= g
+                a = d // g
+                if a != 1:
+                    for i in other:
+                        other[i] *= a
             for i, v in w.items():
                 nv = other.get(i, 0) - cv * v
                 if nv:
@@ -192,8 +232,21 @@ class SubspaceBasis:
                 else:
                     other.pop(i, None)
                     occ[i].discard(q)
-        w[p] = 1
+            dq = other[q]
+            if dq != 1:
+                g = gcd(*other.values())
+                if g != 1:
+                    for i in other:
+                        other[i] //= g
+                    dq //= g
+                if dq != 1:
+                    den[q] = dq
+                else:
+                    den.pop(q, None)
+        w[p] = d
         rows[p] = w
+        if d != 1:
+            den[p] = d
         for i in w:
             if i != p:
                 occ.setdefault(i, set()).add(p)
@@ -202,12 +255,18 @@ class SubspaceBasis:
 
     @classmethod
     def from_rows(cls, dim: int, rows: dict) -> "SubspaceBasis":
-        """Rebuild from pivot -> row dicts already in reduced echelon form."""
+        """Rebuild from pivot -> row dicts already in reduced echelon form.
+
+        Rows may be any nonzero rational multiples of the reduced-echelon
+        rows; denominators are cleared once and each row is stored primitive.
+        """
         basis = cls(dim)
         for p, row in rows.items():
-            if row.get(p) != 1:
-                raise ValueError(f"row for pivot {p} lacks a unit pivot")
-            basis._rows[p] = dict(row)
+            if not row.get(p):
+                raise ValueError(f"row for pivot {p} is zero at its pivot")
+            row = basis._rows[p] = _primitive(row, p)
+            if row[p] != 1:
+                basis._den[p] = row[p]
         for p, row in basis._rows.items():
             for i in row:
                 if i != p:
@@ -216,6 +275,21 @@ class SubspaceBasis:
                     basis._occ.setdefault(i, set()).add(p)
         basis._sorted = None
         return basis
+
+
+def _primitive(row: dict, pivot: int) -> dict:
+    """The primitive integer multiple of row with a positive value at pivot."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # Fraction entries: clear the denominators once
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        row = {i: int(v * den) for i, v in row.items()}
+        g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {i: v // g for i, v in row.items()}
 
 
 def span_basis(vectors, dim: int, prefilter: bool | None = None) -> SubspaceBasis:
@@ -321,66 +395,3 @@ def solve_columns(columns, rhs: dict, dim: int):
     for i, v in resid.items():
         coeffs[i - dim] = -v
     return coeffs
-
-
-def restricted_trace(basis: SubspaceBasis, apply_map, check: bool = True):
-    """Trace of a linear map restricted to span(basis).
-
-    ``apply_map`` sends a sparse vector to its image.  With ``check`` the image
-    of every basis vector is verified to lie in the span (raising
-    SubspaceNotInvariant otherwise); callers may disable the verification when
-    invariance is already established structurally.
-    """
-    total = 0
-    for p, row in zip(basis.pivots, basis.vectors):
-        img = apply_map(row)
-        if check and basis.reduce(img):
-            raise SubspaceNotInvariant(f"image of basis vector with pivot {p} leaves the subspace")
-        total += img.get(p, 0)
-    return total
-
-
-def bareiss_rank(rows) -> int:
-    """Rank via dense fraction-free (Bareiss) elimination; cross-check oracle.
-
-    Accepts any rational dense matrix; rows are scaled to integers first.
-    """
-    m = []
-    for row in rows:
-        scaled = [Fraction(v) for v in row]
-        lcm = 1
-        for v in scaled:
-            if v.denominator != 1:
-                g = _gcd(lcm, v.denominator)
-                lcm = lcm // g * v.denominator
-        m.append([int(v * lcm) for v in scaled])
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, nr):
-            for c in range(col + 1, nc):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -1,0 +1,134 @@
+"""Test-only oracles: plain, independent implementations to check the engine.
+
+Nothing here runs in production.  ``rref`` is a textbook rational
+Gauss–Jordan elimination on ``Fraction`` values that shares no code with
+``supercoinv.exactla``; ``bareiss_rank`` is a dense fraction-free rank;
+``restricted_trace`` reads a trace off any reduced-echelon basis object.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from supercoinv.exactla import SubspaceNotInvariant
+
+
+def _axpy(w: dict, c, row: dict) -> dict:
+    """w + c * row, without stored zeros."""
+    out = dict(w)
+    for i, v in row.items():
+        nv = out.get(i, 0) + c * v
+        if nv:
+            out[i] = nv
+        else:
+            out.pop(i, None)
+    return out
+
+
+def _residual(rows: dict, vec: dict) -> dict:
+    w = {i: Fraction(v) for i, v in vec.items() if v}
+    for p, row in rows.items():
+        if w.get(p):
+            w = _axpy(w, -w[p], row)
+    return w
+
+
+def rref(vectors, dim: int) -> dict:
+    """Reduced row echelon form of the span: pivot -> row over Q.
+
+    Each row is a dict of Fractions with value 1 at its pivot (the least
+    coordinate it touches) and value 0, not stored, at every other pivot.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        if any(not 0 <= i < dim for i in vec):
+            raise ValueError(f"vector leaves Q^{dim}")
+        w = _residual(rows, vec)
+        if not w:
+            continue
+        p = min(w)
+        w = {i: v / w[p] for i, v in w.items()}
+        for q, other in rows.items():
+            if other.get(p):
+                rows[q] = _axpy(other, -other[p], w)
+        rows[p] = w
+    return rows
+
+
+class OracleBasis:
+    """The ``rref`` rows behind the read-only part of the basis interface."""
+
+    def __init__(self, vectors, dim: int):
+        self._rows = rref(vectors, dim)
+        self.pivots = sorted(self._rows)
+        self.vectors = [self._rows[p] for p in self.pivots]
+
+    def reduce(self, vec: dict) -> dict:
+        return _residual(self._rows, vec)
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def coefficients(self, vec: dict):
+        if not self.contains(vec):
+            return None
+        return [Fraction(vec.get(p, 0)) for p in self.pivots]
+
+
+def restricted_trace(basis, apply_map, check: bool = True):
+    """Trace of a linear map restricted to span(basis).
+
+    ``apply_map`` sends a sparse vector to its image.  The basis rows may
+    carry any nonzero value d at their pivot; the coefficient of a row in an
+    image is read as the image's pivot entry over d.  With ``check`` the image
+    of every basis vector is verified to lie in the span (raising
+    SubspaceNotInvariant otherwise).
+    """
+    total = 0
+    for p, row in zip(basis.pivots, basis.vectors):
+        img = apply_map(row)
+        if check and basis.reduce(img):
+            raise SubspaceNotInvariant(f"image of basis vector with pivot {p} leaves the subspace")
+        total += Fraction(img.get(p, 0)) / row[p]
+    return total
+
+
+def bareiss_rank(rows) -> int:
+    """Rank via dense fraction-free (Bareiss) elimination.
+
+    Accepts any rational dense matrix; rows are scaled to integers first.
+    """
+    m = []
+    for row in rows:
+        scaled = [Fraction(v) for v in row]
+        lcm = 1
+        for v in scaled:
+            if v.denominator != 1:
+                g = gcd(lcm, v.denominator)
+                lcm = lcm // g * v.denominator
+        m.append([int(v * lcm) for v in scaled])
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(nc):
+        piv = None
+        for r in range(row, nr):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        for r in range(row + 1, nr):
+            for c in range(col + 1, nc):
+                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        rank += 1
+        row += 1
+        if row == nr:
+            break
+    return rank

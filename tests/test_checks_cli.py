@@ -248,3 +248,62 @@ def test_bound_closure_all_operator_families():
     session = CheckSession()
     report = run_check("bound_closure", session, {"n": 2, "k": 2, "j": 2})
     assert report.passed, report.witness
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cli_table_renders_hilbert(tmp_path, fmt):
+    # the Hilbert JSON that compute writes by default is a recognized
+    # artifact: table prints it exactly as compute prints that format
+    artifact = tmp_path / "h.json"
+    code, _out, _ = _run_cli(["compute", "--n", "3", "--k", "1", "--out", str(artifact)])
+    assert code == 0
+    code, direct, _ = _run_cli(["compute", "--n", "3", "--k", "1", "--format", fmt])
+    assert code == 0
+    code, out, err = _run_cli(["table", str(artifact), "--format", fmt])
+    assert code == 0, err
+    assert out == direct
+
+
+def _tamper_dim(payload):
+    payload["dim"] += 1
+
+
+def _tamper_r(payload):
+    payload["r"] = [payload["r"][0] + 1]
+
+
+def _tamper_pivot_value(payload):
+    row, pivot = payload["vectors"][0], payload["pivots"][0]
+    # the entries of a row are sorted by coordinate and the pivot is the
+    # least coordinate of its row, so it comes first
+    assert row[0][1] == "1", pivot
+    row[0][1] = "2"
+
+
+def _tamper_monomial(payload):
+    # the constant monomial, which is not in the degree-1 component
+    row = payload["vectors"][0]
+    row[-1][0] = "0" * len(row[-1][0])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_tamper_dim, _tamper_r, _tamper_pivot_value, _tamper_monomial],
+    ids=["dim", "r", "pivot_value", "monomial"],
+)
+def test_cli_refuses_tampered_cache_file(tmp_path, tamper):
+    argv = ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"]
+    argv += ["--cache-dir", str(tmp_path)]
+    code, expected, _ = _run_cli(argv)
+    assert code == 0
+    path = next(tmp_path.rglob("r1_s0.json"))
+    # an untouched cache reproduces the output
+    assert _run_cli(argv)[:2] == (0, expected)
+    payload = json.loads(path.read_text())
+    assert payload["pivots"]
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    code, out, err = _run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert str(path) in err

@@ -8,13 +8,13 @@ from supercoinv.exactla import (
     SparseMatrix,
     SubspaceBasis,
     SubspaceNotInvariant,
-    bareiss_rank,
     column_space,
     modular_rank_profile,
-    restricted_trace,
     solve_columns,
     span_basis,
 )
+
+from oracles import bareiss_rank, restricted_trace
 
 SEED = 20240817
 

@@ -1,0 +1,147 @@
+"""Fraction-free bases against the independent rational RREF oracle."""
+
+import json
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import OracleBasis, rref
+
+from supercoinv import superring
+from supercoinv.coinvariant import IdealComponentCache, frobenius_series
+from supercoinv.exactla import SubspaceBasis, solve_columns, span_basis
+
+_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
+
+_ints = st.integers(-6, 6)
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def _matrices(draw):
+    """(dim, vectors, probes): small sparse integer or rational vectors."""
+    dim = draw(st.integers(1, 7))
+    values = draw(st.sampled_from([_ints, _rationals]))
+
+    def vector():
+        entries = draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim))
+        return {i: v for i, v in entries.items() if v}
+
+    vectors = [vector() for _ in range(draw(st.integers(0, 8)))]
+    probes = [vector() for _ in range(3)]
+    return dim, vectors, probes
+
+
+def _combination(draw, vectors, values):
+    out = {}
+    for vec in vectors:
+        c = draw(values)
+        for i, v in vec.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+@_SETTINGS
+@given(_matrices(), st.data())
+def test_basis_matches_rational_oracle(matrix, data):
+    dim, vectors, probes = matrix
+    order = data.draw(st.permutations(vectors))
+    basis = span_basis(order, dim)
+    oracle = OracleBasis(vectors, dim)
+    assert basis.pivots == oracle.pivots
+    for p, row, expect in zip(basis.pivots, basis.vectors, oracle.vectors):
+        d = row[p]
+        assert d > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert {i: Fraction(v, d) for i, v in row.items()} == expect
+    probes.append(_combination(data.draw, vectors, _rationals))
+    for probe in probes:
+        assert basis.reduce(probe) == oracle.reduce(probe)
+        assert basis.contains(probe) == oracle.contains(probe)
+        coeffs = basis.coefficients(probe)
+        expect = oracle.coefficients(probe)
+        if expect is None:
+            assert coeffs is None
+        else:
+            scaled = [c * basis.row(p)[p] for c, p in zip(coeffs, basis.pivots)]
+            assert scaled == expect
+
+
+@_SETTINGS
+@given(_matrices(), st.data())
+def test_solve_columns_matches_rational_oracle(matrix, data):
+    dim, columns, probes = matrix
+    if len(rref(columns, dim)) < len(columns):
+        try:
+            solve_columns(columns, probes[0], dim)
+        except ValueError:
+            return
+        raise AssertionError("dependent columns were not detected")
+    weights = [data.draw(_rationals) for _ in columns]
+    rhs = {}
+    for w, col in zip(weights, columns):
+        for i, v in col.items():
+            rhs[i] = rhs.get(i, 0) + w * v
+    rhs = {i: v for i, v in rhs.items() if v}
+    assert solve_columns(columns, rhs, dim) == weights
+    oracle = OracleBasis(columns, dim)
+    for probe in probes:
+        solution = solve_columns(columns, probe, dim)
+        assert (solution is None) == (not oracle.contains(probe))
+
+
+def test_from_rows_clears_denominators():
+    rows = {0: {0: 1, 2: Fraction(2, 3)}, 1: {1: -4, 2: 6}}
+    basis = SubspaceBasis.from_rows(3, rows)
+    assert basis.vectors == [{0: 3, 2: 2}, {1: 2, 2: -3}]
+    # {0: 1, 1: 1, 2: -5/6} = 1/3 * (3, 0, 2) + 1/2 * (0, 2, -3)
+    assert basis.coefficients({0: 1, 1: 1, 2: Fraction(-5, 6)}) == [Fraction(1, 3), Fraction(1, 2)]
+    assert basis.reduce({2: 1}) == {2: 1}
+
+
+def _oracle_ideal(cache, deg, memo):
+    """The recursion of ``coinvariant.ideal_component``, eliminated by the oracle."""
+    if deg in memo:
+        return memo[deg]
+    n, k, j = cache.n, cache.k, cache.j
+    r, s = deg
+    monos, _index = cache.monomial_space(deg)
+    vectors = []
+    if sum(r) + sum(s) > 0:
+        preds = [("b", a, (r[:a] + (r[a] - 1,) + r[a + 1 :], s)) for a in range(k) if r[a]]
+        preds += [("f", c, (r, s[:c] + (s[c] - 1,) + s[c + 1 :])) for c in range(j) if s[c]]
+        for kind, idx, pred in preds:
+            pred_basis = _oracle_ideal(cache, pred, memo)
+            for pos in range(n):
+                signs, tgt = superring.shift_map(n, k, j, pred[0], pred[1], kind, idx, pos)
+                for row in pred_basis.vectors:
+                    vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
+                    if vec:
+                        vectors.append(vec)
+        vectors.extend(superring.invariant_vectors(n, k, j, r, s)[2])
+    memo[deg] = OracleBasis(vectors, len(monos))
+    return memo[deg]
+
+
+def test_cache_files_match_oracle_bytes(tmp_path):
+    # (3,2,1) has ideal components whose reduced-echelon rows are not
+    # integral, so some stored rows have pivot values above 1
+    engine_dir, oracle_dir = tmp_path / "engine", tmp_path / "oracle"
+    cache = IdealComponentCache(3, 2, 1, cache_dir=str(engine_dir))
+    frobenius_series(3, 2, 1, cache=cache, keep_all=False)
+    files = sorted(engine_dir.rglob("*.json"))
+    assert files
+    oracle_cache = IdealComponentCache(3, 2, 1, cache_dir=str(oracle_dir))
+    memo = {}
+    fractional = 0
+    for path in files:
+        payload = path.read_text()
+        fractional += "/" in payload
+        data = json.loads(payload)
+        deg = (tuple(data["r"]), tuple(data["s"]))
+        oracle_cache._save(deg, _oracle_ideal(oracle_cache, deg, memo))
+        twin = oracle_dir / path.relative_to(engine_dir)
+        assert twin.read_bytes() == path.read_bytes(), path.name
+    assert fractional > 0
