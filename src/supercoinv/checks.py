@@ -65,7 +65,7 @@ class CheckSession:
         key = (n, k, j)
         if key not in self._frob:
             cache = IdealComponentCache(n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir)
-            self._frob[key] = frobenius_series(n, k, j, cache=cache, keep_all=False)
+            self._frob[key] = frobenius_series(n, k, j, cache=cache)
         return self._frob[key]
 
     def hilbert(self, n: int, k: int, j: int) -> QUPoly:
@@ -77,7 +77,7 @@ class CheckSession:
                 cache = IdealComponentCache(
                     n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir
                 )
-                self._hilb[key] = hilbert_series(n, k, j, cache=cache, keep_all=False)
+                self._hilb[key] = hilbert_series(n, k, j, cache=cache)
         return self._hilb[key]
 
     def table(self, n: int, k: int, j: int):

@@ -142,6 +142,18 @@ def _hilbert_json(artifact) -> str:
     return json.dumps({**artifact, "hilbert": artifact["hilbert"].to_json()}, indent=2)
 
 
+def _cauchy_text(result) -> str:
+    return f"cauchy k={result['k']} j={result['j']} n={result['n']}: {result['status']}"
+
+
+def _cauchy_csv(result) -> str:
+    return _csv_rows([list(result.values())], list(result))
+
+
+def _cauchy_json(result) -> str:
+    return json.dumps(result, indent=2)
+
+
 def _reports_text(reports) -> str:
     lines = []
     for rec in reports:
@@ -175,6 +187,8 @@ _FROBENIUS = {"json": _artifact_json, "csv": _frobenius_csv, "text": _frobenius_
 # the Hilbert artifact is {"n", "k", "j", "hilbert": QUPoly}
 _HILBERT = {"json": _hilbert_json, "csv": _hilbert_csv, "text": _hilbert_text}
 _COEFF_TABLE = {"json": _artifact_json, "csv": _coeff_table_csv, "text": _coeff_table_text}
+# the cauchy artifact is {"k", "j", "n", "degree", "status", "first_failure"}
+_CAUCHY = {"json": _cauchy_json, "csv": _cauchy_csv, "text": _cauchy_text}
 
 
 def _verify_job(payload):
@@ -243,13 +257,7 @@ def _run_cauchy(args) -> int:
         "status": "pass" if result.passed else "fail",
         "first_failure": result.first_failure,
     }
-    if args.format == "text":
-        _emit(
-            f"cauchy k={payload['k']} j={payload['j']} n={payload['n']}: {payload['status']}",
-            args,
-        )
-    else:
-        _emit(json.dumps(payload, indent=2), args)
+    _emit(_CAUCHY[args.format](payload), args)
     return 0 if result.passed else 1
 
 
@@ -265,6 +273,8 @@ def _run_table(args) -> int:
     elif isinstance(data, dict) and "hilbert" in data:
         poly = QUPoly.from_json(data["k"], data["j"], data["hilbert"])
         text = _HILBERT[args.format]({**data, "hilbert": poly})
+    elif isinstance(data, dict) and "first_failure" in data:
+        text = _CAUCHY[args.format](data)
     elif args.format == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
     else:

@@ -138,9 +138,6 @@ class CoeffTable:
     def coeff(self, lam: Partition, mu: Partition) -> int:
         return self.entries.get((tuple(lam), tuple(mu)), 0)
 
-    def lambdas(self):
-        return sorted({lam for lam, _mu in self.entries}, key=partition_sort_key)
-
     def sorted_entries(self):
         return sorted(
             self.entries.items(),
@@ -174,7 +171,7 @@ class IdealComponentCache:
 
     Ideal bases may be evicted shell-by-shell to bound memory (the recursion
     only ever needs the previous total-degree shell); with a cache directory
-    they are persisted before eviction and reloaded on demand.
+    they are persisted when computed and reloaded on demand.
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -205,8 +202,6 @@ class IdealComponentCache:
     def evict_below(self, total_degree: int) -> None:
         for deg in list(self.ideal):
             if sum(deg[0]) + sum(deg[1]) < total_degree:
-                if self.cache_dir is not None:
-                    self._save(deg, self.ideal[deg])
                 del self.ideal[deg]
 
     # -- disk layer ----------------------------------------------------------
@@ -248,7 +243,7 @@ class IdealComponentCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
 
     def _load(self, deg: Multidegree):
@@ -330,8 +325,11 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
             vectors.extend(_shifted_vectors(cache, pred, "f", c))
         inv = cache.invariant_basis(deg)
         vectors.extend(dict(row) for row in inv.vectors)
-    basis = span_basis(vectors, len(monos), prefilter=False)
+    basis = span_basis(vectors, len(monos))
+    del vectors  # free the inputs before _save builds the file: lower peak memory
     cache.ideal[deg] = basis
+    if cache.cache_dir is not None:
+        cache._save(deg, basis)
     return basis
 
 
@@ -365,20 +363,6 @@ def _shifted_vectors(cache, pred: Multidegree, kind: str, set_idx: int):
                 yield vec
 
 
-def _signed_action(cache: IdealComponentCache, deg: Multidegree, sigma):
-    return superring.permutation_action(cache.n, cache.k, cache.j, deg[0], deg[1], sigma)
-
-
-def _fixed_trace(signs, targets) -> int:
-    """Trace of a signed index permutation: the signs at its fixed indices."""
-    return sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
-
-
-def ambient_trace(cache: IdealComponentCache, deg: Multidegree, sigma) -> int:
-    """Trace on the full monomial component by signed fixed-point counting."""
-    return _fixed_trace(*_signed_action(cache, deg, sigma))
-
-
 def quotient_character(
     cache: IdealComponentCache,
     deg: Multidegree,
@@ -397,8 +381,9 @@ def quotient_character(
         raise ValueError(f"cycle type {rho} is not a partition of n={cache.n}")
     sigma = snchar.class_representative(rho)
     basis = ideal_component(cache, deg)
-    signs, targets = _signed_action(cache, deg, sigma)
-    amb = _fixed_trace(signs, targets)
+    signs, targets = superring.permutation_action(cache.n, cache.k, cache.j, *deg, sigma)
+    # the ambient trace: the signs at the fixed indices
+    amb = sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
     if not basis.vectors:
         return amb
     if check_invariant:
@@ -469,7 +454,7 @@ def frobenius_series(
     j: int,
     ceiling: int = DEFAULT_CEILING,
     cache: IdealComponentCache | None = None,
-    keep_all: bool | None = None,
+    keep_all: bool = False,
 ) -> FrobeniusSeries:
     """Multigraded Frobenius series, scanning shells until the quotient dies.
 
@@ -479,10 +464,6 @@ def frobenius_series(
     """
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
-        if keep_all is None:
-            keep_all = False
-    elif keep_all is None:
-        keep_all = True
     series = FrobeniusSeries(n, k, j)
     types = partitions_of(n)
 
@@ -507,15 +488,11 @@ def hilbert_series(
     j: int,
     ceiling: int = DEFAULT_CEILING,
     cache: IdealComponentCache | None = None,
-    keep_all: bool | None = None,
+    keep_all: bool = False,
 ) -> QUPoly:
     """Multigraded Hilbert series (dimensions only, no character work)."""
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
-        if keep_all is None:
-            keep_all = False
-    elif keep_all is None:
-        keep_all = True
     out = {}
 
     def per_component(deg, qdim):

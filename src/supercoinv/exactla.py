@@ -20,19 +20,10 @@ from math import gcd, lcm
 __all__ = [
     "DimensionMismatch",
     "SubspaceNotInvariant",
-    "SparseMatrix",
     "SubspaceBasis",
     "span_basis",
-    "column_space",
     "solve_columns",
-    "modular_rank_profile",
 ]
-
-# prime used by the optional rank pre-pass; results are always reconfirmed
-# with exact arithmetic before being reported
-_FILTER_PRIME = 2147483629
-# below this many vectors the pre-pass ordering is not worth its own cost
-_FILTER_MIN_VECTORS = 512
 
 
 class DimensionMismatch(ValueError):
@@ -49,48 +40,6 @@ def _exact_div(a, b):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return Fraction(a) / Fraction(b)
-
-
-class SparseMatrix:
-    """Immutable sparse matrix with rational entries."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        data = {}
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise DimensionMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            if v:
-                data[(r, c)] = v
-        self.entries = data
-
-    @classmethod
-    def from_dense(cls, rows) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    def columns(self) -> list[dict]:
-        cols: list[dict] = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def rank(self) -> int:
-        return column_space(self).rank
 
 
 class SubspaceBasis:
@@ -139,9 +88,6 @@ class SubspaceBasis:
 
     def row(self, pivot: int) -> dict:
         return self._rows[pivot]
-
-    def is_full(self) -> bool:
-        return len(self._rows) == self.dim
 
     def _eliminate(self, vec: dict):
         """(w, scale): scale * (residual of vec), scale a positive integer.
@@ -292,84 +238,16 @@ def _primitive(row: dict, pivot: int) -> dict:
     return {i: v // g for i, v in row.items()}
 
 
-def span_basis(vectors, dim: int, prefilter: bool | None = None) -> SubspaceBasis:
+def span_basis(vectors, dim: int, _unused=None) -> SubspaceBasis:
     """Reduced-echelon basis of the span of the given sparse vectors.
 
-    When ``prefilter`` is enabled (default: automatic by size), a modular rank
-    profile picks likely-independent vectors to insert first.  The profile is
-    only an ordering hint; every vector is still reduced exactly, and the
-    reduced echelon output is unique regardless of order.
+    The basis is unique, so the order of the vectors does not matter.
     """
-    vectors = list(vectors)
+    # _unused: perfbench/tracer.py still passes a third positional argument
     basis = SubspaceBasis(dim)
-    if prefilter is None:
-        prefilter = len(vectors) >= _FILTER_MIN_VECTORS
-    order = range(len(vectors))
-    if prefilter and vectors:
-        profile = modular_rank_profile(vectors, _FILTER_PRIME)
-        chosen = set(profile)
-        order = list(profile) + [i for i in range(len(vectors)) if i not in chosen]
-    for i in order:
-        basis.insert(vectors[i])
+    for vec in vectors:
+        basis.insert(vec)
     return basis
-
-
-def column_space(matrix: SparseMatrix, prefilter: bool | None = None) -> SubspaceBasis:
-    """Reduced-echelon basis of the column space; rank == basis size."""
-    return span_basis(matrix.columns(), matrix.nrows, prefilter=prefilter)
-
-
-def modular_rank_profile(vectors, p: int) -> list[int]:
-    """Indices of a maximal mod-p independent subset, in discovery order.
-
-    Fast filter only: the mod-p rank is a lower bound for the rational rank,
-    so callers must reconfirm exactly (span_basis does).
-    """
-    pivrow: dict[int, dict] = {}
-    profile = []
-    for idx, vec in enumerate(vectors):
-        w = {}
-        for i, v in vec.items():
-            if isinstance(v, Fraction):
-                r = (v.numerator * pow(v.denominator, -1, p)) % p
-            else:
-                r = v % p
-            if r:
-                w[i] = r
-        hits = [i for i in w if i in pivrow]
-        for q in hits:
-            c = w.pop(q, 0)
-            if not c:
-                continue
-            for i, v in pivrow[q].items():
-                if i == q:
-                    continue
-                nv = (w.get(i, 0) - c * v) % p
-                if nv:
-                    w[i] = nv
-                else:
-                    w.pop(i, None)
-        if not w:
-            continue
-        q = min(w)
-        c = w.pop(q)
-        cinv = pow(c, -1, p)
-        row = {i: (v * cinv) % p for i, v in w.items()}
-        row[q] = 1
-        for other in pivrow.values():
-            cv = other.pop(q, 0)
-            if cv:
-                for i, v in row.items():
-                    if i == q:
-                        continue
-                    nv = (other.get(i, 0) - cv * v) % p
-                    if nv:
-                        other[i] = nv
-                    else:
-                        other.pop(i, None)
-        pivrow[q] = row
-        profile.append(idx)
-    return profile
 
 
 def solve_columns(columns, rhs: dict, dim: int):

@@ -16,7 +16,6 @@ __all__ = [
     "Partition",
     "as_partition",
     "partitions_of",
-    "partitions_upto",
     "conjugate",
     "contains",
     "in_Pkjn",
@@ -55,12 +54,6 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions_of(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def partitions_upto(bound: int):
-    """Yield every partition of size 0..bound, sizes ascending."""
-    for size in range(bound + 1):
-        yield from partitions_of(size)
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -12,7 +12,7 @@ reordering land in polynomial coefficients.  Polynomials are plain dicts
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 
 from .exactla import SubspaceBasis, span_basis
 
@@ -20,17 +20,12 @@ __all__ = [
     "mono_one",
     "mono_degree",
     "mono_mul",
-    "mono_total_degree",
     "act_mono",
     "poly_add_term",
-    "poly_scale",
     "poly_mul",
     "act_poly",
     "superderivation",
     "monomial_space",
-    "monomial_space_dim",
-    "all_perms",
-    "reynolds",
     "permutation_action",
     "shift_map",
     "invariant_vectors",
@@ -50,11 +45,6 @@ def mono_degree(m: Monomial):
     """Multidegree (r, s): per-set bosonic totals and fermionic occupancies."""
     bos, fer = m
     return (tuple(sum(e) for e in bos), tuple(mask.bit_count() for mask in fer))
-
-
-def mono_total_degree(m: Monomial) -> int:
-    r, s = mono_degree(m)
-    return sum(r) + sum(s)
 
 
 def mono_mul(a: Monomial, b: Monomial):
@@ -138,12 +128,6 @@ def poly_add_term(poly: dict, mono: Monomial, coeff) -> None:
         poly[mono] = nv
     else:
         poly.pop(mono, None)
-
-
-def poly_scale(poly: dict, c) -> dict:
-    if not c:
-        return {}
-    return {m: c * v for m, v in poly.items()}
 
 
 def poly_mul(a: dict, b: dict) -> dict:
@@ -287,35 +271,6 @@ def monomial_space(n: int, k: int, j: int, r, s):
     return tuple(monos), index
 
 
-def monomial_space_dim(n: int, k: int, j: int, r, s) -> int:
-    from math import comb
-
-    dim = 1
-    for ra in r:
-        dim *= comb(ra + n - 1, n - 1)
-    for sc in s:
-        dim *= comb(n, sc)
-    return dim
-
-
-@cache
-def all_perms(n: int) -> tuple:
-    return tuple(permutations(range(n)))
-
-
-def reynolds(n: int, poly: dict) -> dict:
-    """Group average over all of S_n (exact rational coefficients)."""
-    from fractions import Fraction
-
-    out: dict = {}
-    perms = all_perms(n)
-    for sigma in perms:
-        for m, c in act_poly(sigma, poly).items():
-            poly_add_term(out, m, c)
-    scale = Fraction(1, len(perms))
-    return {m: c * scale for m, c in out.items()}
-
-
 def _index_map(factor_maps, index: dict):
     """Signed index map of a component assembled from one map per set.
 
@@ -449,7 +404,7 @@ def _adjacent_transpositions(n: int) -> tuple:
 def invariant_basis(n: int, k: int, j: int, r, s) -> SubspaceBasis:
     """Reduced-echelon basis of the S_n-invariant subspace of a component."""
     monos, _index, vectors = invariant_vectors(n, k, j, r, s)
-    return span_basis(vectors, len(monos), prefilter=False)
+    return span_basis(vectors, len(monos))
 
 
 # --- byte encoding for the on-disk cache ------------------------------------

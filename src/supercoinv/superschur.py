@@ -26,8 +26,6 @@ __all__ = [
     "expand_super_schur",
     "super_cauchy_check",
     "CauchyResult",
-    "expansion_to_json",
-    "expansion_from_json",
 ]
 
 
@@ -168,17 +166,6 @@ class QUPoly:
                 ne[k2 + i + ushift] = e[self.k + i]
             out[tuple(ne)] = c
         return QUPoly(k2, j2, out)
-
-    def drop_vars(self, q_keep: int, u_keep: int) -> "QUPoly":
-        """Shrink to the first q_keep / u_keep variables; the rest must be unused."""
-        out = {}
-        for e, c in self.coeffs.items():
-            if any(e[i] for i in range(q_keep, self.k)):
-                raise ValueError("dropped q variable still occurs")
-            if any(e[self.k + i] for i in range(u_keep, self.j)):
-                raise ValueError("dropped u variable still occurs")
-            out[e[:q_keep] + e[self.k : self.k + u_keep]] = c
-        return QUPoly(q_keep, u_keep, out)
 
     def variable_names(self) -> list[str]:
         qn = ["q"] if self.k == 1 else (["q", "t"] if self.k == 2 else [f"q{i+1}" for i in range(self.k)])
@@ -526,21 +513,6 @@ def expand_super_schur(
     return result
 
 
-def expansion_to_json(expansion: dict) -> list:
-    """Serialize a super Schur expansion as {"lambda", "coeff"} records."""
-    from .qcombinat import partition_sort_key
-
-    return [
-        {"lambda": list(lam), "coeff": expansion[lam]}
-        for lam in sorted(expansion, key=partition_sort_key)
-        if expansion[lam]
-    ]
-
-
-def expansion_from_json(data) -> dict:
-    return {tuple(rec["lambda"]): int(rec["coeff"]) for rec in data}
-
-
 class CauchyResult:
     """Outcome of the truncated super Cauchy comparison."""
 
@@ -566,9 +538,11 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
     auxiliary n-letter alphabet z up to the given total z-degree and compares
     with sum over P(k,j,n) of s_lam(q/u) s_lam(z).
     """
+    for name, value in (("k", k), ("j", j), ("n", n)):
+        if value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value}")
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    zero = QUPoly.zero(k, j)
     lhs: dict[tuple, QUPoly] = {(0,) * n: QUPoly.one(k, j)}
 
     def mul_factor(series, terms):

@@ -3,15 +3,20 @@
 Nothing here runs in production.  ``rref`` is a textbook rational
 Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``supercoinv.exactla``; ``bareiss_rank`` is a dense fraction-free rank;
-``restricted_trace`` reads a trace off any reduced-echelon basis object.
+``restricted_trace`` reads a trace off any reduced-echelon basis object;
+``reynolds`` averages a polynomial over all of S_n, and
+``monomial_space_dim`` counts a component's monomials in closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from itertools import permutations
+from math import comb, gcd
 
 from supercoinv.exactla import SubspaceNotInvariant
+from supercoinv.superring import act_poly, poly_add_term
 
 
 def _axpy(w: dict, c, row: dict) -> dict:
@@ -132,3 +137,28 @@ def bareiss_rank(rows) -> int:
         if row == nr:
             break
     return rank
+
+
+def monomial_space_dim(n: int, k: int, j: int, r, s) -> int:
+    dim = 1
+    for ra in r:
+        dim *= comb(ra + n - 1, n - 1)
+    for sc in s:
+        dim *= comb(n, sc)
+    return dim
+
+
+@cache
+def all_perms(n: int) -> tuple:
+    return tuple(permutations(range(n)))
+
+
+def reynolds(n: int, poly: dict) -> dict:
+    """Group average over all of S_n (exact rational coefficients)."""
+    out: dict = {}
+    perms = all_perms(n)
+    for sigma in perms:
+        for m, c in act_poly(sigma, poly).items():
+            poly_add_term(out, m, c)
+    scale = Fraction(1, len(perms))
+    return {m: c * scale for m, c in out.items()}

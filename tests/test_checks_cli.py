@@ -130,6 +130,43 @@ def test_cli_cauchy():
     assert "pass" in out
 
 
+CAUCHY_EXPECTED = {
+    "json": {"k": 1, "j": 1, "n": 2, "degree": 3, "status": "pass", "first_failure": None},
+    "csv": "k,j,n,degree,status,first_failure\r\n1,1,2,3,pass,\r\n",
+    "text": "cauchy k=1 j=1 n=2: pass\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cli_cauchy_formats_and_table(tmp_path, fmt):
+    # cauchy prints each format, and table reprints the saved JSON exactly so
+    argv = ["cauchy", "--n", "2", "--k", "1", "--j", "1", "--degree-bound", "3"]
+    artifact = tmp_path / "c.json"
+    code, _out, _ = _run_cli(argv + ["--out", str(artifact)])
+    assert code == 0
+    code, direct, _ = _run_cli(argv + ["--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        parsed = json.loads(direct)
+        assert parsed == CAUCHY_EXPECTED["json"]
+        assert list(parsed) == list(CAUCHY_EXPECTED["json"])
+    else:
+        assert direct == CAUCHY_EXPECTED[fmt]
+    code, out, err = _run_cli(["table", str(artifact), "--format", fmt])
+    assert code == 0, err
+    assert out == direct
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--j"])
+def test_cli_cauchy_negative_size_exit_2(flag):
+    argv = ["cauchy", "--n", "2", "--k", "1", "--j", "1"]
+    argv[argv.index(flag) + 1] = "-1"
+    code, out, err = _run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]} must be a nonnegative integer" in err
+
+
 def test_cli_table_renders_artifacts(tmp_path):
     table_file = tmp_path / "t.json"
     _run_cli(["expand", "--n", "2", "--k", "1", "--j", "1", "--out", str(table_file)])

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from supercoinv import coinvariant
 from supercoinv.coinvariant import (
     CeilingExceeded,
     CoeffTable,
     FrobeniusSeries,
     IdealComponentCache,
-    ambient_trace,
     coeff_table,
     frobenius_series,
     hilbert_series,
@@ -15,6 +15,7 @@ from supercoinv.coinvariant import (
     quotient_character,
 )
 from supercoinv.qcombinat import partitions_of, q_factorial
+from supercoinv.superring import permutation_action
 from supercoinv.superschur import QUPoly
 
 
@@ -74,7 +75,9 @@ def test_ambient_trace_identity_is_dimension():
     cache = IdealComponentCache(3, 1, 1)
     for deg in [((2,), (1,)), ((0,), (2,)), ((3,), (0,))]:
         monos, _ = cache.monomial_space(deg)
-        assert ambient_trace(cache, deg, (0, 1, 2)) == len(monos)
+        signs, targets = permutation_action(3, 1, 1, *deg, (0, 1, 2))
+        trace = sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
+        assert trace == len(monos)
 
 
 def test_frobenius_series_smallest_mixed():
@@ -206,6 +209,19 @@ def test_eviction_persists_to_disk(tmp_path):
     assert loaded.vectors == direct.vectors
 
 
+def test_every_computed_component_is_persisted(tmp_path, monkeypatch):
+    # the last shells of a scan are never evicted, and are written all the same
+    cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
+    series = frobenius_series(3, 1, 1, cache=cache, keep_all=False)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a component was computed instead of loaded")
+
+    monkeypatch.setattr(coinvariant, "span_basis", no_elimination)
+    fresh = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
+    assert frobenius_series(3, 1, 1, cache=fresh).components == series.components
+
+
 @pytest.mark.parametrize("n,k,j", [(-1, 1, 0), (3, -1, 0), (3, 1, -2)])
 def test_negative_sizes_rejected(n, k, j):
     with pytest.raises(ValueError, match="must be a nonnegative integer"):
@@ -288,7 +304,7 @@ def _literal_ideal_basis(cache, deg):
                 vec = {i: v for i, v in vec.items() if v}
                 if vec:
                     vectors.append(vec)
-    return span_basis(vectors, len(monos), prefilter=False)
+    return span_basis(vectors, len(monos))
 
 
 def test_ideal_matches_literal_definition():
