@@ -191,13 +191,31 @@ _COEFF_TABLE = {"json": _artifact_json, "csv": _coeff_table_csv, "text": _coeff_
 _CAUCHY = {"json": _cauchy_json, "csv": _cauchy_csv, "text": _cauchy_text}
 
 
-def _verify_job(payload):
-    check_id, params, ceiling, cache_dir = payload
-    session = checks.CheckSession(ceiling=ceiling, cache_dir=cache_dir)
-    return checks.run_check(check_id, session, params).to_json()
+# the CheckSession of a ``verify --jobs`` worker process, shared by every
+# check that lands in that worker, as one session is in a serial run
+_WORKER_SESSION = None
+
+
+def _start_verify_worker(ceiling, cache_dir) -> None:
+    global _WORKER_SESSION
+    _WORKER_SESSION = checks.CheckSession(ceiling=ceiling, cache_dir=cache_dir)
+
+
+def _verify_job(job):
+    check_id, params = job
+    return checks.run_check(check_id, _WORKER_SESSION, params).to_json()
 
 
 def _run_verify(args) -> int:
+    for flag in ("n", "k", "j", "m", "degree_bound"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            name = flag.replace("_", "-")
+            sys.stderr.write(f"error: --{name} must be a nonnegative integer, got {value}\n")
+            return 2
+    if args.jobs < 1:
+        sys.stderr.write(f"error: --jobs must be at least 1, got {args.jobs}\n")
+        return 2
     envelope = _load_envelope()
     if args.check == "all":
         ids = sorted(checks.REGISTRY)
@@ -212,15 +230,18 @@ def _run_verify(args) -> int:
         params = checks.default_params(
             check_id, n, k=args.k, j=args.j, m=args.m, degree_bound=args.degree_bound
         )
-        jobs.append((check_id, params, args.ceiling, _cache_dir(args)))
+        jobs.append((check_id, params))
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=args.jobs,
+            initializer=_start_verify_worker,
+            initargs=(args.ceiling, _cache_dir(args)),
+        ) as pool:
             reports = list(pool.map(_verify_job, jobs))
     else:
         session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
         reports = [
-            checks.run_check(check_id, session, params).to_json()
-            for check_id, params, _c, _d in jobs
+            checks.run_check(check_id, session, params).to_json() for check_id, params in jobs
         ]
     reports.sort(key=lambda rec: rec["id"])
     _emit(_REPORTS[args.format](reports), args)

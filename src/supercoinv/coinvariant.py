@@ -241,7 +241,9 @@ class IdealComponentCache:
             "vectors": vectors,
         }
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
+        # one temporary file per process: the workers of ``verify --jobs`` may
+        # write the same component into a shared directory at once
+        tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload))
         os.replace(tmp, path)

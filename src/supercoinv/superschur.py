@@ -3,15 +3,16 @@
 QUPoly is an ordinary commuting polynomial in q_1..q_k, u_1..u_j with integer
 coefficients; the u variables track fermionic degrees but commute here.
 Schur polynomials are produced by semistandard-tableau enumeration and every
-shape/alphabet pair is cross-checked once against a Jacobi-Trudi determinant
-(two independent constructions guard against indexing and sign bugs in
-everything built on top).
+shape/alphabet pair is cross-checked once against a Jacobi-Trudi determinant,
+expanded along rows with memoized minors (two independent constructions guard
+against indexing and sign bugs in everything built on top).  The truncated
+super Cauchy comparison holds both sides as flat integer dicts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from itertools import permutations
 
 from . import exactla
 from .qcombinat import Partition, conjugate, contains, in_Pkjn, partitions_of
@@ -298,28 +299,36 @@ def _wmul(a: dict, b: dict) -> dict:
 
 
 def _jacobi_trudi(lam: Partition, nvars: int) -> dict:
-    """Weight dict of s_lam via det(h_(lam_i - i + j))."""
+    """Weight dict of s_lam via det(h_(lam_i - i + j)), expanded along rows.
+
+    ``minors[S]`` is the minor on the last |S| rows and the column set S (a
+    bitmask); each one is the Laplace expansion of its top row against the
+    minors one row smaller, so every minor is built once: ell * 2^(ell-1)
+    products instead of the ell! of the permutation sum.
+    """
     ell = len(lam)
-    if ell == 0:
-        return {(0,) * nvars: 1}
-    out: dict[tuple, int] = {}
-    for perm in permutations(range(ell)):
-        sign = 1
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        prod = {(0,) * nvars: sign}
-        for i in range(ell):
-            r = lam[i] - i + perm[i]
-            h = _complete_homogeneous(r, nvars)
-            if not h:
-                prod = {}
-                break
-            prod = _wmul(prod, h)
-        for e, c in prod.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+    minors = {0: {(0,) * nvars: 1}}
+    for row in range(ell - 1, -1, -1):
+        bigger: dict[int, dict] = {}
+        for mask, minor in minors.items():
+            for col in range(ell):
+                bit = 1 << col
+                if mask & bit:
+                    continue
+                h = _complete_homogeneous(lam[row] - row + col, nvars)
+                if not h:
+                    continue
+                # (-1)^(position of col among the columns of the new minor)
+                sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
+                acc = bigger.setdefault(mask | bit, {})
+                for e, c in _wmul(h, minor).items():
+                    acc[e] = acc.get(e, 0) + sign * c
+        minors = {}
+        for mask, acc in bigger.items():
+            nonzero = {e: c for e, c in acc.items() if c}
+            if nonzero:
+                minors[mask] = nonzero
+    return minors.get((1 << ell) - 1, {})
 
 
 @cache
@@ -543,53 +552,41 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
             raise ValueError(f"{name} must be a nonnegative integer, got {value}")
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    lhs: dict[tuple, QUPoly] = {(0,) * n: QUPoly.one(k, j)}
-
-    def mul_factor(series, terms):
-        # terms: list of (z-exponent increment at position i, QUPoly factor)
-        out: dict[tuple, QUPoly] = {}
-        for ze, coeff in series.items():
-            room = degree - sum(ze)
-            for (pos, m), f in terms:
-                if m > room:
-                    continue
-                ne = list(ze)
-                ne[pos] += m
-                te = tuple(ne)
-                cur = out.get(te)
-                add = coeff * f
-                out[te] = add if cur is None else cur + add
-        return {e: c for e, c in out.items() if not c.is_zero()}
-
+    # each side is one dict per z-degree d, keyed by z-exponents followed by
+    # (q, u)-exponents, with plain integer values
+    lhs: list[dict] = [{(0,) * (n + k + j): 1}] + [{} for _ in range(degree)]
     for i in range(n):
-        for a in range(k):
-            geom = [((i, m), QUPoly.monomial(k, j, _unit(k + j, a, m))) for m in range(degree + 1)]
-            lhs = mul_factor(lhs, geom)
-        for c in range(j):
-            fact = [((i, 0), QUPoly.one(k, j)), ((i, 1), QUPoly.variable(k, j, k + c))]
-            lhs = mul_factor(lhs, fact)
+        # (1 - q_a z_i)^-1 contributes (q_a z_i)^m for every m, (1 + u_c z_i)
+        # only m <= 1
+        factors = [(n + a, degree) for a in range(k)] + [(n + k + c, 1) for c in range(j)]
+        for var, top in factors:
+            out: list[dict] = [{} for _ in range(degree + 1)]
+            for d, terms in enumerate(lhs):
+                for m in range(min(top, degree - d) + 1):
+                    target = out[d + m]
+                    for e, c in terms.items():
+                        ne = list(e)
+                        ne[i] += m
+                        ne[var] += m
+                        te = tuple(ne)
+                        target[te] = target.get(te, 0) + c
+            lhs = out
 
-    rhs: dict[tuple, QUPoly] = {}
+    rhs: list[dict] = [{} for _ in range(degree + 1)]
     for d in range(degree + 1):
+        target = rhs[d]
         for lam in expansion_shapes(k, j, n, d):
             squ = super_schur(lam, k, j)
             if squ.is_zero():
                 continue
-            for w in _schur_weights(lam, n):
-                cur = rhs.get(w)
-                rhs[w] = squ if cur is None else cur + squ
+            for w, m in Counter(_schur_weights(lam, n)).items():
+                for e, c in squ.coeffs.items():
+                    te = w + e
+                    target[te] = target.get(te, 0) + m * c
 
-    first_fail: int | None = None
     for d in range(degree + 1):
-        lhs_d = {e: c for e, c in lhs.items() if sum(e) == d}
-        rhs_d = {e: c for e, c in rhs.items() if sum(e) == d and not c.is_zero()}
+        lhs_d = {e: c for e, c in lhs[d].items() if c}
+        rhs_d = {e: c for e, c in rhs[d].items() if c}
         if lhs_d != rhs_d:
-            first_fail = d
-            break
-    return CauchyResult(first_fail is None, first_fail)
-
-
-def _unit(nv: int, idx: int, m: int) -> tuple:
-    e = [0] * nv
-    e[idx] = m
-    return tuple(e)
+            return CauchyResult(False, d)
+    return CauchyResult(True, None)

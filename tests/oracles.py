@@ -6,6 +6,9 @@ Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``restricted_trace`` reads a trace off any reduced-echelon basis object;
 ``reynolds`` averages a polynomial over all of S_n, and
 ``monomial_space_dim`` counts a component's monomials in closed form.
+``jacobi_trudi_perm`` expands the Jacobi–Trudi determinant as a sum over
+all permutations, and ``cauchy_oracle`` runs the truncated super Cauchy
+comparison on ``QUPoly`` coefficients indexed by z-exponents.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from functools import cache
 from itertools import permutations
 from math import comb, gcd
 
+from supercoinv import superschur
 from supercoinv.exactla import SubspaceNotInvariant
 from supercoinv.superring import act_poly, poly_add_term
+from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous, _wmul
 
 
 def _axpy(w: dict, c, row: dict) -> dict:
@@ -162,3 +167,84 @@ def reynolds(n: int, poly: dict) -> dict:
             poly_add_term(out, m, c)
     scale = Fraction(1, len(perms))
     return {m: c * scale for m, c in out.items()}
+
+
+def jacobi_trudi_perm(lam, nvars: int) -> dict:
+    """Weight dict of s_lam via det(h_(lam_i - i + j)) summed over all ell! permutations."""
+    ell = len(lam)
+    if ell == 0:
+        return {(0,) * nvars: 1}
+    out: dict[tuple, int] = {}
+    for perm in permutations(range(ell)):
+        sign = 1
+        for a in range(ell):
+            for b in range(a + 1, ell):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        prod = {(0,) * nvars: sign}
+        for i in range(ell):
+            r = lam[i] - i + perm[i]
+            h = _complete_homogeneous(r, nvars)
+            if not h:
+                prod = {}
+                break
+            prod = _wmul(prod, h)
+        for e, c in prod.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _unit(nv: int, idx: int, m: int) -> tuple:
+    e = [0] * nv
+    e[idx] = m
+    return tuple(e)
+
+
+def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
+    """Truncated super Cauchy comparison with a ``QUPoly`` per z-exponent.
+
+    Reads ``super_schur`` and ``_schur_weights`` from the module at call time,
+    so a test that patches them there changes both this and the engine.
+    """
+    lhs: dict[tuple, QUPoly] = {(0,) * n: QUPoly.one(k, j)}
+
+    def mul_factor(series, terms):
+        # terms: list of (z-exponent increment at position i, QUPoly factor)
+        out: dict[tuple, QUPoly] = {}
+        for ze, coeff in series.items():
+            room = degree - sum(ze)
+            for (pos, m), f in terms:
+                if m > room:
+                    continue
+                ne = list(ze)
+                ne[pos] += m
+                te = tuple(ne)
+                cur = out.get(te)
+                add = coeff * f
+                out[te] = add if cur is None else cur + add
+        return {e: c for e, c in out.items() if not c.is_zero()}
+
+    for i in range(n):
+        for a in range(k):
+            geom = [((i, m), QUPoly.monomial(k, j, _unit(k + j, a, m))) for m in range(degree + 1)]
+            lhs = mul_factor(lhs, geom)
+        for c in range(j):
+            fact = [((i, 0), QUPoly.one(k, j)), ((i, 1), QUPoly.variable(k, j, k + c))]
+            lhs = mul_factor(lhs, fact)
+
+    rhs: dict[tuple, QUPoly] = {}
+    for d in range(degree + 1):
+        for lam in superschur.expansion_shapes(k, j, n, d):
+            squ = superschur.super_schur(lam, k, j)
+            if squ.is_zero():
+                continue
+            for w in superschur._schur_weights(lam, n):
+                cur = rhs.get(w)
+                rhs[w] = squ if cur is None else cur + squ
+
+    for d in range(degree + 1):
+        lhs_d = {e: c for e, c in lhs.items() if sum(e) == d}
+        rhs_d = {e: c for e, c in rhs.items() if sum(e) == d and not c.is_zero()}
+        if lhs_d != rhs_d:
+            return CauchyResult(False, d)
+    return CauchyResult(True, None)

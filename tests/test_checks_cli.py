@@ -231,20 +231,75 @@ def test_cli_cache_env_var(tmp_path, monkeypatch):
     assert files, "env cache directory was not used"
 
 
+def _reports_without_times(text):
+    reports = json.loads(text)
+    for rec in reports:
+        rec.pop("seconds")
+    return reports
+
+
 def test_cli_jobs_deterministic(tmp_path):
     args = ["verify", "all", "--n", "2", "--format", "json"]
     code1, out1, _ = _run_cli(args + ["--jobs", "1"])
     assert code1 == 0
     code2, out2, _ = _run_cli(args + ["--jobs", "2"])
     assert code2 == 0
+    assert _reports_without_times(out1) == _reports_without_times(out2)
 
-    def strip_times(text):
-        reports = json.loads(text)
-        for rec in reports:
-            rec.pop("seconds")
-        return reports
 
-    assert strip_times(out1) == strip_times(out2)
+@pytest.mark.parametrize(
+    "check_id,flag",
+    [
+        ("cauchy", "--n"),
+        ("cauchy", "--k"),
+        ("cauchy", "--j"),
+        ("cauchy", "--degree-bound"),
+        ("artin", "--k"),
+        ("artin", "--m"),
+        ("artin", "--degree-bound"),
+        ("cancellation", "--m"),
+        ("all", "--j"),
+    ],
+)
+def test_cli_verify_negative_size_exit_2(check_id, flag):
+    argv = ["verify", check_id, "--n", "2"]
+    if flag == "--n":
+        argv[-1] = "-1"
+    else:
+        argv += [flag, "-1"]
+    code, out, err = _run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_verify_jobs_below_one_exit_2(jobs):
+    code, out, err = _run_cli(["verify", "artin", "--n", "2", "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be at least 1" in err
+
+
+def test_cli_verify_ignores_flags_a_check_does_not_take():
+    code, out, err = _run_cli(["verify", "artin", "--n", "3", "--k", "2", "--m", "1"])
+    assert code == 0, err
+    assert json.loads(out)[0]["params"] == {"n": 3}
+
+
+def test_cli_jobs_deterministic_at_envelope_sizes(tmp_path):
+    shared = tmp_path / "cache"
+    outputs = []
+    for cache_args in ([], ["--cache-dir", str(shared)]):
+        # the pooled runs go first, so their workers fill the empty directory at once
+        for jobs in ("3", "2", "1"):
+            code, out, err = _run_cli(["verify", "all", "--jobs", jobs] + cache_args)
+            assert code == 0, err
+            outputs.append(_reports_without_times(out))
+    assert all(reports == outputs[0] for reports in outputs)
+    assert {rec["id"] for rec in outputs[0]} == set(REGISTRY)
+    assert list(shared.rglob("*.json"))
+    assert not list(shared.rglob("*.tmp"))
 
 
 def test_cli_entrypoint_subprocess():

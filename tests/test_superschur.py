@@ -1,5 +1,7 @@
 import pytest
+from oracles import cauchy_oracle, jacobi_trudi_perm
 
+from supercoinv import superschur
 from supercoinv.qcombinat import conjugate, in_Pkjn, partitions_of
 from supercoinv.superschur import (
     NotExpressible,
@@ -219,6 +221,67 @@ def test_cauchy_result_reports_failure_degree():
     res = CauchyResult(False, 4)
     assert not res
     assert "4" in repr(res)
+
+
+def test_jacobi_trudi_matches_permutation_sum():
+    for size in range(7):
+        for lam in partitions_of(size):
+            if len(lam) > 5:
+                continue
+            for m in range(1, 5):
+                assert superschur._jacobi_trudi(lam, m) == jacobi_trudi_perm(lam, m), (lam, m)
+
+
+def _outcome(result):
+    return result.passed, result.first_failure
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("j", range(3))
+def test_super_cauchy_matches_oracle(k, j):
+    for n in range(4):
+        for degree in range(7):
+            got = _outcome(super_cauchy_check(k, j, n, degree))
+            assert got == _outcome(cauchy_oracle(k, j, n, degree)), (k, j, n, degree)
+
+
+def test_super_cauchy_matches_oracle_at_benchmark_size():
+    assert _outcome(super_cauchy_check(2, 2, 4, 8)) == _outcome(cauchy_oracle(2, 2, 4, 8))
+
+
+def test_super_cauchy_fails_on_a_wrong_super_schur(monkeypatch):
+    right = superschur.super_schur
+
+    def wrong(lam, k, j):
+        # one extra q^3 in every basis element of size 3
+        extra = QUPoly.monomial(k, j, (3,) + (0,) * (k + j - 1))
+        return right(lam, k, j) + extra if sum(lam) == 3 else right(lam, k, j)
+
+    monkeypatch.setattr(superschur, "super_schur", wrong)
+    for k, j, n, degree in [(1, 0, 1, 4), (1, 1, 2, 5), (2, 2, 3, 6)]:
+        assert _outcome(super_cauchy_check(k, j, n, degree)) == (False, 3)
+        assert _outcome(cauchy_oracle(k, j, n, degree)) == (False, 3)
+
+
+@pytest.fixture
+def fresh_weight_caches():
+    memoized = (superschur._schur_weights, superschur._skew_weights)
+    for fn in memoized:
+        fn.cache_clear()
+    yield
+    for fn in memoized:
+        fn.cache_clear()
+
+
+def test_schur_weights_cross_check_fires(monkeypatch, fresh_weight_caches):
+    right = superschur._skew_tableau_weights
+    # drop the first semistandard tableau of every shape
+    monkeypatch.setattr(
+        superschur, "_skew_tableau_weights", lambda lam, nu, nvars: right(lam, nu, nvars)[1:]
+    )
+    for lam, nvars in [((1,), 1), ((2, 1), 3), ((3, 2, 1), 4)]:
+        with pytest.raises(AssertionError, match="Jacobi-Trudi"):
+            superschur._schur_weights(lam, nvars)
 
 
 def test_mono_mul_context_mismatch():
