@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from . import coinvariant, snchar, superring
-from .coinvariant import IdealComponentCache, coeff_table, frobenius_series, hilbert_series
+from .coinvariant import (
+    IdealComponentCache,
+    coeff_table,
+    frobenius_series,
+    hilbert_series,
+    shell_multidegrees,
+)
 from .qcombinat import (
     in_Pkjn,
     partition_sort_key,
@@ -383,10 +389,11 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
                 "d": bound,
             }
             return _report("bound_closure", params, witness, started)
-    # closure: run a fresh scan retaining every ideal component, then push
-    # each basis vector through every polarization operator
+    # closure: build every ideal component up to one shell past the top of
+    # the series, then push each basis vector through every polarization
+    # operator (which keeps the total degree)
+    top = session.frobenius(n, k, j).max_total_degree()
     cache = IdealComponentCache(n, k, j, ceiling=session.ceiling, cache_dir=session.cache_dir)
-    hilbert_series(n, k, j, cache=cache, keep_all=True)
     operators = []
     for tkind in _DERIVATION_KINDS:
         for skind in _DERIVATION_KINDS:
@@ -395,8 +402,8 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
             for ti in range(tcount):
                 for si in range(scount):
                     operators.append(((tkind, ti), (skind, si)))
-    for deg in cache.degrees_cached():
-        basis = cache.ideal[deg]
+    for deg in (d for total in range(top + 2) for d in sorted(shell_multidegrees(n, k, j, total))):
+        basis = coinvariant.ideal_component(cache, deg)
         if not basis.vectors:
             continue
         monos, _index = cache.monomial_space(deg)

@@ -43,7 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--ceiling",
             type=int,
             default=coinvariant.DEFAULT_CEILING,
-            help="max monomial-space columns per multidegree",
+            help=(
+                "max columns per multidegree: its monomial space up to total degree n,"
+                " its quotient border (sum over variables v of dim Q at deg - e_v) above"
+            ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")

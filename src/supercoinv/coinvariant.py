@@ -1,22 +1,71 @@
 """Coinvariant quotients: ideal components, graded characters, and series.
 
-The defining ideal is generated by all positive-degree diagonal invariants.
+The defining ideal I is generated by all positive-degree diagonal invariants.
 Its multidegree-d component equals
 
     sum over variables v of  v * (ideal component at d - deg v)   +   Inv_d,
 
 which is an exact rewriting of the span over all products (monomial times
-lower invariant) and is what the recursion below computes; invariant bases of
-every lower multidegree enter through the recursion.  Ideal components are
-S_n-stable by this same structure: the invariant generators are checked to be
-fixed by every adjacent transposition when built, and variables are permuted
-among themselves, so stability propagates through the recursion by induction.
+lower invariant).  Ideal components are S_n-stable by this same structure:
+the invariant generators are checked to be fixed by every adjacent
+transposition when built, and variables are permuted among themselves, so
+stability propagates through the recursion by induction.
 
 Variables and permutations act on coordinate indices, never on monomials per
 vector entry: multiplication by a variable and the action of a permutation
 are signed index maps of a component (``superring.shift_map`` and
 ``superring.permutation_action``), built once per component and applied to
 every basis vector.
+
+Degree bound.  Write V for the span of the variables and |d| for the total
+degree of d.  For |d| > n, Inv_d lies in V * I_(d-1), so ``ideal_component``
+adds Inv_d only up to total degree n.  For bosonic sets alone this is Weyl's
+theorem that polarized power sums of degree <= n generate the diagonal
+invariants (H. Weyl, The Classical Groups, 1939).  With fermionic sets:
+
+1. Multilinear components.  Take m sets, each of degree 1 (the multidegree
+   e_S of a set S of sets).  A monomial there holds one variable of each set,
+   in set order, and a permutation moves no two variables of one set past
+   each other, so it acts with no sign: identified monomial by monomial, the
+   component is the even ring's, as an S_n-module.  The product of an element
+   on sets A by one on the complementary sets B differs from the even product
+   by a sign that depends only on (A, B).  The multilinear component of
+   V * I is the sum over splits of R_A * Inv_B (A, B nonempty), so it is the
+   even ring's too.  In the even ring the orbit sums m_pi of the monomials are
+   indexed by set partitions pi of S, and the products of block power sums
+   are P_pi = sum of m_sigma over sigma coarser than pi.  Mobius inversion
+   gives m_0 = sum_pi mu(0, pi) P_pi for the partition 0 into singletons.  For
+   m > n there is no injective map from S to the n positions, so m_0 = 0; as
+   mu(0, 1) = (-1)^(m-1) (m-1)! is nonzero, P_S is a combination of products
+   of at least two power sums.  Every multilinear invariant is a combination
+   of the P_pi, so it lies in V * I.
+2. Any multidegree.  Given d = (r, s), split each set into as many copies as
+   its degree and polarize: apply the even derivations E_(copy, set) =
+   sum_p copy_p d/d set_p, one per copy.  Restitution, which sends every copy
+   back to its set, is an S_n-equivariant algebra map, so it sends invariants
+   to invariants and V * I of the polarized ring into V * I.  Restitution
+   after polarization multiplies a component by r! s! (the product of the
+   factorials of the degrees), which is nonzero.  A polarized invariant of
+   total degree |d| > n is multilinear, so by step 1 it lies in V * I, and
+   restitution returns r! s! times the invariant inside V * I_(d-1).
+
+Quotient side.  Above total degree n, I_d = V * I_(d-1), so the quotient
+Q = R / I has the super-Koszul presentation
+
+    Q_d = (sum over v of v (x) Q_(d - e_v)) / relations,
+
+with one relation per pair of variables v <= w and basis element s of
+Q_(d - e_v - e_w): v (x) [w s] - eps w (x) [v s], where eps = -1 when v and w
+are both odd and +1 otherwise (mixed even/odd pairs included), and v (x) [v s]
+for odd v.  Here [w s] is the class of w s.  Proof: modulo these relations
+every v (x) m, m a monomial, equals +-u (x) m' with u the least variable of
+v m, or vanishes when v m = 0; the terms u (x) m' with u at most every
+variable of m' and u m' nonzero map to distinct monomials, so the relations
+span the kernel of V (x) R_(d-1) -> R_d, and V (x) I_(d-1) dies in Q.  So
+``_series_scan`` builds ideal components only up to total degree n and above
+it works with multiplication matrices on Q (as border bases do:
+Kehrein-Kreuzer-Robbiano, An algebraist's view on border bases, 2005).  A
+permutation sigma acts on the presentation by v (x) b -> sigma(v) (x) sigma(b).
 """
 
 from __future__ import annotations
@@ -25,6 +74,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import snchar, superring
 from .exactla import SubspaceBasis, span_basis
@@ -42,20 +92,24 @@ __all__ = [
     "frobenius_series",
     "hilbert_series",
     "coeff_table",
+    "shell_multidegrees",
 ]
 
 Multidegree = tuple  # (r, s): k bosonic degrees, j fermionic degrees
 
 DEFAULT_CEILING = 50_000
 
+# version of the cache file layout; files of any other version are refused
+CACHE_FORMAT = 2
+
 
 class CeilingExceeded(RuntimeError):
-    def __init__(self, deg: Multidegree, dim: int, limit: int):
+    def __init__(self, deg: Multidegree, dim: int, limit: int, space: str = "monomial space"):
         self.deg = deg
         self.dim = dim
         self.limit = limit
         super().__init__(
-            f"monomial space at multidegree r={list(deg[0])} s={list(deg[1])} "
+            f"{space} at multidegree r={list(deg[0])} s={list(deg[1])} "
             f"has {dim} columns, exceeding the ceiling of {limit}"
         )
 
@@ -169,9 +223,9 @@ class CoeffTable:
 class IdealComponentCache:
     """Per-(n,k,j) store of monomial spaces, invariant bases, ideal bases.
 
-    Ideal bases may be evicted shell-by-shell to bound memory (the recursion
-    only ever needs the previous total-degree shell); with a cache directory
-    they are persisted when computed and reloaded on demand.
+    A series scan builds ideal components only up to total degree n, where
+    they are small, and keeps them all; with a cache directory they are
+    persisted when computed and reloaded on demand.
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -195,14 +249,6 @@ class IdealComponentCache:
             basis = superring.invariant_basis(self.n, self.k, self.j, deg[0], deg[1])
             self.invariant[deg] = basis
         return basis
-
-    def degrees_cached(self):
-        return sorted(self.ideal, key=lambda d: (sum(d[0]) + sum(d[1]), d))
-
-    def evict_below(self, total_degree: int) -> None:
-        for deg in list(self.ideal):
-            if sum(deg[0]) + sum(deg[1]) < total_degree:
-                del self.ideal[deg]
 
     # -- disk layer ----------------------------------------------------------
 
@@ -231,6 +277,7 @@ class IdealComponentCache:
                 ]
             )
         payload = {
+            "format": CACHE_FORMAT,
             "n": self.n,
             "k": self.k,
             "j": self.j,
@@ -240,6 +287,7 @@ class IdealComponentCache:
             "pivots": list(basis.pivots),
             "vectors": vectors,
         }
+        payload["sha256"] = _digest(payload)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # one temporary file per process: the workers of ``verify --jobs`` may
         # write the same component into a shared directory at once
@@ -255,7 +303,16 @@ class IdealComponentCache:
         if not os.path.exists(path):
             return None
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"corrupt cache file {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"corrupt cache file {path}: not a JSON object")
+        if payload.get("format") != CACHE_FORMAT:
+            raise ValueError(
+                f"cache file {path} has format {payload.get('format')!r}, expected {CACHE_FORMAT}"
+            )
         monos, index = self.monomial_space(deg)
         n, k, j = self.n, self.k, self.j
         expected = {
@@ -272,6 +329,9 @@ class IdealComponentCache:
                     f"cache file {path} does not match the request: "
                     f"{key} is {payload.get(key)!r}, expected {want!r}"
                 )
+        # the header matches: now the content must be what was written
+        if payload.pop("sha256", None) != _digest(payload):
+            raise ValueError(f"corrupt cache file {path}: content does not match its SHA-256")
         pivots, vectors = payload["pivots"], payload["vectors"]
         if len(pivots) != len(vectors):
             raise ValueError(
@@ -297,8 +357,22 @@ class IdealComponentCache:
             raise ValueError(f"corrupt cache file {path}: {exc}") from exc
 
 
+def _digest(payload: dict) -> str:
+    """SHA-256 of a cache file's content: the JSON text of every other field."""
+    # imported here: only cache files need it, and loading OpenSSL's hashes
+    # costs every process several milliseconds of start-up
+    import hashlib
+
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
 def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBasis:
-    """Reduced-echelon basis of the ideal's multidegree-d component."""
+    """Reduced-echelon basis of the ideal's multidegree-d component.
+
+    Invariants enter only up to total degree n; above it they already lie in
+    the variable-shifted lower component (the degree bound in the module
+    docstring).
+    """
     deg = (tuple(deg[0]), tuple(deg[1]))
     basis = cache.ideal.get(deg)
     if basis is not None:
@@ -325,8 +399,9 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
                 continue
             pred = (r, s[:c] + (s[c] - 1,) + s[c + 1 :])
             vectors.extend(_shifted_vectors(cache, pred, "f", c))
-        inv = cache.invariant_basis(deg)
-        vectors.extend(dict(row) for row in inv.vectors)
+        if total <= n:
+            inv = cache.invariant_basis(deg)
+            vectors.extend(dict(row) for row in inv.vectors)
     basis = span_basis(vectors, len(monos))
     del vectors  # free the inputs before _save builds the file: lower peak memory
     cache.ideal[deg] = basis
@@ -417,7 +492,8 @@ def quotient_character(
     return amb - tr_ideal
 
 
-def _shell_multidegrees(n: int, k: int, j: int, total: int):
+def shell_multidegrees(n: int, k: int, j: int, total: int):
+    """Every multidegree of one total degree whose fermionic degrees are at most n."""
     degs = []
     for bos_total in range(total, -1, -1):
         fer_total = total - bos_total
@@ -428,25 +504,197 @@ def _shell_multidegrees(n: int, k: int, j: int, total: int):
     return degs
 
 
-def _series_scan(cache: IdealComponentCache, per_component, keep_all: bool):
-    """Drive the shell-by-shell scan until the first all-zero shell."""
+@dataclass
+class _QuotientComponent:
+    """One quotient component, in coordinates 0..dim-1 of a fixed basis.
+
+    ``mult`` maps each variable v = set * n + position to the matrix of
+    multiplication by v from the component one degree lower in v's set;
+    ``action`` maps a cycle type to the matrix of its class representative.
+    A matrix is a list of columns, one per source basis element, and a column
+    is a pair (integer vector, positive denominator).
+    """
+
+    dim: int
+    mult: dict
+    action: dict
+
+
+def _predecessors(deg: Multidegree, k: int) -> dict:
+    """Set index (bosonic sets first) -> deg lowered by one in that set."""
+    r, s = deg
+    out = {}
+    for g, d in enumerate(r + s):
+        if d:
+            if g < k:
+                out[g] = (r[:g] + (d - 1,) + r[g + 1 :], s)
+            else:
+                c = g - k
+                out[g] = (r, s[:c] + (d - 1,) + s[c + 1 :])
+    return out
+
+
+def _standard_coordinates(basis: SubspaceBasis) -> dict:
+    """Non-pivot coordinate -> its place among the non-pivot coordinates."""
+    pivots = set(basis.pivots)
+    return {c: q for q, c in enumerate(c for c in range(basis.dim) if c not in pivots)}
+
+
+def _class_of(basis: SubspaceBasis, vec: dict, where: dict, den: int = 1):
+    """The class of vec / den modulo span(basis), as a column in quotient coordinates."""
+    w, scale = basis.scaled_residual(vec)
+    den *= scale
+    g = gcd(den, *w.values())
+    return {where[i]: v // g for i, v in w.items()}, den // g
+
+
+def _boundary_component(cache, deg: Multidegree, sigmas: dict) -> _QuotientComponent:
+    """A quotient component read off the ideal side (the scan needs shell n).
+
+    Its basis is the standard (non-pivot) monomials; multiplication matrices
+    come from the shell below through ``shift_map`` and permutation matrices
+    through ``permutation_action``, each image reduced modulo the ideal.
+    """
+    n, k, j = cache.n, cache.k, cache.j
+    basis = ideal_component(cache, deg)
+    where = _standard_coordinates(basis)
+    mult = {}
+    for g, pred in _predecessors(deg, k).items():
+        standard = list(_standard_coordinates(ideal_component(cache, pred)))
+        kind, set_idx = ("b", g) if g < k else ("f", g - k)
+        for pos in range(n):
+            signs, tgt = superring.shift_map(n, k, j, *pred, kind, set_idx, pos)
+            mult[g * n + pos] = [
+                _class_of(basis, {tgt[i]: signs[i]}, where) if signs[i] else ({}, 1)
+                for i in standard
+            ]
+    action = {}
+    for rho, sigma in sigmas.items():
+        signs, tgt = superring.permutation_action(n, k, j, *deg, sigma)
+        action[rho] = [_class_of(basis, {tgt[i]: signs[i]}, where) for i in where]
+    return _QuotientComponent(len(where), mult, action)
+
+
+def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
+    """A component above total degree n, from the quotient shell below it.
+
+    Q_deg is the border space (the sum over variables v of v (x) Q_(deg-e_v))
+    modulo the super-Koszul relations of the module docstring, and its basis
+    is the non-pivot border columns of the relation span.  Returns the
+    component and the trace of each class representative in ``sigmas``.
+    """
+    n, k = cache.n, cache.k
+    preds = _predecessors(deg, k)
+    # border blocks, the highest variable first: relation pivots (least
+    # columns) then land in the blocks of high variables, and the standard
+    # columns, whose multiplication columns are unit vectors, in low ones
+    offset = {}
+    ncols = 0
+    for g in sorted(preds, reverse=True):
+        size = below[preds[g]].dim
+        for pos in reversed(range(n)):
+            offset[g * n + pos] = ncols
+            ncols += size
+    if ncols > cache.ceiling:
+        raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
+    rel = SubspaceBasis(ncols)
+    for g, pred_g in preds.items():
+        into_g = below[pred_g].mult  # multiplication into Q_(deg - e_g)
+        for h, pred_h in preds.items():
+            if h < g or h * n not in into_g:  # deg - e_g - e_h is not a multidegree
+                continue
+            into_h = below[pred_h].mult
+            # v (x) [w s] - eps w (x) [v s], eps = -1 for two odd variables
+            sign = 1 if g >= k and h >= k else -1
+            for p in range(n):
+                v = g * n + p
+                for q in range(p if h == g else 0, n):
+                    w = h * n + q
+                    if v == w:
+                        if g < k:
+                            continue
+                        # v (x) [v s] for odd v
+                        for x, _dx in into_g[v]:
+                            if x:
+                                rel.insert({offset[v] + i: c for i, c in x.items()})
+                        continue
+                    for (x, dx), (y, dy) in zip(into_g[w], into_h[v]):
+                        if not (x or y):
+                            continue
+                        d = gcd(dx, dy)
+                        a, b = dy // d, sign * (dx // d)
+                        row = {offset[v] + i: a * c for i, c in x.items()}
+                        row.update((offset[w] + i, b * c) for i, c in y.items())
+                        rel.insert(row)
+    where = _standard_coordinates(rel)
+    mult = {}
+    for v, off in offset.items():
+        cols = []
+        for col in range(off, off + below[preds[v // n]].dim):
+            if col in where:
+                cols.append(({where[col]: 1}, 1))
+            else:
+                row = rel.row(col)
+                cols.append(({where[i]: -c for i, c in row.items() if i != col}, row[col]))
+        mult[v] = cols
+    action, traces = {}, {}
+    for rho, sigma in sigmas.items():
+        cols = []
+        trace = Fraction(0)
+        for v, off in offset.items():
+            g, pos = divmod(v, n)
+            image = offset[g * n + sigma[pos]]
+            for b, (x, dx) in enumerate(below[preds[g]].action[rho]):
+                q = where.get(off + b)
+                if q is None:
+                    continue
+                col = _class_of(rel, {image + i: c for i, c in x.items()}, where, dx)
+                trace += Fraction(col[0].get(q, 0), col[1])
+                cols.append(col)
+        action[rho] = cols
+        traces[rho] = trace
+    return _QuotientComponent(len(where), mult, action), traces
+
+
+def _series_scan(cache: IdealComponentCache, per_component, types=()):
+    """Drive the shell-by-shell scan until the first all-zero shell.
+
+    Shells up to total degree n come from ideal components; every later shell
+    comes from the one below it on the quotient side (``_koszul_component``),
+    so only two quotient shells are held at a time.  ``per_component`` gets
+    each nonzero component's multidegree, dimension and the traces of the
+    class representatives of ``types``.
+    """
+    n, k, j = cache.n, cache.k, cache.j
+    identity = (1,) * n
+    sigmas = {rho: snchar.class_representative(rho) for rho in types if rho != identity}
+    below = {}
     total = 0
     while True:
-        degs = _shell_multidegrees(cache.n, cache.k, cache.j, total)
+        degs = shell_multidegrees(n, k, j, total)
         if not degs:
             break
+        shell = {}
         nonzero = False
         for deg in degs:
-            basis = ideal_component(cache, deg)
-            monos, _index = cache.monomial_space(deg)
-            qdim = len(monos) - basis.rank
+            if total <= n:
+                basis = ideal_component(cache, deg)
+                qdim = basis.dim - basis.rank
+                if qdim:
+                    class_fn = {rho: quotient_character(cache, deg, rho) for rho in types}
+            else:
+                shell[deg], class_fn = _koszul_component(cache, deg, below, sigmas)
+                qdim = shell[deg].dim
+                if types:
+                    class_fn[identity] = qdim
             if qdim:
                 nonzero = True
-                per_component(deg, qdim)
+                per_component(deg, qdim, class_fn)
         if total > 0 and not nonzero:
             break
-        if not keep_all:
-            cache.evict_below(total)
+        if total == n:
+            shell = {deg: _boundary_component(cache, deg, sigmas) for deg in degs}
+        below = shell
         total += 1
 
 
@@ -456,7 +704,6 @@ def frobenius_series(
     j: int,
     ceiling: int = DEFAULT_CEILING,
     cache: IdealComponentCache | None = None,
-    keep_all: bool = False,
 ) -> FrobeniusSeries:
     """Multigraded Frobenius series, scanning shells until the quotient dies.
 
@@ -467,10 +714,8 @@ def frobenius_series(
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
     series = FrobeniusSeries(n, k, j)
-    types = partitions_of(n)
 
-    def per_component(deg, qdim):
-        class_fn = {rho: quotient_character(cache, deg, rho) for rho in types}
+    def per_component(deg, qdim, class_fn):
         if class_fn[(1,) * n] != qdim:
             raise AssertionError(f"identity character != quotient dimension at {deg}")
         mults = snchar.frobenius_decompose(class_fn, n)
@@ -480,7 +725,7 @@ def frobenius_series(
                 raise AssertionError(f"negative multiplicity {c} at {deg}, mu={mu}")
         series.components[deg] = mults
 
-    _series_scan(cache, per_component, keep_all)
+    _series_scan(cache, per_component, partitions_of(n))
     return series
 
 
@@ -490,17 +735,16 @@ def hilbert_series(
     j: int,
     ceiling: int = DEFAULT_CEILING,
     cache: IdealComponentCache | None = None,
-    keep_all: bool = False,
 ) -> QUPoly:
     """Multigraded Hilbert series (dimensions only, no character work)."""
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
     out = {}
 
-    def per_component(deg, qdim):
+    def per_component(deg, qdim, _class_fn):
         out[tuple(deg[0]) + tuple(deg[1])] = qdim
 
-    _series_scan(cache, per_component, keep_all)
+    _series_scan(cache, per_component)
     return QUPoly(k, j, out)
 
 

@@ -89,8 +89,11 @@ class SubspaceBasis:
     def row(self, pivot: int) -> dict:
         return self._rows[pivot]
 
-    def _eliminate(self, vec: dict):
+    def scaled_residual(self, vec: dict):
         """(w, scale): scale * (residual of vec), scale a positive integer.
+
+        For integer input w is an integer vector, so a caller that keeps the
+        pair never leaves the integers.
 
         Eliminating a pivot only introduces non-pivot coordinates (reduced
         echelon form), so one pass over the pivots in the initial support
@@ -125,7 +128,7 @@ class SubspaceBasis:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating all pivot coordinates."""
-        w, scale = self._eliminate(vec)
+        w, scale = self.scaled_residual(vec)
         if scale == 1:
             return w
         return {i: _exact_div(v, scale) for i, v in w.items()}
@@ -134,7 +137,7 @@ class SubspaceBasis:
         for i in vec:
             if not 0 <= i < self.dim:
                 raise DimensionMismatch(f"coordinate {i} outside ambient dimension {self.dim}")
-        return not self._eliminate(vec)[0]
+        return not self.scaled_residual(vec)[0]
 
     def coefficients(self, vec: dict):
         """Coordinates of vec in the basis ``vectors``, or None when vec is outside.
@@ -149,7 +152,7 @@ class SubspaceBasis:
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; returns False when vec was already contained."""
-        w, _scale = self._eliminate(vec)
+        w, _scale = self.scaled_residual(vec)
         if not w:
             return False
         p = min(w)

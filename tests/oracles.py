@@ -9,6 +9,9 @@ Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``jacobi_trudi_perm`` expands the Jacobi–Trudi determinant as a sum over
 all permutations, and ``cauchy_oracle`` runs the truncated super Cauchy
 comparison on ``QUPoly`` coefficients indexed by z-exponents.
+``full_invariant_scan`` is the ideal-side series scan with the invariants of
+every degree among the generators, which the engine replaced above total
+degree n by the degree bound and the quotient-side recursion.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from functools import cache
 from itertools import permutations
 from math import comb, gcd
 
-from supercoinv import superschur
-from supercoinv.exactla import SubspaceNotInvariant
+from supercoinv import superring, superschur
+from supercoinv.coinvariant import shell_multidegrees
+from supercoinv.exactla import SubspaceBasis, SubspaceNotInvariant
+from supercoinv.qcombinat import partitions_of
+from supercoinv.snchar import class_representative, frobenius_decompose
 from supercoinv.superring import act_poly, poly_add_term
 from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous, _wmul
 
@@ -248,3 +254,72 @@ def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
         if lhs_d != rhs_d:
             return CauchyResult(False, d)
     return CauchyResult(True, None)
+
+
+@cache
+def full_invariant_scan(n: int, k: int, j: int):
+    """Series of the ideal-side recursion with Inv_d at every multidegree.
+
+    Every ideal component is the span of the variable-shifted lower
+    components and the invariants, at every degree, and every character is
+    the ambient trace minus the trace on the ideal, as the engine computed
+    them before it stopped the ideal side at total degree n.  Returns
+    (hilbert, frobenius, contained): quotient dimensions keyed by the flat
+    exponent tuple, nonzero multiplicities keyed by (r, s), and for each
+    multidegree of total degree above n whether its invariants already lie in
+    the span of the shifted lower components, V * I_(d-1).
+    """
+    ideal: dict = {}
+    hilbert: dict = {}
+    frobenius: dict = {}
+    contained: dict = {}
+    total = 0
+    while True:
+        degs = shell_multidegrees(n, k, j, total)
+        if not degs:
+            break
+        nonzero = False
+        for deg in degs:
+            r, s = deg
+            basis = SubspaceBasis(len(superring.monomial_space(n, k, j, r, s)[0]))
+            if total > 0:
+                for g, d in enumerate(r + s):
+                    if not d:
+                        continue
+                    if g < k:
+                        kind, idx, pred = "b", g, (r[:g] + (d - 1,) + r[g + 1 :], s)
+                    else:
+                        c = g - k
+                        kind, idx, pred = "f", c, (r, s[:c] + (d - 1,) + s[c + 1 :])
+                    for pos in range(n):
+                        signs, tgt = superring.shift_map(n, k, j, *pred, kind, idx, pos)
+                        for row in ideal[pred].vectors:
+                            vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
+                            if vec:
+                                basis.insert(vec)
+                invariants = superring.invariant_vectors(n, k, j, r, s)[2]
+                if total > n:
+                    contained[deg] = all(basis.contains(vec) for vec in invariants)
+                for vec in invariants:
+                    basis.insert(vec)
+            ideal[deg] = basis
+            qdim = basis.dim - basis.rank
+            if not qdim:
+                continue
+            nonzero = True
+            hilbert[r + s] = qdim
+            class_fn = {}
+            for rho in partitions_of(n):
+                signs, tgt = superring.permutation_action(n, k, j, r, s, class_representative(rho))
+                ambient = sum(sg for i, (sg, t) in enumerate(zip(signs, tgt)) if t == i)
+
+                def act(row, signs=signs, tgt=tgt):
+                    return {tgt[i]: signs[i] * v for i, v in row.items()}
+
+                class_fn[rho] = ambient - restricted_trace(basis, act, check=False)
+            mults = frobenius_decompose(class_fn, n)
+            frobenius[deg] = {mu: c for mu, c in mults.items() if c}
+        if total > 0 and not nonzero:
+            break
+        total += 1
+    return hilbert, frobenius, contained

@@ -221,6 +221,15 @@ def test_cli_ceiling_resource_error():
     assert "ceiling" in err.lower()
 
 
+def test_cli_ceiling_bounds_the_quotient_border():
+    # every monomial space up to degree 6 has at most 462 columns; the border
+    # at degree 7 has 6 * 90
+    code, out, err = _run_cli(["compute", "--n", "6", "--k", "1", "--ceiling", "500"])
+    assert code == 2
+    assert out == ""
+    assert "quotient border at multidegree r=[7] s=[] has 540 columns" in err
+
+
 def test_cli_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -378,10 +387,18 @@ def _tamper_monomial(payload):
     row[-1][0] = "0" * len(row[-1][0])
 
 
+def _tamper_non_pivot_entry(payload):
+    # a well-formed file whose header and pivots all match: only the
+    # content digest can tell
+    row = payload["vectors"][0]
+    assert len(row) > 1
+    row[1][1] = str(-int(row[1][1]))
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_tamper_dim, _tamper_r, _tamper_pivot_value, _tamper_monomial],
-    ids=["dim", "r", "pivot_value", "monomial"],
+    [_tamper_dim, _tamper_r, _tamper_pivot_value, _tamper_monomial, _tamper_non_pivot_entry],
+    ids=["dim", "r", "pivot_value", "monomial", "non_pivot_entry"],
 )
 def test_cli_refuses_tampered_cache_file(tmp_path, tamper):
     argv = ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"]

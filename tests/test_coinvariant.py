@@ -13,10 +13,18 @@ from supercoinv.coinvariant import (
     hilbert_series,
     ideal_component,
     quotient_character,
+    shell_multidegrees,
 )
 from supercoinv.qcombinat import partitions_of, q_factorial
 from supercoinv.superring import permutation_action
 from supercoinv.superschur import QUPoly
+
+
+def _scanned_degrees(series):
+    """Every multidegree a series scan passes: the shells up to one past its top."""
+    n, k, j = series.n, series.k, series.j
+    top = series.max_total_degree()
+    return [d for total in range(top + 2) for d in sorted(shell_multidegrees(n, k, j, total))]
 
 
 def test_ideal_component_degree_zero_empty():
@@ -63,8 +71,8 @@ def test_quotient_character_checked_small():
     # exhaustive membership verification of every permuted basis vector
     for (n, k, j) in [(2, 1, 1), (3, 1, 1), (3, 0, 2), (3, 2, 0)]:
         cache = IdealComponentCache(n, k, j)
-        frobenius_series(n, k, j, cache=cache, keep_all=True)
-        for deg in cache.degrees_cached():
+        series = frobenius_series(n, k, j, cache=cache)
+        for deg in _scanned_degrees(series):
             for rho in partitions_of(n):
                 unchecked = quotient_character(cache, deg, rho)
                 checked = quotient_character(cache, deg, rho, check_invariant=True)
@@ -105,10 +113,10 @@ def test_frobenius_series_artin_and_exterior():
 def test_frobenius_nonnegative_and_dim_consistency():
     for (n, k, j) in [(3, 1, 1), (4, 0, 2), (3, 2, 0)]:
         cache = IdealComponentCache(n, k, j)
-        series = frobenius_series(n, k, j, cache=cache, keep_all=True)
+        series = frobenius_series(n, k, j, cache=cache)
         for deg, mults in series.components.items():
             assert all(c > 0 for c in mults.values())
-            basis = cache.ideal[deg]
+            basis = ideal_component(cache, deg)
             monos, _ = cache.monomial_space(deg)
             dim = len(monos) - basis.rank
             from supercoinv.snchar import syt_count
@@ -198,7 +206,7 @@ def test_disk_cache_roundtrip(tmp_path):
 
 def test_eviction_persists_to_disk(tmp_path):
     cache = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
-    series = frobenius_series(2, 1, 1, cache=cache, keep_all=False)
+    series = frobenius_series(2, 1, 1, cache=cache)
     assert series.components
     fresh = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
     deg = ((1,), (0,))
@@ -210,9 +218,10 @@ def test_eviction_persists_to_disk(tmp_path):
 
 
 def test_every_computed_component_is_persisted(tmp_path, monkeypatch):
-    # the last shells of a scan are never evicted, and are written all the same
+    # every ideal component a scan computes is written, so a second scan
+    # computes none
     cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
-    series = frobenius_series(3, 1, 1, cache=cache, keep_all=False)
+    series = frobenius_series(3, 1, 1, cache=cache)
 
     def no_elimination(*args, **kwargs):
         raise AssertionError("a component was computed instead of loaded")
@@ -238,6 +247,44 @@ def test_ceiling_exceeded_reports_offender():
     assert err.value.limit == 10
 
 
+def _artin(n):
+    return QUPoly(1, 0, {(e,): c for e, c in q_factorial(n).coeffs.items()})
+
+
+def test_ceiling_bounds_the_quotient_border_not_the_ambient_space():
+    # above degree n the scan works on borders of at most 6 * 101 columns,
+    # never on the monomial spaces (1 287 columns at degree 8)
+    assert hilbert_series(6, 1, 0, ceiling=1000) == _artin(6)
+
+
+def test_ceiling_exceeded_names_the_quotient_border():
+    # degree 7 has the first border above 500: 6 * dim Q_6 = 6 * 90 columns
+    with pytest.raises(CeilingExceeded, match="quotient border") as err:
+        hilbert_series(6, 1, 0, ceiling=500)
+    assert (err.value.deg, err.value.dim, err.value.limit) == (((7,), ()), 540, 500)
+
+
+def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
+    deg = ((1,), (0,))
+    ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
+    path = next(tmp_path.rglob("r1_s0.json"))
+    written = path.read_text()
+    payload = json.loads(written)
+    row = payload["vectors"][0]
+    assert len(row) > 1 and row[1][1] == "1"
+    row[1][1] = "2"  # a non-pivot entry: every header field still matches
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="SHA-256") as err:
+        ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
+    assert str(path) in str(err.value)
+    payload = json.loads(written)
+    del payload["format"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="format") as err:
+        ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
+    assert str(path) in str(err.value)
+
+
 def test_quotient_character_rejects_bad_type():
     cache = IdealComponentCache(3, 1, 0)
     with pytest.raises(ValueError):
@@ -255,11 +302,11 @@ def test_invariants_contained_in_ideal():
     # positive multidegree, by construction and as a subspace fact
     for (n, k, j) in [(3, 1, 1), (3, 0, 2)]:
         cache = IdealComponentCache(n, k, j)
-        frobenius_series(n, k, j, cache=cache, keep_all=True)
-        for deg in cache.degrees_cached():
+        series = frobenius_series(n, k, j, cache=cache)
+        for deg in _scanned_degrees(series):
             if sum(deg[0]) + sum(deg[1]) == 0:
                 continue
-            ideal = cache.ideal[deg]
+            ideal = ideal_component(cache, deg)
             inv = cache.invariant_basis(deg)
             for row in inv.vectors:
                 assert ideal.contains(row), deg
@@ -310,9 +357,9 @@ def _literal_ideal_basis(cache, deg):
 def test_ideal_matches_literal_definition():
     for (n, k, j) in [(3, 1, 1), (2, 2, 0), (3, 0, 2)]:
         cache = IdealComponentCache(n, k, j)
-        frobenius_series(n, k, j, cache=cache, keep_all=True)
-        for deg in cache.degrees_cached():
+        series = frobenius_series(n, k, j, cache=cache)
+        for deg in _scanned_degrees(series):
             literal = _literal_ideal_basis(cache, deg)
-            engine = cache.ideal[deg]
+            engine = ideal_component(cache, deg)
             assert literal.pivots == engine.pivots, (n, k, j, deg)
             assert literal.vectors == engine.vectors, (n, k, j, deg)

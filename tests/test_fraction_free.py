@@ -130,7 +130,7 @@ def test_cache_files_match_oracle_bytes(tmp_path):
     # integral, so some stored rows have pivot values above 1
     engine_dir, oracle_dir = tmp_path / "engine", tmp_path / "oracle"
     cache = IdealComponentCache(3, 2, 1, cache_dir=str(engine_dir))
-    frobenius_series(3, 2, 1, cache=cache, keep_all=False)
+    frobenius_series(3, 2, 1, cache=cache)
     files = sorted(engine_dir.rglob("*.json"))
     assert files
     oracle_cache = IdealComponentCache(3, 2, 1, cache_dir=str(oracle_dir))
