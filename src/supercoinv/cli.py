@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from . import checks, coinvariant
@@ -235,6 +234,10 @@ def _run_verify(args) -> int:
         )
         jobs.append((check_id, params))
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: concurrent.futures brings in multiprocessing and
+        # logging, which would cost every other command tens of milliseconds
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_start_verify_worker,

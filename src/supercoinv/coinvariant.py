@@ -66,6 +66,25 @@ span the kernel of V (x) R_(d-1) -> R_d, and V (x) I_(d-1) dies in Q.  So
 it works with multiplication matrices on Q (as border bases do:
 Kehrein-Kreuzer-Robbiano, An algebraist's view on border bases, 2005).  A
 permutation sigma acts on the presentation by v (x) b -> sigma(v) (x) sigma(b).
+
+Chain criterion.  Most of these relations are redundant, and
+``_koszul_component`` offers only the others to the elimination.  Every
+basis element s of a quotient component carries a label u, a variable with
+s = [u b] for some b: on a shell built by ``_koszul_component``, the variable
+of the border block that holds s's standard column; on a shell of total
+degree <= n, where s is a standard monomial, its least variable in the flat
+order g * n + pos (the unit 1 gets a label above every variable).  The
+relation R(v, w; s) of a pair v <= w is skipped when label(s) < v, odd
+squares included.  Exact: the super-Koszul differential satisfies d^2 = 0,
+so for u < v <= w the boundary of u ^ v ^ w (x) b is a relation among
+R(v, w; [u b]), R(u, w; [v b]) and R(u, v; [w b]), each with a nonzero
+coefficient (+-1, or +-2 where an odd variable repeats).  A skipped row
+R(v, w; s) with s = [u b] is therefore a combination of rows whose smaller
+variable u is below v, and induction on that variable shows that the rows
+kept span all of them.  Reduced echelon bases are unique, so the quotient
+bases and matrices are the same as with every relation.  This is
+Buchberger's chain criterion, or the neighbour criterion of border bases
+(Kehrein-Kreuzer, Characterizations of border bases, 2005).
 """
 
 from __future__ import annotations
@@ -512,12 +531,17 @@ class _QuotientComponent:
     multiplication by v from the component one degree lower in v's set;
     ``action`` maps a cycle type to the matrix of its class representative.
     A matrix is a list of columns, one per source basis element, and a column
-    is a pair (integer vector, positive denominator).
+    is a pair (integer vector, positive denominator).  ``labels`` holds one
+    variable u per basis element s with s = [u b] (the chain criterion of the
+    module docstring), and ``source_labels`` maps each set to the labels of
+    the component one lower in that set, the source of its ``mult`` matrices.
     """
 
     dim: int
     mult: dict
     action: dict
+    labels: list
+    source_labels: dict
 
 
 def _predecessors(deg: Multidegree, k: int) -> dict:
@@ -540,6 +564,30 @@ def _standard_coordinates(basis: SubspaceBasis) -> dict:
     return {c: q for q, c in enumerate(c for c in range(basis.dim) if c not in pivots)}
 
 
+def _least_variable(mono, n: int) -> int:
+    """A monomial's least variable in the flat order g * n + pos.
+
+    The unit monomial, a multiple of no variable, gets (k + j) * n, above every
+    variable, so no relation on it is ever skipped.
+    """
+    bos, fer = mono
+    for g, e in enumerate(bos):
+        for p, x in enumerate(e):
+            if x:
+                return g * n + p
+    for f, mask in enumerate(fer):
+        if mask:
+            return (len(bos) + f) * n + (mask & -mask).bit_length() - 1
+    return (len(bos) + len(fer)) * n
+
+
+def _standard_labels(cache, deg: Multidegree) -> list:
+    """The least variable of each standard monomial: its label."""
+    monos, _index = cache.monomial_space(deg)
+    standard = _standard_coordinates(ideal_component(cache, deg))
+    return [_least_variable(monos[c], cache.n) for c in standard]
+
+
 def _class_of(basis: SubspaceBasis, vec: dict, where: dict, den: int = 1):
     """The class of vec / den modulo span(basis), as a column in quotient coordinates."""
     w, scale = basis.scaled_residual(vec)
@@ -558,9 +606,10 @@ def _boundary_component(cache, deg: Multidegree, sigmas: dict) -> _QuotientCompo
     n, k, j = cache.n, cache.k, cache.j
     basis = ideal_component(cache, deg)
     where = _standard_coordinates(basis)
-    mult = {}
+    mult, sources = {}, {}
     for g, pred in _predecessors(deg, k).items():
         standard = list(_standard_coordinates(ideal_component(cache, pred)))
+        sources[g] = _standard_labels(cache, pred)
         kind, set_idx = ("b", g) if g < k else ("f", g - k)
         for pos in range(n):
             signs, tgt = superring.shift_map(n, k, j, *pred, kind, set_idx, pos)
@@ -572,15 +621,16 @@ def _boundary_component(cache, deg: Multidegree, sigmas: dict) -> _QuotientCompo
     for rho, sigma in sigmas.items():
         signs, tgt = superring.permutation_action(n, k, j, *deg, sigma)
         action[rho] = [_class_of(basis, {tgt[i]: signs[i]}, where) for i in where]
-    return _QuotientComponent(len(where), mult, action)
+    return _QuotientComponent(len(where), mult, action, _standard_labels(cache, deg), sources)
 
 
 def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
     """A component above total degree n, from the quotient shell below it.
 
     Q_deg is the border space (the sum over variables v of v (x) Q_(deg-e_v))
-    modulo the super-Koszul relations of the module docstring, and its basis
-    is the non-pivot border columns of the relation span.  Returns the
+    modulo the super-Koszul relations of the module docstring, of which only
+    those the chain criterion keeps are offered, and its basis is the
+    non-pivot border columns of the relation span.  Returns the
     component and the trace of each class representative in ``sigmas``.
     """
     n, k = cache.n, cache.k
@@ -604,6 +654,8 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
             if h < g or h * n not in into_g:  # deg - e_g - e_h is not a multidegree
                 continue
             into_h = below[pred_h].mult
+            # the labels of the basis elements s of Q_(deg - e_g - e_h)
+            labels = below[pred_g].source_labels[h]
             # v (x) [w s] - eps w (x) [v s], eps = -1 for two odd variables
             sign = 1 if g >= k and h >= k else -1
             for p in range(n):
@@ -614,12 +666,13 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         if g < k:
                             continue
                         # v (x) [v s] for odd v
-                        for x, _dx in into_g[v]:
-                            if x:
+                        for (x, _dx), u in zip(into_g[v], labels):
+                            if x and u >= v:
                                 rel.insert({offset[v] + i: c for i, c in x.items()})
                         continue
-                    for (x, dx), (y, dy) in zip(into_g[w], into_h[v]):
-                        if not (x or y):
+                    for (x, dx), (y, dy), u in zip(into_g[w], into_h[v], labels):
+                        # the chain criterion: rows with label(s) < v are redundant
+                        if u < v or not (x or y):
                             continue
                         d = gcd(dx, dy)
                         a, b = dy // d, sign * (dx // d)
@@ -628,11 +681,13 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         rel.insert(row)
     where = _standard_coordinates(rel)
     mult = {}
+    own = []  # the label of a standard column is the variable of its block
     for v, off in offset.items():
         cols = []
         for col in range(off, off + below[preds[v // n]].dim):
             if col in where:
                 cols.append(({where[col]: 1}, 1))
+                own.append(v)
             else:
                 row = rel.row(col)
                 cols.append(({where[i]: -c for i, c in row.items() if i != col}, row[col]))
@@ -653,7 +708,8 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                 cols.append(col)
         action[rho] = cols
         traces[rho] = trace
-    return _QuotientComponent(len(where), mult, action), traces
+    sources = {g: below[pred].labels for g, pred in preds.items()}
+    return _QuotientComponent(len(where), mult, action, own, sources), traces
 
 
 def _series_scan(cache: IdealComponentCache, per_component, types=()):

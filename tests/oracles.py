@@ -12,6 +12,8 @@ comparison on ``QUPoly`` coefficients indexed by z-exponents.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced above total
 degree n by the degree bound and the quotient-side recursion.
+``koszul_relations`` offers every super-Koszul relation of a quotient
+component, with none of the engine's chain-criterion pruning.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cache
 from itertools import permutations
 from math import comb, gcd
 
-from supercoinv import superring, superschur
+from supercoinv import coinvariant, superring, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, SubspaceNotInvariant
 from supercoinv.qcombinat import partitions_of
@@ -323,3 +325,41 @@ def full_invariant_scan(n: int, k: int, j: int):
             break
         total += 1
     return hilbert, frobenius, contained
+
+
+def koszul_relations(cache, deg, below) -> SubspaceBasis:
+    """The span of every super-Koszul relation of ``coinvariant._koszul_component``.
+
+    One row per pair of variables v <= w and basis element s of
+    Q_(deg - e_v - e_w): v (x) [w s] - eps w (x) [v s], eps = -1 for two odd
+    variables, and v (x) [v s] for odd v, in the engine's border coordinates
+    (blocks of the highest variable first).  ``below`` maps each multidegree
+    of the shell below to its quotient component.
+    """
+    n, k = cache.n, cache.k
+    preds = coinvariant._predecessors(deg, k)
+    offset = {}
+    ncols = 0
+    for g in sorted(preds, reverse=True):
+        for pos in reversed(range(n)):
+            offset[g * n + pos] = ncols
+            ncols += below[preds[g]].dim
+    rel = SubspaceBasis(ncols)
+    for v in offset:
+        for w in offset:
+            into_v = below[preds[v // n]].mult  # into Q_(deg - e_v)
+            if w < v or w not in into_v:  # deg - e_v - e_w is not a multidegree
+                continue
+            odd = v // n >= k and w // n >= k
+            if v == w:
+                if odd:
+                    for x, _dx in into_v[v]:
+                        rel.insert({offset[v] + i: c for i, c in x.items()})
+                continue
+            eps = -1 if odd else 1
+            into_w = below[preds[w // n]].mult
+            for (x, dx), (y, dy) in zip(into_v[w], into_w[v]):
+                row = {offset[v] + i: dy * c for i, c in x.items()}
+                row.update((offset[w] + i, -eps * dx * c) for i, c in y.items())
+                rel.insert(row)
+    return rel

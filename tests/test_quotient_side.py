@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import full_invariant_scan, restricted_trace
+from oracles import full_invariant_scan, koszul_relations, restricted_trace
 from supercoinv import checks, cli, coinvariant, superring
 from supercoinv.coinvariant import (
     IdealComponentCache,
@@ -20,13 +20,15 @@ from supercoinv.coinvariant import (
     ideal_component,
     shell_multidegrees,
 )
-from supercoinv.exactla import span_basis
+from supercoinv.exactla import SubspaceBasis, span_basis
 from supercoinv.qcombinat import partitions_of
 from supercoinv.snchar import class_representative
 from supercoinv.qcombinat import q_factorial
 from supercoinv.superschur import QUPoly
 
 EXTRA_RINGS = [(4, 2, 1), (3, 2, 2), (4, 0, 3), (5, 0, 2)]
+# rings with odd squares and mixed triples of variables for the chain criterion
+CRITERION_RINGS = [(3, 1, 2), (4, 0, 3), (2, 2, 2)]
 
 
 def _envelope_rings() -> set:
@@ -114,3 +116,92 @@ def test_koszul_presentation_at_every_degree(n, k, j):
                 assert traces[rho] == Fraction(want), (deg, rho)
             checked += 1
     assert checked
+
+
+def _koszul_shells(monkeypatch, n, k, j) -> list:
+    """(cache, deg, below, component, relation span) of Koszul presentations of every shell.
+
+    Above total degree n these are the components the series scan builds; at
+    every degree up to n the shell is presented over the quotient shell below
+    it, as in ``test_koszul_presentation_at_every_degree``.
+    """
+    spans = []
+
+    class Recording(SubspaceBasis):
+        def __init__(self, dim):
+            super().__init__(dim)
+            spans.append(self)
+
+    koszul = coinvariant._koszul_component
+    out = []
+
+    def recorded(cache, deg, below, sigmas):
+        spans.clear()
+        comp, traces = koszul(cache, deg, below, sigmas)
+        (rel,) = spans
+        out.append((cache, deg, below, comp, rel))
+        return comp, traces
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coinvariant, "SubspaceBasis", Recording)
+        patch.setattr(coinvariant, "_koszul_component", recorded)
+        cache = IdealComponentCache(n, k, j)
+        hilbert_series(n, k, j, cache=cache)
+        for total in range(1, n + 1):
+            below = {
+                d: coinvariant._boundary_component(cache, d, {})
+                for d in shell_multidegrees(n, k, j, total - 1)
+            }
+            for deg in shell_multidegrees(n, k, j, total):
+                recorded(cache, deg, below, {})
+    return out
+
+
+def _criterion_rings(rings) -> list:
+    return sorted(set(rings) | set(CRITERION_RINGS))
+
+
+def test_pruned_relations_span_every_relation(rings, monkeypatch):
+    # the chain criterion drops rows, never the span: the relation bases of
+    # the engine and of the unpruned oracle have the same pivots and rows
+    checked = 0
+    for n, k, j in _criterion_rings(rings):
+        for cache, deg, below, _comp, rel in _koszul_shells(monkeypatch, n, k, j):
+            full = koszul_relations(cache, deg, below)
+            assert rel.pivots == full.pivots, ((n, k, j), deg)
+            assert rel.vectors == full.vectors, ((n, k, j), deg)
+            checked += 1
+    assert checked > 300
+
+
+def _divides(comp, s: int, u: int) -> bool:
+    """Whether basis element s of comp is [u b] for some b one degree lower."""
+    image = span_basis([x for x, _dx in comp.mult[u] if x], comp.dim)
+    return image.contains({s: 1})
+
+
+def test_every_label_divides_its_basis_element(rings, monkeypatch):
+    # s = [label(s) b] for some b: on the standard monomials up to degree n
+    # and on the Koszul shells built above them
+    checked = 0
+    for n, k, j in _criterion_rings(rings):
+        unit = (k + j) * n
+        cache = IdealComponentCache(n, k, j)
+        boundary = {
+            deg: coinvariant._boundary_component(cache, deg, {})
+            for total in range(n + 1)
+            for deg in shell_multidegrees(n, k, j, total)
+        }
+        for deg, comp in boundary.items():
+            for g, pred in coinvariant._predecessors(deg, k).items():
+                assert comp.source_labels[g] == boundary[pred].labels, ((n, k, j), deg, g)
+        koszul = [(deg, comp) for _c, deg, _b, comp, _r in _koszul_shells(monkeypatch, n, k, j)]
+        for deg, comp in list(boundary.items()) + koszul:
+            assert len(comp.labels) == comp.dim, ((n, k, j), deg)
+            for s, u in enumerate(comp.labels):
+                if u == unit:
+                    assert deg == ((0,) * k, (0,) * j) and s == 0, ((n, k, j), deg)
+                else:
+                    assert _divides(comp, s, u), ((n, k, j), deg, s, u)
+                checked += 1
+    assert checked > 1000
