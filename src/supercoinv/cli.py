@@ -209,12 +209,6 @@ def _verify_job(job):
 
 
 def _run_verify(args) -> int:
-    for flag in ("n", "k", "j", "m", "degree_bound"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            name = flag.replace("_", "-")
-            sys.stderr.write(f"error: --{name} must be a nonnegative integer, got {value}\n")
-            return 2
     if args.jobs < 1:
         sys.stderr.write(f"error: --jobs must be at least 1, got {args.jobs}\n")
         return 2
@@ -290,25 +284,33 @@ def _run_cauchy(args) -> int:
 
 def _run_table(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, list) and data and "status" in data[0]:
-        text = _REPORTS[args.format](data)
-    elif isinstance(data, dict) and "components" in data:
-        text = _FROBENIUS[args.format](FrobeniusSeries.from_json(data))
-    elif isinstance(data, dict) and "entries" in data:
-        text = _COEFF_TABLE[args.format](CoeffTable.from_json(data))
-    elif isinstance(data, dict) and "hilbert" in data:
-        poly = QUPoly.from_json(data["k"], data["j"], data["hilbert"])
-        text = _HILBERT[args.format]({**data, "hilbert": poly})
-    elif isinstance(data, dict) and "first_failure" in data:
-        text = _CAUCHY[args.format](data)
-    elif args.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
-    else:
-        sys.stderr.write("unrecognized artifact shape\n")
+        try:
+            text = _render_artifact(json.load(fh), args.format)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed artifact {args.input}: {exc!r}") from exc
+    if text is None:
+        sys.stderr.write(f"unrecognized artifact shape in {args.input}\n")
         return 2
     _emit(text, args)
     return 0
+
+
+def _render_artifact(data, fmt: str) -> str | None:
+    """The artifact rendered as ``fmt``, or None for an unrecognized shape."""
+    if isinstance(data, list) and data and "status" in data[0]:
+        return _REPORTS[fmt](data)
+    if isinstance(data, dict) and "components" in data:
+        return _FROBENIUS[fmt](FrobeniusSeries.from_json(data))
+    if isinstance(data, dict) and "entries" in data:
+        return _COEFF_TABLE[fmt](CoeffTable.from_json(data))
+    if isinstance(data, dict) and "hilbert" in data:
+        poly = QUPoly.from_json(data["k"], data["j"], data["hilbert"])
+        return _HILBERT[fmt]({**data, "hilbert": poly})
+    if isinstance(data, dict) and "first_failure" in data:
+        return _CAUCHY[fmt](data)
+    if fmt == "json":
+        return json.dumps(data, indent=2, sort_keys=True)
+    return None
 
 
 def main(argv=None) -> int:
@@ -317,6 +319,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    for flag in ("n", "k", "j", "m", "degree_bound"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            name = flag.replace("_", "-")
+            sys.stderr.write(f"error: --{name} must be a nonnegative integer, got {value}\n")
+            return 2
     try:
         if args.command == "compute":
             return _run_compute(args)

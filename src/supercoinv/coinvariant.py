@@ -119,7 +119,7 @@ Multidegree = tuple  # (r, s): k bosonic degrees, j fermionic degrees
 DEFAULT_CEILING = 50_000
 
 # version of the cache file layout; files of any other version are refused
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 class CeilingExceeded(RuntimeError):
@@ -281,19 +281,13 @@ class IdealComponentCache:
         path = self._path(deg)
         if os.path.exists(path):
             return
-        monos, _index = self.monomial_space(deg)
         vectors = []
         for pivot, row in zip(basis.pivots, basis.vectors):
-            # the file holds the reduced-echelon row over Q: value 1 at its pivot
+            # the file holds the reduced-echelon row over Q, value 1 at its
+            # pivot, entry by entry as [coordinate in monomial_space order, value]
             d = row[pivot]
             vectors.append(
-                [
-                    [
-                        superring.mono_to_bytes(monos[i], self.n).hex(),
-                        str(v) if d == 1 else str(Fraction(v, d)),
-                    ]
-                    for i, v in sorted(row.items())
-                ]
+                [[i, str(v) if d == 1 else str(Fraction(v, d))] for i, v in sorted(row.items())]
             )
         payload = {
             "format": CACHE_FORMAT,
@@ -302,7 +296,7 @@ class IdealComponentCache:
             "j": self.j,
             "r": list(deg[0]),
             "s": list(deg[1]),
-            "dim": len(monos),
+            "dim": len(self.monomial_space(deg)[0]),
             "pivots": list(basis.pivots),
             "vectors": vectors,
         }
@@ -332,15 +326,14 @@ class IdealComponentCache:
             raise ValueError(
                 f"cache file {path} has format {payload.get('format')!r}, expected {CACHE_FORMAT}"
             )
-        monos, index = self.monomial_space(deg)
-        n, k, j = self.n, self.k, self.j
+        dim = len(self.monomial_space(deg)[0])
         expected = {
-            "n": n,
-            "k": k,
-            "j": j,
+            "n": self.n,
+            "k": self.k,
+            "j": self.j,
             "r": list(deg[0]),
             "s": list(deg[1]),
-            "dim": len(monos),
+            "dim": dim,
         }
         for key, want in expected.items():
             if payload.get(key) != want:
@@ -360,10 +353,11 @@ class IdealComponentCache:
         for pivot, row in zip(pivots, vectors):
             vec = {}
             try:
-                for hexmono, val in row:
-                    mono = superring.mono_from_bytes(bytes.fromhex(hexmono), n, k, j)
-                    vec[index[mono]] = Fraction(val) if "/" in val else int(val)
-            except (KeyError, ValueError) as exc:
+                for i, val in row:
+                    if type(i) is not int or not 0 <= i < dim:
+                        raise ValueError(f"coordinate {i!r} outside 0..{dim - 1}")
+                    vec[i] = Fraction(val) if "/" in val else int(val)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"corrupt cache file {path}: row {pivot}: {exc!r}") from exc
             if vec.get(pivot) != 1:
                 raise ValueError(f"corrupt cache file {path}: row {pivot} is not 1 at its pivot")
@@ -371,7 +365,7 @@ class IdealComponentCache:
         if len(rows) != len(pivots):
             raise ValueError(f"corrupt cache file {path}: duplicate pivots")
         try:
-            return SubspaceBasis.from_rows(len(monos), rows)
+            return SubspaceBasis.from_rows(dim, rows)
         except ValueError as exc:
             raise ValueError(f"corrupt cache file {path}: {exc}") from exc
 

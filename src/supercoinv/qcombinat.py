@@ -1,4 +1,8 @@
-"""Partitions, Young-diagram utilities, and single-variable q-analogues.
+"""Partitions, Young-diagram utilities, polynomials, and q-analogues.
+
+``QUPoly`` is the one polynomial class of the package: the series, the super
+Schur polynomials and the q-analogues (``QUPoly(1, 0, ...)``, one variable q)
+are all values of it.
 
 Partitions are tuples of weakly decreasing positive integers; ``()`` is the
 empty partition.  All enumeration functions list partitions in descending
@@ -9,18 +13,18 @@ package (serialized tables, matrix layouts, reports).
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
 Partition = tuple
 
 __all__ = [
     "Partition",
-    "as_partition",
     "partitions_of",
     "conjugate",
     "contains",
     "in_Pkjn",
     "partition_sort_key",
-    "QPoly",
+    "QUPoly",
     "q_number",
     "q_factorial",
     "q_binomial",
@@ -28,16 +32,6 @@ __all__ = [
     "sagan_swanson_sum",
     "rectangle_coeff",
 ]
-
-
-def as_partition(parts) -> Partition:
-    """Validate and normalize an iterable of parts into a partition tuple."""
-    lam = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
-    return lam
 
 
 @cache
@@ -86,140 +80,257 @@ def partition_sort_key(lam: Partition):
     return (sum(lam), tuple(-p for p in lam))
 
 
-class QPoly:
-    """Sparse univariate polynomial in q with integer coefficients.
+class QUPoly:
+    """Sparse integer polynomial in k+j commuting variables.
 
-    Immutable by convention: no method mutates ``coeffs`` after construction.
+    Exponent keys are tuples of length k+j: the first k slots are the q
+    alphabet, the remaining j slots the u alphabet.  Instances are immutable
+    by convention.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("k", "j", "coeffs")
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
+    def __init__(self, k: int, j: int, coeffs=None):
+        self.k = k
+        self.j = j
+        coeffs = coeffs or {}
+        nv = k + j
+        if set(map(len, coeffs)) - {nv} or min(chain.from_iterable(coeffs), default=0) < 0:
+            raise ValueError(f"exponents must be tuples of {nv} nonnegative integers")
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
+    @property
+    def nvars(self) -> int:
+        return self.k + self.j
 
     @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
+    def zero(cls, k: int, j: int) -> "QUPoly":
+        return cls(k, j)
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPoly":
-        if exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        return cls({exp: coeff})
+    def one(cls, k: int, j: int) -> "QUPoly":
+        return cls(k, j, {(0,) * (k + j): 1})
 
-    def coeff(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
+    @classmethod
+    def variable(cls, k: int, j: int, idx: int) -> "QUPoly":
+        e = [0] * (k + j)
+        e[idx] = 1
+        return cls(k, j, {tuple(e): 1})
 
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
+    @classmethod
+    def monomial(cls, k: int, j: int, exponents, coeff: int = 1) -> "QUPoly":
+        return cls(k, j, {tuple(exponents): coeff})
+
+    def _new(self, coeffs: dict) -> "QUPoly":
+        """A polynomial in this alphabet from exponents known to be valid."""
+        poly = QUPoly.__new__(QUPoly)
+        poly.k, poly.j = self.k, self.j
+        poly.coeffs = {e: c for e, c in coeffs.items() if c}
+        return poly
+
+    def _check_context(self, other: "QUPoly"):
+        if (self.k, self.j) != (other.k, other.j):
+            raise ValueError(f"alphabet mismatch ({self.k},{self.j}) vs ({other.k},{other.j})")
+
+    def __add__(self, other: "QUPoly") -> "QUPoly":
+        self._check_context(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return self._new(out)
+
+    def __neg__(self) -> "QUPoly":
+        return self._new({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other: "QUPoly") -> "QUPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "QUPoly") -> "QUPoly":
+        self._check_context(other)
+        # exponent vectors packed into integers of a radix above every
+        # exponent of the product, so adding two packed keys adds exponents;
+        # packed and unpacked one variable at a time over all keys at once
+        radix = 2 * max(chain(*self.coeffs, *other.coeffs, (0,))) + 1
+        left, right = [0] * len(self.coeffs), [0] * len(other.coeffs)
+        for i in range(self.nvars):
+            place = radix**i
+            left = [key + e[i] * place for key, e in zip(left, self.coeffs)]
+            right = [key + e[i] * place for key, e in zip(right, other.coeffs)]
+        right = list(zip(right, other.coeffs.values()))
+        out: dict[int, int] = {}
+        for key1, c1 in zip(left, self.coeffs.values()):
+            for key2, c2 in right:
+                key = key1 + key2
+                out[key] = out.get(key, 0) + c1 * c2
+        keys, digits = list(out), []
+        for _ in range(self.nvars):
+            split = [divmod(key, radix) for key in keys]
+            keys = [q for q, _x in split]
+            digits.append([x for _q, x in split])
+        exponents = zip(*digits) if digits else [()] * len(out)
+        return self._new(dict(zip(exponents, out.values())))
+
+    def scale(self, c: int) -> "QUPoly":
+        return self._new({e: c * v for e, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
+    def total_degree(self) -> int:
+        return max(map(sum, self.coeffs), default=0)
 
-    def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self.coeffs.items()})
+    def homogeneous_component(self, d: int) -> "QUPoly":
+        return QUPoly(self.k, self.j, {e: c for e, c in self.coeffs.items() if sum(e) == d})
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
+    def coeff(self, exponents) -> int:
+        return self.coeffs.get(tuple(exponents), 0)
 
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+    def evaluate(self, values):
+        """Exact evaluation at a full assignment of numeric values."""
+        if len(values) != self.nvars:
+            raise ValueError("need one value per variable")
+        total = 0
+        for e, c in self.coeffs.items():
+            term = c
+            for x, m in zip(values, e):
+                if m:
+                    term *= x**m
+            total += term
+        return total
 
-    def scale(self, c: int) -> "QPoly":
-        return QPoly({e: c * v for e, v in self.coeffs.items()})
+    def swap_vars(self, i: int, jdx: int) -> "QUPoly":
+        out = {}
+        for e, c in self.coeffs.items():
+            le = list(e)
+            le[i], le[jdx] = le[jdx], le[i]
+            out[tuple(le)] = c
+        return QUPoly(self.k, self.j, out)
 
-    def __call__(self, value):
-        """Evaluate at a numeric value (exact for int / Fraction inputs)."""
-        return sum(c * value**e for e, c in self.coeffs.items())
+    def is_symmetric(self) -> bool:
+        """Invariance under adjacent transpositions within each alphabet block.
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        Transpositions generate the full symmetric groups on the blocks, so
+        this is a complete symmetry test despite touching only k+j-2 swaps.
+        """
+        for i in range(self.k - 1):
+            if self.swap_vars(i, i + 1).coeffs != self.coeffs:
+                return False
+        for c in range(self.j - 1):
+            if self.swap_vars(self.k + c, self.k + c + 1).coeffs != self.coeffs:
+                return False
+        return True
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    def reindex(self, k2: int, j2: int, qshift: int = 0, ushift: int = 0) -> "QUPoly":
+        """Embed into a (k2, j2) alphabet, mapping q_i -> q_(i+qshift) etc."""
+        if self.k + qshift > k2 or self.j + ushift > j2:
+            raise ValueError("target alphabet too small")
+        out = {}
+        for e, c in self.coeffs.items():
+            ne = [0] * (k2 + j2)
+            for i in range(self.k):
+                ne[i + qshift] = e[i]
+            for i in range(self.j):
+                ne[k2 + i + ushift] = e[self.k + i]
+            out[tuple(ne)] = c
+        return QUPoly(k2, j2, out)
 
-    def __repr__(self) -> str:
+    def variable_names(self) -> list[str]:
+        qn = ["q"] if self.k == 1 else (["q", "t"] if self.k == 2 else [f"q{i+1}" for i in range(self.k)])
+        un = ["u"] if self.j == 1 else (["u", "v"] if self.j == 2 else [f"u{i+1}" for i in range(self.j)])
+        return qn + un
+
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
-        terms = []
-        for e in sorted(self.coeffs):
+        names = self.variable_names()
+        parts = []
+        for e in sorted(self.coeffs, key=lambda e: (sum(e), tuple(-x for x in e))):
             c = self.coeffs[e]
-            if e == 0:
-                terms.append(str(c))
+            factors = []
+            for name, m in zip(names, e):
+                if m == 1:
+                    factors.append(name)
+                elif m > 1:
+                    factors.append(f"{name}^{m}")
+            body = "".join(factors)
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append(f"-{body}")
             else:
-                var = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{c}{var}")
-        return " + ".join(terms).replace("+ -", "- ")
+                parts.append(f"{c}{body}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, QUPoly)
+            and (self.k, self.j) == (other.k, other.j)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.k, self.j, frozenset(self.coeffs.items())))
+
+    def __repr__(self) -> str:
+        return f"QUPoly(k={self.k}, j={self.j}, {self.pretty()})"
+
+    def to_json(self) -> list:
+        items = sorted(self.coeffs.items())
+        return [{"e": list(e), "c": str(c)} for e, c in items]
+
+    @classmethod
+    def from_json(cls, k: int, j: int, data) -> "QUPoly":
+        return cls(k, j, {tuple(rec["e"]): int(rec["c"]) for rec in data})
 
 
-def q_number(d: int) -> QPoly:
+def q_number(d: int) -> QUPoly:
     """[d]_q = 1 + q + ... + q^(d-1); zero when d <= 0."""
-    return QPoly({i: 1 for i in range(max(d, 0))})
+    return QUPoly(1, 0, {(i,): 1 for i in range(max(d, 0))})
 
 
 @cache
-def q_factorial(d: int) -> QPoly:
+def q_factorial(d: int) -> QUPoly:
     """[d]_q! = [d]_q [d-1]_q ... [1]_q."""
     if d <= 0:
-        return QPoly.one()
+        return QUPoly.one(1, 0)
     return q_factorial(d - 1) * q_number(d)
 
 
 @cache
-def q_binomial(n: int, d: int) -> QPoly:
+def q_binomial(n: int, d: int) -> QUPoly:
     """Gaussian binomial coefficient; zero outside 0 <= d <= n."""
     if d < 0 or n < 0 or d > n:
-        return QPoly.zero()
+        return QUPoly.zero(1, 0)
     if d == 0 or d == n:
-        return QPoly.one()
+        return QUPoly.one(1, 0)
     # Pascal recurrence: [n,d] = [n-1,d-1] + q^d [n-1,d]
-    return q_binomial(n - 1, d - 1) + QPoly.monomial(d) * q_binomial(n - 1, d)
+    return q_binomial(n - 1, d - 1) + QUPoly.monomial(1, 0, (d,)) * q_binomial(n - 1, d)
 
 
 @cache
-def q_stirling(n: int, d: int) -> QPoly:
+def q_stirling(n: int, d: int) -> QUPoly:
     """q-Stirling number from Stir(n,d) = [d]_q Stir(n-1,d) + Stir(n-1,d-1).
 
     Initial conditions Stir(0,d) = 1 if d == 0 else 0.
     """
     if n < 0 or d < 0:
-        return QPoly.zero()
+        return QUPoly.zero(1, 0)
     if n == 0:
-        return QPoly.one() if d == 0 else QPoly.zero()
+        return QUPoly.one(1, 0) if d == 0 else QUPoly.zero(1, 0)
     return q_number(d) * q_stirling(n - 1, d) + q_stirling(n - 1, d - 1)
 
 
-def sagan_swanson_sum(n: int) -> QPoly:
+def sagan_swanson_sum(n: int) -> QUPoly:
     """Sum over d of [d]_q! Stir_q(n,d) (-q)^(n-d); identically 1 for n >= 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = QPoly.zero()
+    total = QUPoly.zero(1, 0)
     for d in range(n + 1):
-        sign_pow = QPoly.monomial(n - d, (-1) ** (n - d))
-        total = total + q_factorial(d) * q_stirling(n, d) * sign_pow
+        sign_pow = QUPoly.monomial(1, 0, (n - d,), (-1) ** (n - d))
+        # the monomial goes into the smaller factor, the cheaper product
+        total = total + q_factorial(d) * (q_stirling(n, d) * sign_pow)
     return total
 
 
@@ -228,4 +339,4 @@ def rectangle_coeff(i: int, d: int, n: int) -> int:
 
     Equals the coefficient of q^i in the Gaussian binomial [n-2 choose d].
     """
-    return q_binomial(n - 2, d).coeff(i)
+    return q_binomial(n - 2, d).coeff((i,))

@@ -16,13 +16,11 @@ from .qcombinat import Partition, conjugate, partitions_of
 
 __all__ = [
     "z_order",
-    "class_size",
     "irreducible_character",
     "frobenius_decompose",
     "gl_restriction_mult",
     "class_representative",
     "syt_count",
-    "ssyt_count",
 ]
 
 
@@ -36,11 +34,6 @@ def z_order(rho: Partition) -> int:
     for i, m in mult.items():
         z *= i**m * factorial(m)
     return z
-
-
-def class_size(rho: Partition) -> int:
-    """Number of permutations with cycle type rho."""
-    return factorial(sum(rho)) // z_order(rho)
 
 
 @cache
@@ -166,20 +159,3 @@ def syt_count(lam: Partition) -> int:
         for jj in range(lam[i]):
             num //= lam[i] - jj + conj[jj] - i - 1
     return num
-
-
-@cache
-def ssyt_count(lam: Partition, n: int) -> int:
-    """Number of semistandard tableaux with entries <= n (hook content formula)."""
-    if not lam:
-        return 1
-    if len(lam) > n:
-        return 0
-    conj = conjugate(lam)
-    val = Fraction(1)
-    for i in range(len(lam)):
-        for jj in range(lam[i]):
-            hook = lam[i] - jj + conj[jj] - i - 1
-            val *= Fraction(n + jj - i, hook)
-    assert val.denominator == 1
-    return int(val)

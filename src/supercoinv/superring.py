@@ -4,9 +4,12 @@ A monomial is a pair (bos, fer): ``bos`` is a k-tuple of length-n exponent
 tuples, ``fer`` a j-tuple of n-bit occupancy masks (bit p set means the
 fermionic variable of that set at position p occurs).  Monomials are always
 canonical -- fermionic factors are implicitly ordered by (set index, position
-index) ascending -- and never carry a sign themselves: all signs produced by
-reordering land in polynomial coefficients.  Polynomials are plain dicts
-{monomial: coefficient} with no stored zeros.
+index) ascending -- and never carry a sign themselves.  A ring element of one
+multidegree component is an integer vector {coordinate: value} over the
+component's monomials in ``monomial_space`` order, and every operation on
+elements -- a variable, a permutation, a polarization operator -- is an index
+map between components, so all signs produced by reordering land in vector
+entries.
 """
 
 from __future__ import annotations
@@ -17,41 +20,26 @@ from itertools import product
 from .exactla import SubspaceBasis, span_basis
 
 __all__ = [
-    "mono_one",
-    "mono_degree",
     "mono_mul",
-    "act_mono",
-    "poly_add_term",
-    "poly_mul",
-    "act_poly",
-    "superderivation",
     "monomial_space",
     "permutation_action",
     "shift_map",
+    "polarization_map",
     "invariant_vectors",
     "invariant_basis",
-    "mono_to_bytes",
-    "mono_from_bytes",
 ]
 
 Monomial = tuple
 
 
-def mono_one(n: int, k: int, j: int) -> Monomial:
-    return (((0,) * n,) * k, (0,) * j)
-
-
-def mono_degree(m: Monomial):
-    """Multidegree (r, s): per-set bosonic totals and fermionic occupancies."""
-    bos, fer = m
-    return (tuple(sum(e) for e in bos), tuple(mask.bit_count() for mask in fer))
-
-
 def mono_mul(a: Monomial, b: Monomial):
     """Product of canonical monomials: (sign, monomial) or None when zero.
 
-    The sign counts the inversions needed to merge the two canonical
-    fermionic factor sequences; a shared occupied slot kills the product.
+    No engine path multiplies monomials (``shift_map`` reads products off the
+    factor lists); the test oracles use this product, and the benchmark's
+    tracer counts its calls.  The sign counts the inversions needed to merge
+    the two canonical fermionic factor sequences; a shared occupied slot kills
+    the product.
     """
     abos, afer = a
     bbos, bfer = b
@@ -104,115 +92,6 @@ def _act_mask(sigma, mask: int):
     for i in imgs:
         nm |= 1 << i
     return (-1 if inv & 1 else 1), nm
-
-
-def act_mono(sigma, m: Monomial):
-    """Relabel position indices by sigma; returns (sign, canonical monomial).
-
-    The sign is the parity of the permutation induced on the occupied
-    positions within each fermionic set (cross-set order never changes).
-    """
-    bos, fer = m
-    sign = 1
-    nfer = []
-    for mask in fer:
-        sg, nm = _act_mask(sigma, mask)
-        sign *= sg
-        nfer.append(nm)
-    return sign, (tuple(_act_exponents(sigma, e) for e in bos), tuple(nfer))
-
-
-def poly_add_term(poly: dict, mono: Monomial, coeff) -> None:
-    nv = poly.get(mono, 0) + coeff
-    if nv:
-        poly[mono] = nv
-    else:
-        poly.pop(mono, None)
-
-
-def poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            prod = mono_mul(ma, mb)
-            if prod is None:
-                continue
-            sign, m = prod
-            poly_add_term(out, m, sign * ca * cb)
-    return out
-
-
-def act_poly(sigma, poly: dict) -> dict:
-    out: dict = {}
-    for m, c in poly.items():
-        sign, m2 = act_mono(sigma, m)
-        poly_add_term(out, m2, sign * c)
-    return out
-
-
-def _fer_before(fer, c: int, pos: int) -> int:
-    """Number of fermionic factors strictly before (set c, position pos)."""
-    count = sum(fer[cc].bit_count() for cc in range(c))
-    return count + (fer[c] & ((1 << pos) - 1)).bit_count()
-
-
-def superderivation(poly: dict, target, source) -> dict:
-    """Apply the polarization operator E_(target,source) = sum_p var_t(p) d/d var_s(p).
-
-    ``target`` and ``source`` are ('b', index) or ('f', index) pairs selecting
-    a bosonic or fermionic variable set.  Left superderivatives pick up the
-    sign of moving past earlier fermionic factors; reinsertion of a fermionic
-    factor contributes the analogous ordering sign.
-    """
-    tkind, ti = target
-    skind, si = source
-    out: dict = {}
-    for m, c in poly.items():
-        bos, fer = m
-        if skind == "b":
-            if not 0 <= si < len(bos):
-                raise IndexError("bosonic source index out of range")
-            exps = bos[si]
-            for p, e in enumerate(exps):
-                if not e:
-                    continue
-                nbos = list(bos)
-                row = list(exps)
-                row[p] = e - 1
-                nbos[si] = tuple(row)
-                _emit(out, (tuple(nbos), fer), c * e, tkind, ti, p)
-        else:
-            if not 0 <= si < len(fer):
-                raise IndexError("fermionic source index out of range")
-            mask = fer[si]
-            for p in _bits(mask):
-                sign = -1 if _fer_before(fer, si, p) & 1 else 1
-                nfer = list(fer)
-                nfer[si] = mask ^ (1 << p)
-                _emit(out, (bos, tuple(nfer)), c * sign, tkind, ti, p)
-    return out
-
-
-def _emit(out: dict, m: Monomial, coeff, tkind: str, ti: int, p: int) -> None:
-    # multiply the derivative term on the left by the target variable at p
-    bos, fer = m
-    if tkind == "b":
-        if not 0 <= ti < len(bos):
-            raise IndexError("bosonic target index out of range")
-        row = list(bos[ti])
-        row[p] += 1
-        nbos = list(bos)
-        nbos[ti] = tuple(row)
-        poly_add_term(out, (tuple(nbos), fer), coeff)
-    else:
-        if not 0 <= ti < len(fer):
-            raise IndexError("fermionic target index out of range")
-        if fer[ti] >> p & 1:
-            return
-        sign = -1 if _fer_before(fer, ti, p) & 1 else 1
-        nfer = list(fer)
-        nfer[ti] = fer[ti] | (1 << p)
-        poly_add_term(out, (bos, tuple(nfer)), coeff * sign)
 
 
 @cache
@@ -293,8 +172,9 @@ def _index_map(factor_maps, index: dict):
 def permutation_action(n: int, k: int, j: int, r, s, sigma):
     """Signed index permutation of sigma on a component, as (signs, targets).
 
-    ``act_mono(sigma, monos[i]) == (signs[i], monos[targets[i]])``; each
-    per-set factor is acted on once, not each monomial.
+    Monomial i goes to ``signs[i]`` times monomial ``targets[i]``, the sign
+    being the parity sigma induces on the occupied positions of each
+    fermionic set; each per-set factor is acted on once, not each monomial.
     """
     maps = []
     for g, factors in enumerate(_groups(n, r, s)):
@@ -351,6 +231,43 @@ def shift_map(n: int, k: int, j: int, r, s, kind: str, set_idx: int, pos: int):
     return _index_map(maps, monomial_space(n, k, j, tuple(r2), tuple(s2))[1])
 
 
+def polarization_map(n: int, k: int, j: int, r, s, target, source):
+    """Integer-weighted index map of E_(target,source) = sum_p t_p d/d s_p on (r, s).
+
+    ``target`` and ``source`` are ('b', set) or ('f', set) pairs: the
+    polarization operators, which span the action of gl(k|j).  Term p is
+    composed from two shift maps of the component one lower in the source
+    set: the transpose of the map of s_p takes that factor off with its
+    ordering sign (the left superderivative), scaled by its exponent for a
+    boson, and the map of t_p puts the target variable on.  Returns (image
+    multidegree, images), ``images[i]`` being the image of monomial i as
+    {coordinate: coefficient}, or None when the source set has degree 0 on
+    the component and the operator vanishes there.
+    """
+    (tkind, ti), (skind, si) = target, source
+    low = [list(r), list(s)]
+    g = 0 if skind == "b" else 1
+    if not low[g][si]:
+        return None
+    low[g][si] -= 1
+    r0, s0 = tuple(low[0]), tuple(low[1])
+    up = [list(r0), list(s0)]
+    up[0 if tkind == "b" else 1][ti] += 1
+    lower = monomial_space(n, k, j, r0, s0)[0]
+    images = [{} for _ in monomial_space(n, k, j, r, s)[0]]
+    for p in range(n):
+        down_signs, sources = shift_map(n, k, j, r0, s0, skind, si, p)
+        up_signs, targets = shift_map(n, k, j, r0, s0, tkind, ti, p)
+        for i, (a, b) in enumerate(zip(down_signs, up_signs)):
+            if a and b:
+                weight = lower[i][0][si][p] + 1 if skind == "b" else 1
+                # terms of different p meet only when target == source, where
+                # every one is +weight: no coefficient cancels to zero
+                out = images[sources[i]]
+                out[targets[i]] = out.get(targets[i], 0) + a * b * weight
+    return (tuple(up[0]), tuple(up[1])), images
+
+
 def invariant_vectors(n: int, k: int, j: int, r, s):
     """Integer spanning vectors of the invariant subspace of a component.
 
@@ -405,33 +322,3 @@ def invariant_basis(n: int, k: int, j: int, r, s) -> SubspaceBasis:
     """Reduced-echelon basis of the S_n-invariant subspace of a component."""
     monos, _index, vectors = invariant_vectors(n, k, j, r, s)
     return span_basis(vectors, len(monos))
-
-
-# --- byte encoding for the on-disk cache ------------------------------------
-# bosonic exponents as unsigned bytes (set by set, position ascending), then
-# each fermionic mask as ceil(n/8) little-endian bytes
-
-
-def mono_to_bytes(m: Monomial, n: int) -> bytes:
-    bos, fer = m
-    parts = []
-    for e in bos:
-        if any(x > 255 for x in e):
-            raise ValueError("bosonic exponent exceeds byte range")
-        parts.append(bytes(e))
-    width = (n + 7) // 8
-    for mask in fer:
-        parts.append(mask.to_bytes(width, "little"))
-    return b"".join(parts)
-
-
-def mono_from_bytes(data: bytes, n: int, k: int, j: int) -> Monomial:
-    width = (n + 7) // 8
-    if len(data) != k * n + j * width:
-        raise ValueError("encoded monomial has wrong length")
-    bos = tuple(tuple(data[a * n : (a + 1) * n]) for a in range(k))
-    off = k * n
-    fer = tuple(
-        int.from_bytes(data[off + c * width : off + (c + 1) * width], "little") for c in range(j)
-    )
-    return (bos, fer)

@@ -1,6 +1,7 @@
 """Schur, skew Schur, and super Schur polynomials in the character alphabets.
 
-QUPoly is an ordinary commuting polynomial in q_1..q_k, u_1..u_j with integer
+Polynomials are ``QUPoly`` values (defined in ``qcombinat``, re-exported
+here): ordinary commuting polynomials in q_1..q_k, u_1..u_j with integer
 coefficients; the u variables track fermionic degrees but commute here.
 Schur polynomials are produced by semistandard-tableau enumeration and every
 shape/alphabet pair is cross-checked once against a Jacobi-Trudi determinant,
@@ -15,7 +16,7 @@ from collections import Counter
 from functools import cache
 
 from . import exactla
-from .qcombinat import Partition, conjugate, contains, in_Pkjn, partitions_of
+from .qcombinat import Partition, QUPoly, conjugate, contains, in_Pkjn, partitions_of
 
 __all__ = [
     "QUPoly",
@@ -32,191 +33,6 @@ __all__ = [
 
 class NotExpressible(ValueError):
     """A polynomial admits no expansion in the requested super Schur basis."""
-
-
-class QUPoly:
-    """Sparse integer polynomial in k+j commuting variables.
-
-    Exponent keys are tuples of length k+j: the first k slots are the q
-    alphabet, the remaining j slots the u alphabet.  Instances are immutable
-    by convention.
-    """
-
-    __slots__ = ("k", "j", "coeffs")
-
-    def __init__(self, k: int, j: int, coeffs=None):
-        self.k = k
-        self.j = j
-        data = {}
-        nv = k + j
-        for e, c in (coeffs or {}).items():
-            if len(e) != nv or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent {e} for {nv} variables")
-            if c:
-                data[e] = c
-        self.coeffs = data
-
-    @property
-    def nvars(self) -> int:
-        return self.k + self.j
-
-    @classmethod
-    def zero(cls, k: int, j: int) -> "QUPoly":
-        return cls(k, j)
-
-    @classmethod
-    def one(cls, k: int, j: int) -> "QUPoly":
-        return cls(k, j, {(0,) * (k + j): 1})
-
-    @classmethod
-    def variable(cls, k: int, j: int, idx: int) -> "QUPoly":
-        e = [0] * (k + j)
-        e[idx] = 1
-        return cls(k, j, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, k: int, j: int, exponents, coeff: int = 1) -> "QUPoly":
-        return cls(k, j, {tuple(exponents): coeff})
-
-    def _check_context(self, other: "QUPoly"):
-        if (self.k, self.j) != (other.k, other.j):
-            raise ValueError(f"alphabet mismatch ({self.k},{self.j}) vs ({other.k},{other.j})")
-
-    def __add__(self, other: "QUPoly") -> "QUPoly":
-        self._check_context(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QUPoly(self.k, self.j, out)
-
-    def __neg__(self) -> "QUPoly":
-        return QUPoly(self.k, self.j, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "QUPoly") -> "QUPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QUPoly") -> "QUPoly":
-        self._check_context(other)
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return QUPoly(self.k, self.j, out)
-
-    def scale(self, c: int) -> "QUPoly":
-        return QUPoly(self.k, self.j, {e: c * v for e, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def homogeneous_component(self, d: int) -> "QUPoly":
-        return QUPoly(self.k, self.j, {e: c for e, c in self.coeffs.items() if sum(e) == d})
-
-    def coeff(self, exponents) -> int:
-        return self.coeffs.get(tuple(exponents), 0)
-
-    def evaluate(self, values):
-        """Exact evaluation at a full assignment of numeric values."""
-        if len(values) != self.nvars:
-            raise ValueError("need one value per variable")
-        total = 0
-        for e, c in self.coeffs.items():
-            term = c
-            for x, m in zip(values, e):
-                if m:
-                    term *= x**m
-            total += term
-        return total
-
-    def swap_vars(self, i: int, jdx: int) -> "QUPoly":
-        out = {}
-        for e, c in self.coeffs.items():
-            le = list(e)
-            le[i], le[jdx] = le[jdx], le[i]
-            out[tuple(le)] = c
-        return QUPoly(self.k, self.j, out)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under adjacent transpositions within each alphabet block.
-
-        Transpositions generate the full symmetric groups on the blocks, so
-        this is a complete symmetry test despite touching only k+j-2 swaps.
-        """
-        for i in range(self.k - 1):
-            if self.swap_vars(i, i + 1).coeffs != self.coeffs:
-                return False
-        for c in range(self.j - 1):
-            if self.swap_vars(self.k + c, self.k + c + 1).coeffs != self.coeffs:
-                return False
-        return True
-
-    def reindex(self, k2: int, j2: int, qshift: int = 0, ushift: int = 0) -> "QUPoly":
-        """Embed into a (k2, j2) alphabet, mapping q_i -> q_(i+qshift) etc."""
-        if self.k + qshift > k2 or self.j + ushift > j2:
-            raise ValueError("target alphabet too small")
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * (k2 + j2)
-            for i in range(self.k):
-                ne[i + qshift] = e[i]
-            for i in range(self.j):
-                ne[k2 + i + ushift] = e[self.k + i]
-            out[tuple(ne)] = c
-        return QUPoly(k2, j2, out)
-
-    def variable_names(self) -> list[str]:
-        qn = ["q"] if self.k == 1 else (["q", "t"] if self.k == 2 else [f"q{i+1}" for i in range(self.k)])
-        un = ["u"] if self.j == 1 else (["u", "v"] if self.j == 2 else [f"u{i+1}" for i in range(self.j)])
-        return qn + un
-
-    def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        names = self.variable_names()
-        parts = []
-        for e in sorted(self.coeffs, key=lambda e: (sum(e), tuple(-x for x in e))):
-            c = self.coeffs[e]
-            factors = []
-            for name, m in zip(names, e):
-                if m == 1:
-                    factors.append(name)
-                elif m > 1:
-                    factors.append(f"{name}^{m}")
-            body = "".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QUPoly)
-            and (self.k, self.j) == (other.k, other.j)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.j, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        return f"QUPoly(k={self.k}, j={self.j}, {self.pretty()})"
-
-    def to_json(self) -> list:
-        items = sorted(self.coeffs.items())
-        return [{"e": list(e), "c": str(c)} for e, c in items]
-
-    @classmethod
-    def from_json(cls, k: int, j: int, data) -> "QUPoly":
-        return cls(k, j, {tuple(rec["e"]): int(rec["c"]) for rec in data})
 
 
 # ---------------------------------------------------------------------------

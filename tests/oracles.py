@@ -14,22 +14,160 @@ every degree among the generators, which the engine replaced above total
 degree n by the degree bound and the quotient-side recursion.
 ``koszul_relations`` offers every super-Koszul relation of a quotient
 component, with none of the engine's chain-criterion pruning.
+
+Ring elements also have a second representation here, which the engine no
+longer has: dict polynomials {monomial: coefficient} with ``poly_mul``,
+``act_poly`` and ``superderivation`` (the polarization operators), the
+references for the engine's signed index maps.  ``as_partition``,
+``class_size`` and ``ssyt_count`` are small closed forms only tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
-from math import comb, gcd
+from itertools import combinations, permutations
+from math import comb, factorial, gcd
 
 from supercoinv import coinvariant, superring, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, SubspaceNotInvariant
-from supercoinv.qcombinat import partitions_of
-from supercoinv.snchar import class_representative, frobenius_decompose
-from supercoinv.superring import act_poly, poly_add_term
+from supercoinv.qcombinat import conjugate, partitions_of
+from supercoinv.snchar import class_representative, frobenius_decompose, z_order
+from supercoinv.superring import mono_mul
 from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous, _wmul
+
+
+# --- dict polynomials --------------------------------------------------------
+# A polynomial is {canonical monomial: coefficient} with no stored zeros, in
+# the monomial layout of ``supercoinv.superring``.
+
+
+def mono_one(n: int, k: int, j: int):
+    return (((0,) * n,) * k, (0,) * j)
+
+
+def mono_degree(m):
+    """Multidegree (r, s): per-set bosonic totals and fermionic occupancies."""
+    bos, fer = m
+    return (tuple(sum(e) for e in bos), tuple(mask.bit_count() for mask in fer))
+
+
+def act_mono(sigma, m):
+    """Relabel positions by sigma: (sign, canonical monomial).
+
+    The sign is the parity of the permutation induced on the occupied
+    positions within each fermionic set (cross-set order never changes).
+    """
+    bos, fer = m
+    n = len(sigma)
+    sign = 1
+    masks = []
+    for mask in fer:
+        images = [sigma[p] for p in range(n) if mask >> p & 1]
+        sign *= (-1) ** sum(a > b for a, b in combinations(images, 2))
+        masks.append(sum(1 << q for q in images))
+    exps = []
+    for e in bos:
+        out = [0] * n
+        for p, x in enumerate(e):
+            out[sigma[p]] = x
+        exps.append(tuple(out))
+    return sign, (tuple(exps), tuple(masks))
+
+
+def poly_add_term(poly: dict, mono, coeff) -> None:
+    nv = poly.get(mono, 0) + coeff
+    if nv:
+        poly[mono] = nv
+    else:
+        poly.pop(mono, None)
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            prod = mono_mul(ma, mb)
+            if prod is not None:
+                sign, m = prod
+                poly_add_term(out, m, sign * ca * cb)
+    return out
+
+
+def act_poly(sigma, poly: dict) -> dict:
+    out: dict = {}
+    for m, c in poly.items():
+        sign, m2 = act_mono(sigma, m)
+        poly_add_term(out, m2, sign * c)
+    return out
+
+
+def _fer_before(fer, c: int, pos: int) -> int:
+    """Number of fermionic factors strictly before (set c, position pos)."""
+    count = sum(fer[cc].bit_count() for cc in range(c))
+    return count + (fer[c] & ((1 << pos) - 1)).bit_count()
+
+
+def superderivation(poly: dict, target, source) -> dict:
+    """Apply the polarization operator E_(target,source) = sum_p var_t(p) d/d var_s(p).
+
+    ``target`` and ``source`` are ('b', index) or ('f', index) pairs selecting
+    a bosonic or fermionic variable set.  Left superderivatives pick up the
+    sign of moving past earlier fermionic factors; reinsertion of a fermionic
+    factor contributes the analogous ordering sign.
+    """
+    tkind, ti = target
+    skind, si = source
+    out: dict = {}
+    for m, c in poly.items():
+        bos, fer = m
+        if skind == "b":
+            if not 0 <= si < len(bos):
+                raise IndexError("bosonic source index out of range")
+            exps = bos[si]
+            for p, e in enumerate(exps):
+                if not e:
+                    continue
+                nbos = list(bos)
+                row = list(exps)
+                row[p] = e - 1
+                nbos[si] = tuple(row)
+                _emit(out, (tuple(nbos), fer), c * e, tkind, ti, p)
+        else:
+            if not 0 <= si < len(fer):
+                raise IndexError("fermionic source index out of range")
+            mask = fer[si]
+            for p in range(mask.bit_length()):
+                if not mask >> p & 1:
+                    continue
+                sign = -1 if _fer_before(fer, si, p) & 1 else 1
+                nfer = list(fer)
+                nfer[si] = mask ^ (1 << p)
+                _emit(out, (bos, tuple(nfer)), c * sign, tkind, ti, p)
+    return out
+
+
+def _emit(out: dict, m, coeff, tkind: str, ti: int, p: int) -> None:
+    # multiply the derivative term on the left by the target variable at p
+    bos, fer = m
+    if tkind == "b":
+        if not 0 <= ti < len(bos):
+            raise IndexError("bosonic target index out of range")
+        row = list(bos[ti])
+        row[p] += 1
+        nbos = list(bos)
+        nbos[ti] = tuple(row)
+        poly_add_term(out, (tuple(nbos), fer), coeff)
+    else:
+        if not 0 <= ti < len(fer):
+            raise IndexError("fermionic target index out of range")
+        if fer[ti] >> p & 1:
+            return
+        sign = -1 if _fer_before(fer, ti, p) & 1 else 1
+        nfer = list(fer)
+        nfer[ti] = fer[ti] | (1 << p)
+        poly_add_term(out, (bos, tuple(nfer)), coeff * sign)
 
 
 def _axpy(w: dict, c, row: dict) -> dict:
@@ -363,3 +501,38 @@ def koszul_relations(cache, deg, below) -> SubspaceBasis:
                 row.update((offset[w] + i, -eps * dx * c) for i, c in y.items())
                 rel.insert(row)
     return rel
+
+
+# --- closed forms only tests use ----------------------------------------------
+
+
+def as_partition(parts):
+    """Validate and normalize an iterable of parts into a partition tuple."""
+    lam = tuple(int(p) for p in parts)
+    if any(p <= 0 for p in lam):
+        raise ValueError(f"partition parts must be positive: {lam}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
+    return lam
+
+
+def class_size(rho) -> int:
+    """Number of permutations with cycle type rho."""
+    return factorial(sum(rho)) // z_order(rho)
+
+
+@cache
+def ssyt_count(lam, n: int) -> int:
+    """Number of semistandard tableaux with entries <= n (hook content formula)."""
+    if not lam:
+        return 1
+    if len(lam) > n:
+        return 0
+    conj = conjugate(lam)
+    val = Fraction(1)
+    for i in range(len(lam)):
+        for jj in range(lam[i]):
+            hook = lam[i] - jj + conj[jj] - i - 1
+            val *= Fraction(n + jj - i, hook)
+    assert val.denominator == 1
+    return int(val)

@@ -16,7 +16,8 @@ from supercoinv.qcombinat import (
     sagan_swanson_sum,
 )
 from supercoinv.superschur import QUPoly, specialize, super_cauchy_check, super_schur
-from supercoinv.superring import act_poly, poly_add_term, poly_mul, superderivation
+
+from oracles import act_poly, poly_add_term, poly_mul, superderivation
 
 SESSION = CheckSession()
 
@@ -28,7 +29,7 @@ def _line(num: int, text: str) -> None:
 def test_criterion_01_artin_hilbert():
     for n in range(1, 7):
         got = SESSION.hilbert(n, 1, 0)
-        want = QUPoly(1, 0, {(e,): c for e, c in q_factorial(n).coeffs.items()})
+        want = q_factorial(n)
         assert got == want, n
         assert got.evaluate((1,)) == factorial(n)
     assert SESSION.hilbert(6, 1, 0).evaluate((1,)) == 720
@@ -122,7 +123,7 @@ def test_criterion_10_cauchy_and_alternating_sum():
                 res = super_cauchy_check(k, j, n, 6)
                 assert res.passed, (k, j, n, res.first_failure)
     for n in range(16):
-        assert sagan_swanson_sum(n).coeffs == {0: 1}, n
+        assert sagan_swanson_sum(n) == QUPoly.one(1, 0), n
     _line(10, "super Cauchy truncations (k,j <= 2, n <= 3, deg <= 6); alternating sum")
 
 
@@ -157,7 +158,9 @@ def test_criterion_11_property_suites():
                     assert super_schur(lam, k, j) == swapped
 
     # character orthogonality up to n = 7
-    from supercoinv.snchar import class_size, irreducible_character
+    from supercoinv.snchar import irreducible_character
+
+    from oracles import class_size
 
     for n in range(1, 8):
         shapes = partitions_of(n)

@@ -11,6 +11,7 @@ from supercoinv.checks import (
     hilb11_formula,
     run_check,
 )
+from supercoinv import coinvariant
 from supercoinv.cli import main
 
 
@@ -256,30 +257,63 @@ def test_cli_jobs_deterministic(tmp_path):
     assert _reports_without_times(out1) == _reports_without_times(out2)
 
 
+_VERIFY_NEGATIVE = [
+    ("cauchy", "--n"),
+    ("cauchy", "--k"),
+    ("cauchy", "--j"),
+    ("cauchy", "--degree-bound"),
+    ("artin", "--k"),
+    ("artin", "--m"),
+    ("artin", "--degree-bound"),
+    ("cancellation", "--m"),
+    ("all", "--j"),
+]
+# one check covers every subcommand: the same flags on the others
+_COMMAND_NEGATIVE = [
+    (["compute", "--n", "3"], "--k"),
+    (["compute", "--n", "3", "--k", "1"], "--j"),
+    (["expand", "--n", "3", "--k", "1"], "--degree-bound"),
+    (["expand", "--n", "3"], "--j"),
+    (["cauchy", "--n", "2", "--k", "1"], "--degree-bound"),
+    (["cauchy", "--n", "2"], "--j"),
+]
+
+
 @pytest.mark.parametrize(
-    "check_id,flag",
+    "argv,flag",
     [
-        ("cauchy", "--n"),
-        ("cauchy", "--k"),
-        ("cauchy", "--j"),
-        ("cauchy", "--degree-bound"),
-        ("artin", "--k"),
-        ("artin", "--m"),
-        ("artin", "--degree-bound"),
-        ("cancellation", "--m"),
-        ("all", "--j"),
+        pytest.param(["verify", cid, "--n", "2"], flag, id=f"{cid}-{flag}")
+        for cid, flag in _VERIFY_NEGATIVE
+    ]
+    + [
+        pytest.param(argv, flag, id=f"{argv[0]}_command-{flag}")
+        for argv, flag in _COMMAND_NEGATIVE
     ],
 )
-def test_cli_verify_negative_size_exit_2(check_id, flag):
-    argv = ["verify", check_id, "--n", "2"]
-    if flag == "--n":
-        argv[-1] = "-1"
+def test_cli_verify_negative_size_exit_2(argv, flag):
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = "-1"
     else:
         argv += [flag, "-1"]
     code, out, err = _run_cli(argv)
     assert code == 2
     assert out == ""
-    assert f"{flag} must be a nonnegative integer" in err
+    assert err == f"error: {flag} must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "content,detail",
+    [("[1]", "TypeError"), ('{"hilbert": 3}', "'k'")],
+    ids=["list_of_non_objects", "hilbert_without_sizes"],
+)
+def test_cli_table_refuses_malformed_artifact(tmp_path, content, detail):
+    artifact = tmp_path / "bad.json"
+    artifact.write_text(content)
+    code, out, err = _run_cli(["table", str(artifact)])
+    assert code == 2
+    assert out == ""
+    assert str(artifact) in err and detail in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -351,6 +385,31 @@ def test_bound_closure_all_operator_families():
     assert report.passed, report.witness
 
 
+def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
+    # negate the image of one monomial under E_(f0,b0) = sum_p theta_p d/dx_p:
+    # the ideal's degree-1 line x1 + x2 + x3 then maps off the line
+    # theta1 + theta2 + theta3, the first image the check pushes through it
+    from supercoinv import superring
+
+    polarization_map = superring.polarization_map
+
+    def perturbed(n, k, j, r, s, target, source):
+        op = polarization_map(n, k, j, r, s, target, source)
+        if op is not None and (target, source) == (("f", 0), ("b", 0)):
+            img_deg, images = op
+            op = img_deg, [{t: -c for t, c in images[0].items()}] + images[1:]
+        return op
+
+    monkeypatch.setattr(superring, "polarization_map", perturbed)
+    report = run_check("bound_closure", CheckSession(), {"n": 3, "k": 1, "j": 1})
+    assert report.status == "fail"
+    assert report.witness == {
+        "stage": "closure",
+        "deg": {"r": [1], "s": [0]},
+        "operator": [["f", 0], ["b", 0]],
+    }
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_cli_table_renders_hilbert(tmp_path, fmt):
     # the Hilbert JSON that compute writes by default is a recognized
@@ -382,9 +441,12 @@ def _tamper_pivot_value(payload):
 
 
 def _tamper_monomial(payload):
-    # the constant monomial, which is not in the degree-1 component
+    # an entry index past the component's last monomial, in a file whose
+    # digest is recomputed: only the coordinate check can tell
     row = payload["vectors"][0]
-    row[-1][0] = "0" * len(row[-1][0])
+    row[-1][0] = payload["dim"]
+    del payload["sha256"]
+    payload["sha256"] = coinvariant._digest(payload)
 
 
 def _tamper_non_pivot_entry(payload):

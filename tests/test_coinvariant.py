@@ -44,7 +44,7 @@ def test_ideal_component_artin_codimension():
     cache = IdealComponentCache(3, 1, 0)
     basis = ideal_component(cache, ((3,), ()))
     monos, _ = cache.monomial_space(((3,), ()))
-    assert len(monos) - basis.rank == q_factorial(3).coeff(3)
+    assert len(monos) - basis.rank == q_factorial(3).coeff((3,))
 
 
 def test_quotient_character_constants():
@@ -101,7 +101,7 @@ def test_frobenius_series_smallest_mixed():
 def test_frobenius_series_artin_and_exterior():
     artin = frobenius_series(3, 1, 0)
     hilb = artin.hilbert()
-    assert hilb == QUPoly(1, 0, {(e,): c for e, c in q_factorial(3).coeffs.items()})
+    assert hilb == q_factorial(3)
     ext = frobenius_series(3, 0, 1)
     assert ext.components == {
         ((), (0,)): {(3,): 1},
@@ -131,7 +131,7 @@ def test_hilbert_series_shortcut_matches_frobenius():
 
 def test_hilbert_examples():
     h = hilbert_series(4, 1, 0)
-    assert h == QUPoly(1, 0, {(e,): c for e, c in q_factorial(4).coeffs.items()})
+    assert h == q_factorial(4)
     h = hilbert_series(3, 1, 1)
     # u^2 + (1+q)(2+q) u + (1+q)(1+q+q^2)
     want = QUPoly(
@@ -248,7 +248,7 @@ def test_ceiling_exceeded_reports_offender():
 
 
 def _artin(n):
-    return QUPoly(1, 0, {(e,): c for e, c in q_factorial(n).coeffs.items()})
+    return q_factorial(n)
 
 
 def test_ceiling_bounds_the_quotient_border_not_the_ambient_space():
@@ -283,6 +283,20 @@ def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
     with pytest.raises(ValueError, match="format") as err:
         ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
     assert str(path) in str(err.value)
+
+
+def test_cache_file_roundtrip_by_coordinate(tmp_path):
+    # entries are [coordinate, value] pairs in monomial_space order; (3,2,1)
+    # has rows that are not integral over Q, so some values are fractions
+    deg = ((1, 1), (0,))
+    written = ideal_component(IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path)), deg)
+    payload = json.loads(next(tmp_path.rglob("r1-1_s0.json")).read_text())
+    assert payload["format"] == coinvariant.CACHE_FORMAT == 3
+    entries = [entry for row in payload["vectors"] for entry in row]
+    assert all(type(i) is int and 0 <= i < payload["dim"] for i, _v in entries)
+    assert any("/" in v for _i, v in entries)
+    read = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))._load(deg)
+    assert (read.pivots, read.vectors) == (written.pivots, written.vectors)
 
 
 def test_quotient_character_rejects_bad_type():

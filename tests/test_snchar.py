@@ -7,14 +7,14 @@ import pytest
 from supercoinv.qcombinat import partitions_of
 from supercoinv.snchar import (
     class_representative,
-    class_size,
     frobenius_decompose,
     gl_restriction_mult,
     irreducible_character,
-    ssyt_count,
     syt_count,
     z_order,
 )
+
+from oracles import class_size, ssyt_count
 
 
 def _cycle_type(perm):

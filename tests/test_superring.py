@@ -2,26 +2,31 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercoinv.superring import (
-    act_mono,
-    act_poly,
     invariant_basis,
     invariant_vectors,
-    mono_degree,
-    mono_from_bytes,
     mono_mul,
-    mono_one,
-    mono_to_bytes,
     monomial_space,
     permutation_action,
-    poly_add_term,
-    poly_mul,
+    polarization_map,
     shift_map,
-    superderivation,
 )
 
-from oracles import all_perms, monomial_space_dim, reynolds
+from oracles import (
+    act_mono,
+    act_poly,
+    all_perms,
+    mono_degree,
+    mono_one,
+    monomial_space_dim,
+    poly_add_term,
+    poly_mul,
+    reynolds,
+    superderivation,
+)
 
 SEED = 31415
 
@@ -331,11 +336,71 @@ def test_invariant_vectors_match_full_reynolds():
                 assert act_poly(sigma, poly) == poly
 
 
-def test_byte_encoding_roundtrip():
-    rng = random.Random(SEED + 5)
-    for n, k, j in [(3, 2, 2), (6, 1, 1), (9, 1, 2)]:
-        for _ in range(10):
-            mono = next(iter(_random_poly(rng, n, k, j, terms=1, max_exp=5)))
-            data = mono_to_bytes(mono, n)
-            assert mono_from_bytes(data, n, k, j) == mono
-            assert len(data) == k * n + j * ((n + 7) // 8)
+def _apply(images, vec):
+    """The image of a component vector under an index map, as a vector."""
+    out = {}
+    for i, v in vec.items():
+        for t, c in images[i].items():
+            out[t] = out.get(t, 0) + c * v
+    return {t: c for t, c in out.items() if c}
+
+
+def _polarize(n, k, j, r, s, target, source, vec):
+    """E_(target,source) of a component vector through its index map, as a dict polynomial."""
+    op = polarization_map(n, k, j, r, s, target, source)
+    if op is None:
+        return {}
+    image_monos, _ = monomial_space(n, k, j, *op[0])
+    return {image_monos[t]: c for t, c in _apply(op[1], vec).items()}
+
+
+def _sets(k, j):
+    return [("b", a) for a in range(k)] + [("f", c) for c in range(j)]
+
+
+def test_polarization_maps_match_superderivation_exhaustively():
+    # all four operator families, the cross-set fermionic pairs included, on
+    # every monomial of every component up to total degree 3
+    for n, k, j in [(2, 2, 2), (3, 1, 2), (3, 2, 1)]:
+        for r, s in _components_upto(n, k, j, 3):
+            monos, _index = monomial_space(n, k, j, r, s)
+            for target in _sets(k, j):
+                for source in _sets(k, j):
+                    for i, m in enumerate(monos):
+                        want = superderivation({m: 1}, target, source)
+                        assert _polarize(n, k, j, r, s, target, source, {i: 1}) == want
+
+
+@st.composite
+def _component_vectors(draw):
+    """An operator, a vector of a component and a permutation; n <= 4, k, j <= 2."""
+    n = draw(st.integers(1, 4))
+    k, j = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]))
+    r = tuple(draw(st.integers(0, 3)) for _ in range(k))
+    s = tuple(draw(st.integers(0, n)) for _ in range(j))
+    target = draw(st.sampled_from(_sets(k, j)))
+    source = draw(st.sampled_from(_sets(k, j)))
+    dim = len(monomial_space(n, k, j, r, s)[0])
+    coords = draw(st.lists(st.integers(0, dim - 1), max_size=6, unique=True))
+    vec = {i: draw(st.integers(-5, 5).filter(bool)) for i in coords}
+    sigma = tuple(draw(st.permutations(range(n))))
+    return (n, k, j, r, s), target, source, vec, sigma
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_component_vectors())
+def test_polarization_maps_match_superderivation(case):
+    (n, k, j, r, s), target, source, vec, sigma = case
+    monos, _index = monomial_space(n, k, j, r, s)
+    poly = {monos[i]: v for i, v in vec.items()}
+    assert _polarize(n, k, j, r, s, target, source, vec) == superderivation(poly, target, source)
+    # E commutes with sigma: E(sigma v) == sigma(E v), both as index maps
+    op = polarization_map(n, k, j, r, s, target, source)
+    if op is None:
+        return
+    img_deg, images = op
+    signs, targets = permutation_action(n, k, j, r, s, sigma)
+    isigns, itargets = permutation_action(n, k, j, *img_deg, sigma)
+    moved = {targets[i]: signs[i] * v for i, v in vec.items()}
+    image = _apply(images, vec)
+    assert _apply(images, moved) == {itargets[t]: isigns[t] * c for t, c in image.items()}
