@@ -14,6 +14,7 @@ from math import comb, factorial
 
 from . import coinvariant, snchar, superring
 from .coinvariant import (
+    CeilingExceeded,
     IdealComponentCache,
     coeff_table,
     frobenius_series,
@@ -31,9 +32,16 @@ from .qcombinat import (
     rectangle_coeff,
     sagan_swanson_sum,
 )
-from .superschur import specialize, super_cauchy_check, super_schur
+from .superschur import cauchy_tableau_bound, specialize, super_cauchy_check, super_schur
 
-__all__ = ["CheckReport", "CheckSession", "REGISTRY", "run_check", "default_params"]
+__all__ = [
+    "CheckReport",
+    "CheckSession",
+    "REGISTRY",
+    "run_check",
+    "default_params",
+    "cauchy_ceiling_guard",
+]
 
 
 @dataclass
@@ -59,20 +67,32 @@ class CheckReport:
 
 
 class CheckSession:
-    """Memoized access to series and tables over a shared cache directory."""
+    """Memoized access to series, tables and ideal components per ring.
+
+    One ``IdealComponentCache`` per (n, k, j) serves every series scan and
+    check of that ring, over a shared cache directory.
+    """
 
     def __init__(self, ceiling: int = coinvariant.DEFAULT_CEILING, cache_dir=None):
         self.ceiling = ceiling
         self.cache_dir = cache_dir
+        self._caches: dict = {}
         self._frob: dict = {}
         self._hilb: dict = {}
         self._table: dict = {}
 
+    def ideal_cache(self, n: int, k: int, j: int) -> IdealComponentCache:
+        key = (n, k, j)
+        if key not in self._caches:
+            self._caches[key] = IdealComponentCache(
+                n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir
+            )
+        return self._caches[key]
+
     def frobenius(self, n: int, k: int, j: int):
         key = (n, k, j)
         if key not in self._frob:
-            cache = IdealComponentCache(n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir)
-            self._frob[key] = frobenius_series(n, k, j, cache=cache)
+            self._frob[key] = frobenius_series(n, k, j, cache=self.ideal_cache(n, k, j))
         return self._frob[key]
 
     def hilbert(self, n: int, k: int, j: int) -> QUPoly:
@@ -81,10 +101,7 @@ class CheckSession:
             if key in self._frob:
                 self._hilb[key] = self._frob[key].hilbert()
             else:
-                cache = IdealComponentCache(
-                    n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir
-                )
-                self._hilb[key] = hilbert_series(n, k, j, cache=cache)
+                self._hilb[key] = hilbert_series(n, k, j, cache=self.ideal_cache(n, k, j))
         return self._hilb[key]
 
     def table(self, n: int, k: int, j: int):
@@ -392,9 +409,10 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
             return _report("bound_closure", params, witness, started)
     # closure: build every ideal component up to one shell past the top of
     # the series, then push each basis vector through every polarization
-    # operator (which keeps the total degree)
+    # operator (which keeps the total degree); the components up to degree n
+    # are the ones the series scan built
     top = session.frobenius(n, k, j).max_total_degree()
-    cache = IdealComponentCache(n, k, j, ceiling=session.ceiling, cache_dir=session.cache_dir)
+    cache = session.ideal_cache(n, k, j)
     operators = []
     for tkind in _DERIVATION_KINDS:
         for skind in _DERIVATION_KINDS:
@@ -524,10 +542,20 @@ def check_haiman(session: CheckSession, n: int) -> CheckReport:
     return _report("haiman", params, witness, started)
 
 
+def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
+    """Refuse a Cauchy check whose tableau bound exceeds the ceiling, before it starts."""
+    bound = cauchy_tableau_bound(k, j, n, degree)
+    if bound > ceiling:
+        where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
+        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
+
+
 def check_cauchy(session: CheckSession, n: int, kmax: int = 2, jmax: int = 2, degree: int = 6) -> CheckReport:
     """Truncated super Cauchy identity over a grid of alphabet sizes."""
     started = time.perf_counter()
     params = {"n": n, "kmax": kmax, "jmax": jmax, "degree": degree}
+    # the bound grows with k, j and n, so the largest call bounds every call
+    cauchy_ceiling_guard(kmax, jmax, n, degree, session.ceiling)
     witness = None
     for k in range(kmax + 1):
         for j in range(jmax + 1):

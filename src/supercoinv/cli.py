@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=coinvariant.DEFAULT_CEILING,
             help=(
                 "max columns per multidegree: its monomial space up to total degree n,"
-                " its quotient border (sum over variables v of dim Q at deg - e_v) above"
+                " its quotient border (sum over variables v of dim Q at deg - e_v) above;"
+                " for the Cauchy check, max tableaux (an upper bound on those it enumerates)"
             ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -269,6 +270,7 @@ def _run_expand(args) -> int:
 
 
 def _run_cauchy(args) -> int:
+    checks.cauchy_ceiling_guard(args.k or 0, args.j or 0, args.n, args.degree_bound, args.ceiling)
     result = super_cauchy_check(args.k or 0, args.j or 0, args.n, args.degree_bound)
     payload = {
         "k": args.k or 0,

@@ -123,14 +123,26 @@ CACHE_FORMAT = 3
 
 
 class CeilingExceeded(RuntimeError):
-    def __init__(self, deg: Multidegree, dim: int, limit: int, space: str = "monomial space"):
+    """A cost over the resource ceiling, found before the work starts.
+
+    ``deg`` is the multidegree whose space is too large, or None for a cost
+    that belongs to no multidegree.
+    """
+
+    def __init__(
+        self,
+        deg: Multidegree | None,
+        dim: int,
+        limit: int,
+        space: str = "monomial space",
+        unit: str = "columns",
+    ):
         self.deg = deg
         self.dim = dim
         self.limit = limit
-        super().__init__(
-            f"{space} at multidegree r={list(deg[0])} s={list(deg[1])} "
-            f"has {dim} columns, exceeding the ceiling of {limit}"
-        )
+        if deg is not None:
+            space = f"{space} at multidegree r={list(deg[0])} s={list(deg[1])}"
+        super().__init__(f"{space} has {dim} {unit}, exceeding the ceiling of {limit}")
 
 
 def _mu_key(mu: Partition) -> str:

@@ -5,15 +5,24 @@ here): ordinary commuting polynomials in q_1..q_k, u_1..u_j with integer
 coefficients; the u variables track fermionic degrees but commute here.
 Schur polynomials are produced by semistandard-tableau enumeration and every
 shape/alphabet pair is cross-checked once against a Jacobi-Trudi determinant,
-expanded along rows with memoized minors (two independent constructions guard
-against indexing and sign bugs in everything built on top).  The truncated
-super Cauchy comparison holds both sides as flat integer dicts.
+expanded along rows with memoized minors whose exponent vectors are packed
+into single integers (two independent constructions guard against indexing
+and sign bugs in everything built on top).
+
+The truncated super Cauchy comparison reads both sides only at the dominant
+z-exponents z^mu, mu a partition: both sides are symmetric in z (the right
+side because every s_lam(z) passed that cross-check), so agreeing there is
+agreeing everywhere.  At each z^mu the (q,u) coefficient is compared in full.
+``cauchy_tableau_bound`` bounds the tableaux that comparison enumerates, for
+the resource ceiling.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import zip_longest
+from math import comb
 
 from . import exactla
 from .qcombinat import Partition, QUPoly, conjugate, contains, in_Pkjn, partitions_of
@@ -27,7 +36,9 @@ __all__ = [
     "specialize",
     "expand_super_schur",
     "super_cauchy_check",
+    "cauchy_tableau_bound",
     "CauchyResult",
+    "ssyt_count",
 ]
 
 
@@ -105,13 +116,14 @@ def _complete_homogeneous(r: int, nvars: int) -> dict:
     return out
 
 
-def _wmul(a: dict, b: dict) -> dict:
-    out: dict[tuple, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+@cache
+def _packed_homogeneous(r: int, nvars: int, radix: int) -> tuple:
+    """h_r in nvars variables as (packed exponent, coefficient) pairs."""
+    places = [radix**i for i in range(nvars)]
+    return tuple(
+        (sum(x * place for x, place in zip(e, places)), c)
+        for e, c in _complete_homogeneous(r, nvars).items()
+    )
 
 
 def _jacobi_trudi(lam: Partition, nvars: int) -> dict:
@@ -120,10 +132,16 @@ def _jacobi_trudi(lam: Partition, nvars: int) -> dict:
     ``minors[S]`` is the minor on the last |S| rows and the column set S (a
     bitmask); each one is the Laplace expansion of its top row against the
     minors one row smaller, so every minor is built once: ell * 2^(ell-1)
-    products instead of the ell! of the permutation sum.
+    products instead of the ell! of the permutation sum.  Exponent vectors
+    are packed into one integer of radix |lam| + 1, so a product of two terms
+    adds two integers.  No digit carries: the minor on rows r >= r0 and
+    columns S has total degree sum over r >= r0 of (lam_r - r) plus the sum of
+    S, and S has |S| = ell - r0 columns, so the sum of S is at most
+    r0 + ... + (ell - 1) and the degree at most lam_r0 + ... <= |lam|.
     """
     ell = len(lam)
-    minors = {0: {(0,) * nvars: 1}}
+    radix = sum(lam) + 1
+    minors = {0: {0: 1}}
     for row in range(ell - 1, -1, -1):
         bigger: dict[int, dict] = {}
         for mask, minor in minors.items():
@@ -131,20 +149,47 @@ def _jacobi_trudi(lam: Partition, nvars: int) -> dict:
                 bit = 1 << col
                 if mask & bit:
                     continue
-                h = _complete_homogeneous(lam[row] - row + col, nvars)
-                if not h:
+                terms = _packed_homogeneous(lam[row] - row + col, nvars, radix)
+                if not terms:
                     continue
                 # (-1)^(position of col among the columns of the new minor)
                 sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
                 acc = bigger.setdefault(mask | bit, {})
-                for e, c in _wmul(h, minor).items():
-                    acc[e] = acc.get(e, 0) + sign * c
+                for e1, c1 in terms:
+                    c1 *= sign
+                    for e2, c2 in minor.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
         minors = {}
         for mask, acc in bigger.items():
             nonzero = {e: c for e, c in acc.items() if c}
             if nonzero:
                 minors[mask] = nonzero
-    return minors.get((1 << ell) - 1, {})
+    out = {}
+    for key, c in minors.get((1 << ell) - 1, {}).items():
+        e = []
+        for _ in range(nvars):
+            key, x = divmod(key, radix)
+            e.append(x)
+        out[tuple(e)] = c
+    return out
+
+
+@cache
+def ssyt_count(lam: Partition, n: int) -> int:
+    """Number of semistandard tableaux of shape lam with entries <= n.
+
+    The hook-content formula: the product over the cells (i, c) of
+    (n + c - i) / hook(i, c).  A shape with more than n rows gets a zero
+    factor in row n.
+    """
+    lamc = conjugate(lam)
+    num = den = 1
+    for i, part in enumerate(lam):
+        for c in range(part):
+            num *= n + c - i
+            den *= part - c + lamc[c] - i - 1
+    return num // den
 
 
 @cache
@@ -359,50 +404,93 @@ class CauchyResult:
 def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
     """Degree-by-degree check of the truncated super Cauchy identity.
 
-    Expands prod_i [ prod_a (1 - q_a z_i)^-1 * prod_c (1 + u_c z_i) ] in an
-    auxiliary n-letter alphabet z up to the given total z-degree and compares
-    with sum over P(k,j,n) of s_lam(q/u) s_lam(z).
+    Compares prod_i [ prod_a (1 - q_a z_i)^-1 * prod_c (1 + u_c z_i) ], in an
+    auxiliary n-letter alphabet z up to the given total z-degree, with the
+    sum over P(k,j,n) of s_lam(q/u) s_lam(z), coefficient by coefficient in z.
+
+    Only the coefficients at dominant z-exponents z^mu, mu a partition with
+    at most n parts, are compared, each as a full (q,u) polynomial:
+
+    - left side: prod_i f_(mu_i), where f_m is the coefficient of z^m in the
+      one-letter product prod_a (1 - q_a z)^-1 prod_c (1 + u_c z); products
+      are memoized by prefix of mu;
+    - right side: sum over lam of K_(lam,mu) * super_schur(lam), with the
+      Kostka number K_(lam,mu) read as the multiplicity of the weight mu in
+      ``_schur_weights(lam, n)``.
+
+    This decides the identity exactly.  The left side is symmetric in z by
+    construction.  The right side is symmetric in z whatever ``super_schur``
+    returns, because every s_lam(z) is symmetric: its tableau weights have
+    passed the Jacobi-Trudi cross-check in ``_schur_weights``.  Two symmetric
+    polynomials agree at every z-monomial of degree d exactly when they agree
+    at every z^mu with mu a partition of d, so ``passed`` and
+    ``first_failure`` are those of the comparison at every z-monomial.  Only
+    z is reduced: ``super_schur`` is what the identity checks, so its (q,u)
+    side is compared in full.
     """
     for name, value in (("k", k), ("j", j), ("n", n)):
         if value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value}")
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    # each side is one dict per z-degree d, keyed by z-exponents followed by
-    # (q, u)-exponents, with plain integer values
-    lhs: list[dict] = [{(0,) * (n + k + j): 1}] + [{} for _ in range(degree)]
-    for i in range(n):
-        # (1 - q_a z_i)^-1 contributes (q_a z_i)^m for every m, (1 + u_c z_i)
-        # only m <= 1
-        factors = [(n + a, degree) for a in range(k)] + [(n + k + c, 1) for c in range(j)]
-        for var, top in factors:
-            out: list[dict] = [{} for _ in range(degree + 1)]
-            for d, terms in enumerate(lhs):
-                for m in range(min(top, degree - d) + 1):
-                    target = out[d + m]
-                    for e, c in terms.items():
-                        ne = list(e)
-                        ne[i] += m
-                        ne[var] += m
-                        te = tuple(ne)
-                        target[te] = target.get(te, 0) + c
-            lhs = out
-
-    rhs: list[dict] = [{} for _ in range(degree + 1)]
+    # f[m], one factor at a time in place: times (1 - q_a z)^-1 the new
+    # f_m is f_m + q_a * (new f_(m-1)), times (1 + u_c z) it is f_m + u_c * f_(m-1)
+    f = [QUPoly.one(k, j)] + [QUPoly.zero(k, j)] * degree
+    for a in range(k):
+        q = QUPoly.variable(k, j, a)
+        for m in range(1, degree + 1):
+            f[m] = f[m] + q * f[m - 1]
+    for c in range(j):
+        u = QUPoly.variable(k, j, k + c)
+        for m in range(degree, 0, -1):
+            f[m] = f[m] + u * f[m - 1]
+    lhs = {(): f[0]}  # coefficient of z^mu, keyed by the partition mu
     for d in range(degree + 1):
-        target = rhs[d]
+        shapes = []  # (super Schur coefficients, Kostka numbers by weight)
         for lam in expansion_shapes(k, j, n, d):
             squ = super_schur(lam, k, j)
-            if squ.is_zero():
+            if not squ.is_zero():
+                shapes.append((squ.coeffs, Counter(_schur_weights(lam, n))))
+        for mu in partitions_of(d):
+            if len(mu) > n:
                 continue
-            for w, m in Counter(_schur_weights(lam, n)).items():
-                for e, c in squ.coeffs.items():
-                    te = w + e
-                    target[te] = target.get(te, 0) + m * c
-
-    for d in range(degree + 1):
-        lhs_d = {e: c for e, c in lhs[d].items() if c}
-        rhs_d = {e: c for e, c in rhs[d].items() if c}
-        if lhs_d != rhs_d:
-            return CauchyResult(False, d)
+            if mu:
+                lhs[mu] = lhs[mu[:-1]] * f[mu[-1]]
+            weight = mu + (0,) * (n - len(mu))
+            rhs: dict[tuple, int] = {}
+            for coeffs, kostka in shapes:
+                mult = kostka.get(weight)
+                if mult:
+                    for e, c in coeffs.items():
+                        rhs[e] = rhs.get(e, 0) + mult * c
+            if lhs[mu].coeffs != {e: c for e, c in rhs.items() if c}:
+                return CauchyResult(False, d)
     return CauchyResult(True, None)
+
+
+def cauchy_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
+    """Upper bound on the tableaux ``super_cauchy_check`` enumerates.
+
+    Per shape lam of the check: the s_lam(1^n) tableaux of ``_schur_weights``
+    in the n letters z, and for ``super_schur(lam, k, j)`` the s_nu(1^k)
+    tableaux of each nu, len(nu) <= k, times the skew tableaux of lam'/nu' in
+    j letters.  Straight shapes are counted exactly by the hook-content
+    formula, a skew shape by the fillings of its rows with weakly increasing
+    entries, column conditions dropped; that also bounds the partial fillings
+    the row-by-row enumeration visits.  s_lam(1^(k+j)) is no bound for the
+    super Schur part: lam = (1, 1) at k = 0, j = 1 has one tableau, and
+    s_(1,1)(1) = 0.
+    """
+    total = 0
+    for d in range(degree + 1):
+        for lam in expansion_shapes(k, j, n, d):
+            total += ssyt_count(lam, n)
+            lamc = conjugate(lam)
+            for nu in _subpartitions(lam):
+                if len(nu) > k:
+                    continue
+                count = ssyt_count(nu, k)
+                for a, b in zip_longest(lamc, conjugate(nu), fillvalue=0):
+                    count *= comb(j + a - b - 1, a - b) if a > b else 1
+                total += count
+    return total

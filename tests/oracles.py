@@ -7,8 +7,9 @@ Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``reynolds`` averages a polynomial over all of S_n, and
 ``monomial_space_dim`` counts a component's monomials in closed form.
 ``jacobi_trudi_perm`` expands the Jacobi–Trudi determinant as a sum over
-all permutations, and ``cauchy_oracle`` runs the truncated super Cauchy
-comparison on ``QUPoly`` coefficients indexed by z-exponents.
+all permutations with tuple exponents (``_wmul``), and ``cauchy_oracle``
+runs the truncated super Cauchy comparison on ``QUPoly`` coefficients
+indexed by every z-exponent, not only the dominant ones.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced above total
 degree n by the degree bound and the quotient-side recursion.
@@ -18,8 +19,8 @@ component, with none of the engine's chain-criterion pruning.
 Ring elements also have a second representation here, which the engine no
 longer has: dict polynomials {monomial: coefficient} with ``poly_mul``,
 ``act_poly`` and ``superderivation`` (the polarization operators), the
-references for the engine's signed index maps.  ``as_partition``,
-``class_size`` and ``ssyt_count`` are small closed forms only tests use.
+references for the engine's signed index maps.  ``as_partition``
+and ``class_size`` are small closed forms only tests use.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from math import comb, factorial, gcd
 from supercoinv import coinvariant, superring, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, SubspaceNotInvariant
-from supercoinv.qcombinat import conjugate, partitions_of
+from supercoinv.qcombinat import partitions_of
 from supercoinv.snchar import class_representative, frobenius_decompose, z_order
 from supercoinv.superring import mono_mul
-from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous, _wmul
+from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous
 
 
 # --- dict polynomials --------------------------------------------------------
@@ -315,28 +316,56 @@ def reynolds(n: int, poly: dict) -> dict:
     return {m: c * scale for m, c in out.items()}
 
 
-def jacobi_trudi_perm(lam, nvars: int) -> dict:
-    """Weight dict of s_lam via det(h_(lam_i - i + j)) summed over all ell! permutations."""
-    ell = len(lam)
-    if ell == 0:
-        return {(0,) * nvars: 1}
+def _wmul(a: dict, b: dict) -> dict:
+    """Product of two weight dicts keyed by exponent tuples."""
     out: dict[tuple, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@cache
+def _permutation_terms(lam) -> dict:
+    """det(h_(lam_i - i + j)) as a sum over all ell! permutations.
+
+    Each permutation contributes its sign times the product of the h's it
+    picks; h's commute, so the terms are collected by the sorted tuple of
+    their indices.  Products with a negative index vanish and are dropped,
+    and so are the factors h_0 = 1.
+    """
+    ell = len(lam)
+    terms: dict[tuple, int] = {}
     for perm in permutations(range(ell)):
+        idx = sorted(lam[i] - i + perm[i] for i in range(ell))
+        if idx and idx[0] < 0:
+            continue
+        idx = [r for r in idx if r]
         sign = 1
         for a in range(ell):
             for b in range(a + 1, ell):
                 if perm[a] > perm[b]:
                     sign = -sign
-        prod = {(0,) * nvars: sign}
-        for i in range(ell):
-            r = lam[i] - i + perm[i]
-            h = _complete_homogeneous(r, nvars)
-            if not h:
-                prod = {}
-                break
-            prod = _wmul(prod, h)
-        for e, c in prod.items():
-            out[e] = out.get(e, 0) + c
+        key = tuple(idx)
+        terms[key] = terms.get(key, 0) + sign
+    return terms
+
+
+@cache
+def _h_product(idx, nvars: int) -> dict:
+    """Weight dict of h_(idx[0]) * h_(idx[1]) * ... in nvars variables."""
+    if not idx:
+        return {(0,) * nvars: 1}
+    return _wmul(_h_product(idx[1:], nvars), _complete_homogeneous(idx[0], nvars))
+
+
+def jacobi_trudi_perm(lam, nvars: int) -> dict:
+    """Weight dict of s_lam via det(h_(lam_i - i + j)) summed over all ell! permutations."""
+    out: dict[tuple, int] = {}
+    for idx, sign in _permutation_terms(tuple(lam)).items():
+        for e, c in _h_product(idx, nvars).items():
+            out[e] = out.get(e, 0) + sign * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -519,20 +548,3 @@ def as_partition(parts):
 def class_size(rho) -> int:
     """Number of permutations with cycle type rho."""
     return factorial(sum(rho)) // z_order(rho)
-
-
-@cache
-def ssyt_count(lam, n: int) -> int:
-    """Number of semistandard tableaux with entries <= n (hook content formula)."""
-    if not lam:
-        return 1
-    if len(lam) > n:
-        return 0
-    conj = conjugate(lam)
-    val = Fraction(1)
-    for i in range(len(lam)):
-        for jj in range(lam[i]):
-            hook = lam[i] - jj + conj[jj] - i - 1
-            val *= Fraction(n + jj - i, hook)
-    assert val.denominator == 1
-    return int(val)

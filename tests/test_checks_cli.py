@@ -410,6 +410,41 @@ def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
     }
 
 
+def test_bound_closure_reuses_the_session_components():
+    # the series scan's ideal components up to degree n serve the closure
+    # check as they are: none is rebuilt
+    session = CheckSession()
+    session.frobenius(3, 1, 1)
+    built = dict(session.ideal_cache(3, 1, 1).ideal)
+    assert built
+    report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
+    assert report.passed, report.witness
+    after = session.ideal_cache(3, 1, 1).ideal
+    assert all(after[deg] is basis for deg, basis in built.items())
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (
+            ["cauchy", "--n", "4", "--k", "2", "--j", "2", "--degree-bound", "8"],
+            "k=2 j=2 n=4 degree 8 has 20896 tableaux",
+        ),
+        # verify's grid is bounded by its largest call, (k, j, n) = (2, 2, 3)
+        (["verify", "cauchy"], "k=2 j=2 n=3 degree 6 has 2462 tableaux"),
+    ],
+    ids=["cauchy", "verify"],
+)
+def test_cli_cauchy_obeys_the_ceiling(argv, where):
+    code, out, err = _run_cli(argv + ["--ceiling", "100"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource ceiling exceeded: the Cauchy check at ")
+    assert where in err
+    code, _out, _err = _run_cli(argv)
+    assert code == 0
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_cli_table_renders_hilbert(tmp_path, fmt):
     # the Hilbert JSON that compute writes by default is a recognized

@@ -13,8 +13,9 @@ from supercoinv.snchar import (
     syt_count,
     z_order,
 )
+from supercoinv.superschur import ssyt_count
 
-from oracles import class_size, ssyt_count
+from oracles import class_size
 
 
 def _cycle_type(perm):

@@ -404,3 +404,60 @@ def test_polarization_maps_match_superderivation(case):
     moved = {targets[i]: signs[i] * v for i, v in vec.items()}
     image = _apply(images, vec)
     assert _apply(images, moved) == {itargets[t]: isigns[t] * c for t, c in image.items()}
+
+
+@st.composite
+def _shift_cases(draw):
+    """A component vector, one variable and two permutations; n <= 4, k, j <= 2."""
+    n = draw(st.integers(1, 4))
+    k, j = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]))
+    r = tuple(draw(st.integers(0, 3)) for _ in range(k))
+    s = tuple(draw(st.integers(0, n)) for _ in range(j))
+    kind, idx = draw(st.sampled_from(_sets(k, j)))
+    pos = draw(st.integers(0, n - 1))
+    dim = len(monomial_space(n, k, j, r, s)[0])
+    coords = draw(st.lists(st.integers(0, dim - 1), max_size=6, unique=True))
+    vec = {i: draw(st.integers(-5, 5).filter(bool)) for i in coords}
+    sigma = tuple(draw(st.permutations(range(n))))
+    tau = tuple(draw(st.permutations(range(n))))
+    return (n, k, j, r, s), (kind, idx, pos), vec, sigma, tau
+
+
+def _as_poly(n, k, j, r, s, vec):
+    monos = monomial_space(n, k, j, r, s)[0]
+    return {monos[i]: c for i, c in vec.items() if c}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_shift_cases())
+def test_shift_map_matches_poly_mul(case):
+    (n, k, j, r, s), (kind, idx, pos), vec, _sigma, _tau = case
+    if kind == "b":
+        var = _mono(n, k, j, bos=[(idx, pos, 1)])
+        r2, s2 = r[:idx] + (r[idx] + 1,) + r[idx + 1 :], s
+    else:
+        var = _mono(n, k, j, fer=[(idx, pos)])
+        r2, s2 = r, s[:idx] + (s[idx] + 1,) + s[idx + 1 :]
+    signs, targets = shift_map(n, k, j, r, s, kind, idx, pos)
+    image = {}
+    for i, v in vec.items():
+        if signs[i]:
+            image[targets[i]] = image.get(targets[i], 0) + signs[i] * v
+    want = poly_mul({var: 1}, _as_poly(n, k, j, r, s, vec))
+    assert _as_poly(n, k, j, r2, s2, image) == want
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_shift_cases())
+def test_permutation_action_matches_act_poly(case):
+    (n, k, j, r, s), _var, vec, sigma, tau = case
+    signs, targets = permutation_action(n, k, j, r, s, sigma)
+    moved = {targets[i]: signs[i] * v for i, v in vec.items()}
+    poly = _as_poly(n, k, j, r, s, vec)
+    assert _as_poly(n, k, j, r, s, moved) == act_poly(sigma, poly)
+    # a group action: tau after sigma is the action of their composite
+    tsigns, ttargets = permutation_action(n, k, j, r, s, tau)
+    twice = {ttargets[i]: tsigns[i] * v for i, v in moved.items()}
+    composite = tuple(tau[sigma[p]] for p in range(n))
+    csigns, ctargets = permutation_action(n, k, j, r, s, composite)
+    assert twice == {ctargets[i]: csigns[i] * v for i, v in vec.items()}

@@ -11,6 +11,7 @@ from supercoinv.superschur import (
     schur_poly,
     skew_schur_poly,
     specialize,
+    ssyt_count,
     super_cauchy_check,
     super_schur,
 )
@@ -52,8 +53,6 @@ def test_schur_poly_examples():
 
 
 def test_schur_agrees_with_dimension_counts():
-    from oracles import ssyt_count
-
     for size in range(7):
         for lam in partitions_of(size):
             for m in range(1, 5):
@@ -224,11 +223,11 @@ def test_cauchy_result_reports_failure_degree():
 
 
 def test_jacobi_trudi_matches_permutation_sum():
-    for size in range(7):
+    # the packed-exponent minors against the tuple-exponent permutation sum,
+    # shapes with more rows than letters (a zero determinant) included
+    for size in range(9):
         for lam in partitions_of(size):
-            if len(lam) > 5:
-                continue
-            for m in range(1, 5):
+            for m in range(7):
                 assert superschur._jacobi_trudi(lam, m) == jacobi_trudi_perm(lam, m), (lam, m)
 
 
@@ -239,8 +238,9 @@ def _outcome(result):
 @pytest.mark.parametrize("k", range(3))
 @pytest.mark.parametrize("j", range(3))
 def test_super_cauchy_matches_oracle(k, j):
-    for n in range(4):
-        for degree in range(7):
+    # the dominant-exponent comparison against the one at every z-exponent
+    for n in range(5):
+        for degree in range(8):
             got = _outcome(super_cauchy_check(k, j, n, degree))
             assert got == _outcome(cauchy_oracle(k, j, n, degree)), (k, j, n, degree)
 
@@ -261,6 +261,54 @@ def test_super_cauchy_fails_on_a_wrong_super_schur(monkeypatch):
     for k, j, n, degree in [(1, 0, 1, 4), (1, 1, 2, 5), (2, 2, 3, 6)]:
         assert _outcome(super_cauchy_check(k, j, n, degree)) == (False, 3)
         assert _outcome(cauchy_oracle(k, j, n, degree)) == (False, 3)
+
+
+def test_super_cauchy_fails_on_a_non_dominant_qu_term(monkeypatch):
+    # q_2^3 alone is not a dominant (q,u)-exponent: only z is reduced to
+    # dominant exponents, so the (q,u) side must still see it
+    right = superschur.super_schur
+
+    def wrong(lam, k, j):
+        extra = QUPoly.monomial(k, j, (0, 3) + (0,) * (k + j - 2))
+        return right(lam, k, j) + extra if sum(lam) == 3 else right(lam, k, j)
+
+    monkeypatch.setattr(superschur, "super_schur", wrong)
+    for j, n, degree in [(0, 1, 4), (1, 2, 5), (2, 3, 6), (2, 4, 7)]:
+        assert _outcome(super_cauchy_check(2, j, n, degree)) == (False, 3)
+        assert _outcome(cauchy_oracle(2, j, n, degree)) == (False, 3)
+
+
+def test_super_cauchy_fails_on_a_wrong_column(monkeypatch):
+    # s_(1^n)(z) = z_1 ... z_n has the one dominant weight (1^n): an error in
+    # super_schur((1^n)) shows only at the z-exponent with n parts
+    right = superschur.super_schur
+
+    def wrong(lam, k, j):
+        extra = QUPoly.monomial(k, j, (1,) * (k + j))
+        return right(lam, k, j) + extra if lam == (1, 1, 1) else right(lam, k, j)
+
+    monkeypatch.setattr(superschur, "super_schur", wrong)
+    for k, j in [(1, 2), (2, 1)]:
+        assert _outcome(super_cauchy_check(k, j, 3, 5)) == (False, 3)
+        assert _outcome(cauchy_oracle(k, j, 3, 5)) == (False, 3)
+
+
+def test_cauchy_tableau_bound_covers_the_tableaux():
+    # the tableaux enumerated: s_lam(1^n) in z, and the super Schur terms;
+    # k = 0 is where s_lam(1^(k+j)) would undercount
+    for k in range(3):
+        for j in range(3):
+            for n in range(5):
+                for degree in range(7):
+                    count = 0
+                    for d in range(degree + 1):
+                        for lam in expansion_shapes(k, j, n, d):
+                            count += ssyt_count(lam, n)
+                            count += super_schur(lam, k, j).evaluate((1,) * (k + j))
+                    bound = superschur.cauchy_tableau_bound(k, j, n, degree)
+                    assert count <= bound, (k, j, n, degree)
+    assert superschur.cauchy_tableau_bound(2, 2, 4, 8) == 20896
+    assert superschur.cauchy_tableau_bound(2, 2, 3, 6) == 2462
 
 
 @pytest.fixture
