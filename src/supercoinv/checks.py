@@ -70,7 +70,8 @@ class CheckSession:
     """Memoized access to series, tables and ideal components per ring.
 
     One ``IdealComponentCache`` per (n, k, j) serves every series scan and
-    check of that ring, over a shared cache directory.
+    check of that ring: the series over a shared cache directory, the ideal
+    components of the closure check in memory.
     """
 
     def __init__(self, ceiling: int = coinvariant.DEFAULT_CEILING, cache_dir=None):
@@ -391,7 +392,15 @@ _DERIVATION_KINDS = ("b", "f")
 
 
 def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
-    """Restriction-multiplicity bound on the table; derivation closure of the ideal."""
+    """Restriction-multiplicity bound on the table; derivation closure of the ideal.
+
+    Closure is checked on the ideal components of total degree <= n, built in
+    memory.  The higher degrees follow: a polarization operator E is a
+    superderivation with E(v) in V or 0 for each variable v, so
+    E(v f) = E(v) f +- v E(f), and above degree n I_d = V * I_(d-1) (the
+    generator statement in ``coinvariant``); by induction on the degree, E
+    maps I_d into I when it does so up to degree n.
+    """
     started = time.perf_counter()
     params = {"n": n, "k": k, "j": j}
     table = session.table(n, k, j)
@@ -407,11 +416,8 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
                 "d": bound,
             }
             return _report("bound_closure", params, witness, started)
-    # closure: build every ideal component up to one shell past the top of
-    # the series, then push each basis vector through every polarization
-    # operator (which keeps the total degree); the components up to degree n
-    # are the ones the series scan built
-    top = session.frobenius(n, k, j).max_total_degree()
+    # closure: push each basis vector through every polarization operator,
+    # which keeps the total degree
     cache = session.ideal_cache(n, k, j)
     operators = []
     for tkind in _DERIVATION_KINDS:
@@ -421,7 +427,7 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
             for ti in range(tcount):
                 for si in range(scount):
                     operators.append(((tkind, ti), (skind, si)))
-    for deg in (d for total in range(top + 2) for d in sorted(shell_multidegrees(n, k, j, total))):
+    for deg in (d for total in range(n + 1) for d in sorted(shell_multidegrees(n, k, j, total))):
         basis = coinvariant.ideal_component(cache, deg)
         if not basis.vectors:
             continue

@@ -37,14 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=need_n, help="number of positions")
         p.add_argument("--k", type=int, default=None, help="bosonic alphabet size")
         p.add_argument("--j", type=int, default=None, help="fermionic alphabet size")
-        p.add_argument("--cache-dir", default=None, help="ideal-component cache directory")
+        p.add_argument("--cache-dir", default=None, help="series cache directory")
         p.add_argument(
             "--ceiling",
             type=int,
             default=coinvariant.DEFAULT_CEILING,
             help=(
-                "max columns per multidegree: its monomial space up to total degree n,"
-                " its quotient border (sum over variables v of dim Q at deg - e_v) above;"
+                "max columns per multidegree: of its quotient border (sum over variables v"
+                " of dim Q at deg - e_v), and of the monomial spaces the closure check builds;"
                 " for the Cauchy check, max tableaux (an upper bound on those it enumerates)"
             ),
         )
@@ -213,6 +213,10 @@ def _run_verify(args) -> int:
     if args.jobs < 1:
         sys.stderr.write(f"error: --jobs must be at least 1, got {args.jobs}\n")
         return 2
+    if args.n == 0:
+        # the closed forms the checks compare with hold for n >= 1 only
+        sys.stderr.write("error: verify needs --n of at least 1, got 0\n")
+        return 2
     envelope = _load_envelope()
     if args.check == "all":
         ids = sorted(checks.REGISTRY)
@@ -321,7 +325,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    for flag in ("n", "k", "j", "m", "degree_bound"):
+    for flag in ("n", "k", "j", "m", "degree_bound", "ceiling"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             name = flag.replace("_", "-")

@@ -1,27 +1,20 @@
-"""Coinvariant quotients: ideal components, graded characters, and series.
+"""Coinvariant quotients: generators, the quotient recursion, and series.
 
 The defining ideal I is generated by all positive-degree diagonal invariants.
-Its multidegree-d component equals
+Write V for the span of the variables, |d| for the total degree of a
+multidegree d = (r, s), V * I_(d-1) for the sum over variables v of
+v * I_(d - deg v), and
 
-    sum over variables v of  v * (ideal component at d - deg v)   +   Inv_d,
+    m_p(d) = prod_g x_(g,p)^(r_g) prod_c theta_(c,p)^(s_c)
 
-which is an exact rewriting of the span over all products (monomial times
-lower invariant).  Ideal components are S_n-stable by this same structure:
-the invariant generators are checked to be fixed by every adjacent
-transposition when built, and variables are permuted among themselves, so
-stability propagates through the recursion by induction.
+for the monomial of multidegree d at the single position p, its fermionic
+factors in set order (zero when some s_c >= 2).  The polarized power sum
+P_d = sum_p m_p(d) is invariant.
 
-Variables and permutations act on coordinate indices, never on monomials per
-vector entry: multiplication by a variable and the action of a permutation
-are signed index maps of a component (``superring.shift_map`` and
-``superring.permutation_action``), built once per component and applied to
-every basis vector.
-
-Degree bound.  Write V for the span of the variables and |d| for the total
-degree of d.  For |d| > n, Inv_d lies in V * I_(d-1), so ``ideal_component``
-adds Inv_d only up to total degree n.  For bosonic sets alone this is Weyl's
-theorem that polarized power sums of degree <= n generate the diagonal
-invariants (H. Weyl, The Classical Groups, 1939).  With fermionic sets:
+Generators.  At every multidegree d != 0, Inv_d lies in V * I_(d-1) + Q * P_d,
+so I_d = V * I_(d-1) + Q * P_d.  For bosonic sets alone this is Weyl's
+theorem that polarized power sums generate the diagonal invariants (H. Weyl,
+The Classical Groups, 1939).  With fermionic sets:
 
 1. Multilinear components.  Take m sets, each of degree 1 (the multidegree
    e_S of a set S of sets).  A monomial there holds one variable of each set,
@@ -32,27 +25,39 @@ invariants (H. Weyl, The Classical Groups, 1939).  With fermionic sets:
    by a sign that depends only on (A, B).  The multilinear component of
    V * I is the sum over splits of R_A * Inv_B (A, B nonempty), so it is the
    even ring's too.  In the even ring the orbit sums m_pi of the monomials are
-   indexed by set partitions pi of S, and the products of block power sums
-   are P_pi = sum of m_sigma over sigma coarser than pi.  Mobius inversion
-   gives m_0 = sum_pi mu(0, pi) P_pi for the partition 0 into singletons.  For
-   m > n there is no injective map from S to the n positions, so m_0 = 0; as
-   mu(0, 1) = (-1)^(m-1) (m-1)! is nonzero, P_S is a combination of products
-   of at least two power sums.  Every multilinear invariant is a combination
-   of the P_pi, so it lies in V * I.
+   indexed by set partitions pi of S (which sets share a position), and the
+   products of block power sums are P_pi = sum of m_sigma over sigma coarser
+   than pi.  Mobius inversion writes each m_sigma as a combination of the
+   P_pi with pi coarser than sigma.  A P_pi of two or more blocks is P_B
+   times an invariant of positive degree, and P_B = sum_p (a variable at p) *
+   (the rest), so P_pi lies in V * I; the one-block P_pi is P_(e_S).  Every
+   multilinear invariant is a combination of orbit sums, so it lies in
+   V * I + Q * P_(e_S).  For m > n there is no injective map from S to the n
+   positions, so m_0 = 0 for the partition 0 into singletons; as
+   mu(0, 1) = (-1)^(m-1) (m-1)! is nonzero, P_(e_S) itself lies in V * I.
 2. Any multidegree.  Given d = (r, s), split each set into as many copies as
    its degree and polarize: apply the even derivations E_(copy, set) =
-   sum_p copy_p d/d set_p, one per copy.  Restitution, which sends every copy
-   back to its set, is an S_n-equivariant algebra map, so it sends invariants
-   to invariants and V * I of the polarized ring into V * I.  Restitution
-   after polarization multiplies a component by r! s! (the product of the
-   factorials of the degrees), which is nonzero.  A polarized invariant of
-   total degree |d| > n is multilinear, so by step 1 it lies in V * I, and
-   restitution returns r! s! times the invariant inside V * I_(d-1).
+   sum_p copy_p d/d set_p, one per copy, which commute with S_n.
+   Restitution, which sends every copy back to its set, is an
+   S_n-equivariant algebra map: it sends V * I of the polarized ring into
+   V * I, and the multilinear power sum to +-P_d (zero when a fermionic set
+   has degree >= 2).  Restitution after polarization multiplies a component
+   by r! s! (the product of the factorials of the degrees), which is
+   nonzero.  By step 1 the polarized invariant lies in V * I + Q * P, and
+   restitution returns r! s! times the invariant inside V * I_(d-1) + Q * P_d.
 
-Quotient side.  Above total degree n, I_d = V * I_(d-1), so the quotient
-Q = R / I has the super-Koszul presentation
+For |d| > n step 1 puts P_d in V * I_(d-1) as well: the ideal is generated in
+total degree <= n, and I_d = V * I_(d-1) above it.  ``ideal_component``
+builds I_d by this recursion, for the closure check and the tests; the
+series scan builds no ideal component.  Variables and permutations act on
+coordinate indices, through signed index maps of a component
+(``superring.shift_map`` and ``superring.permutation_action``) built once
+and applied to every basis vector.
 
-    Q_d = (sum over v of v (x) Q_(d - e_v)) / relations,
+Quotient side.  The quotient Q = R / I is computed from Q_0 = span{1} by the
+super-Koszul presentation
+
+    Q_d = (sum over v of v (x) Q_(d - e_v)) / (relations + Q * lift of P_d),
 
 with one relation per pair of variables v <= w and basis element s of
 Q_(d - e_v - e_w): v (x) [w s] - eps w (x) [v s], where eps = -1 when v and w
@@ -61,19 +66,27 @@ for odd v.  Here [w s] is the class of w s.  Proof: modulo these relations
 every v (x) m, m a monomial, equals +-u (x) m' with u the least variable of
 v m, or vanishes when v m = 0; the terms u (x) m' with u at most every
 variable of m' and u m' nonzero map to distinct monomials, so the relations
-span the kernel of V (x) R_(d-1) -> R_d, and V (x) I_(d-1) dies in Q.  So
-``_series_scan`` builds ideal components only up to total degree n and above
-it works with multiplication matrices on Q (as border bases do:
-Kehrein-Kreuzer-Robbiano, An algebraist's view on border bases, 2005).  A
-permutation sigma acts on the presentation by v (x) b -> sigma(v) (x) sigma(b).
+span the kernel of V (x) R_(d-1) -> R_d, V (x) I_(d-1) dies in Q, and the
+quotient by the relations is R_d / (V * I_(d-1)).  By the generator
+statement one more row makes it Q_d: the lift sum_p u_p (x) [m_p(d) / u_p]
+of P_d, where u_p is the position-p variable of the first set of positive
+degree in d, bosonic sets first.  The lift's sign is +1: m_p(d) equals
+u_p * (m_p(d) / u_p) exactly, because u_p is a boson or, when d has no
+bosonic degree, the fermion of the lowest set present, which comes first in
+set order.  ``_koszul_component`` adds the lift at every shell with
+|d| <= n and every s_c <= 1 (elsewhere it lies in the relation span or
+P_d = 0), and such a shell keeps the classes [m_p(d)] for the shell above it
+to read.  So the scan works with multiplication matrices on Q alone, as
+border bases do (Kehrein-Kreuzer-Robbiano, An algebraist's view on border
+bases, 2005).  A permutation sigma acts on the presentation by
+v (x) b -> sigma(v) (x) sigma(b); P_d is invariant, so the relation span is
+stable.
 
 Chain criterion.  Most of these relations are redundant, and
 ``_koszul_component`` offers only the others to the elimination.  Every
 basis element s of a quotient component carries a label u, a variable with
-s = [u b] for some b: on a shell built by ``_koszul_component``, the variable
-of the border block that holds s's standard column; on a shell of total
-degree <= n, where s is a standard monomial, its least variable in the flat
-order g * n + pos (the unit 1 gets a label above every variable).  The
+s = [u b] for some b: the variable of the border block that holds s's
+standard column (the unit 1 of Q_0 gets a label above every variable).  The
 relation R(v, w; s) of a pair v <= w is skipped when label(s) < v, odd
 squares included.  Exact: the super-Koszul differential satisfies d^2 = 0,
 so for u < v <= w the boundary of u ^ v ^ w (x) b is a relation among
@@ -93,7 +106,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import snchar, superring
 from .exactla import SubspaceBasis, span_basis
@@ -119,7 +132,7 @@ Multidegree = tuple  # (r, s): k bosonic degrees, j fermionic degrees
 DEFAULT_CEILING = 50_000
 
 # version of the cache file layout; files of any other version are refused
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 class CeilingExceeded(RuntimeError):
@@ -252,11 +265,12 @@ class CoeffTable:
 
 
 class IdealComponentCache:
-    """Per-(n,k,j) store of monomial spaces, invariant bases, ideal bases.
+    """Per-(n,k,j) store: ideal components in memory, finished series on disk.
 
-    A series scan builds ideal components only up to total degree n, where
-    they are small, and keeps them all; with a cache directory they are
-    persisted when computed and reloaded on demand.
+    ``ideal_component`` keeps the components it builds in ``ideal``.  With a
+    cache directory, each finished Frobenius or Hilbert series of the ring is
+    written to one file, and a later scan of the same ring reads it instead
+    of computing.
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -269,62 +283,39 @@ class IdealComponentCache:
         self.ceiling = ceiling
         self.cache_dir = cache_dir
         self.ideal: dict = {}
-        self.invariant: dict = {}
 
     def monomial_space(self, deg: Multidegree):
         return superring.monomial_space(self.n, self.k, self.j, deg[0], deg[1])
 
-    def invariant_basis(self, deg: Multidegree) -> SubspaceBasis:
-        basis = self.invariant.get(deg)
-        if basis is None:
-            basis = superring.invariant_basis(self.n, self.k, self.j, deg[0], deg[1])
-            self.invariant[deg] = basis
-        return basis
-
     # -- disk layer ----------------------------------------------------------
 
-    def _path(self, deg: Multidegree) -> str:
-        r, s = deg
-        name = "r" + "-".join(map(str, r)) + "_s" + "-".join(map(str, s)) + ".json"
-        sub = f"ideal_n{self.n}_k{self.k}_j{self.j}"
-        return os.path.join(self.cache_dir, sub, name)
+    def _path(self, kind: str) -> str:
+        return os.path.join(self.cache_dir, f"{kind}_n{self.n}_k{self.k}_j{self.j}.json")
 
-    def _save(self, deg: Multidegree, basis: SubspaceBasis) -> None:
-        path = self._path(deg)
+    def _save(self, kind: str, value) -> None:
+        """Write a finished series: the ``compute`` artifact plus format, kind and digest."""
+        path = self._path(kind)
         if os.path.exists(path):
             return
-        vectors = []
-        for pivot, row in zip(basis.pivots, basis.vectors):
-            # the file holds the reduced-echelon row over Q, value 1 at its
-            # pivot, entry by entry as [coordinate in monomial_space order, value]
-            d = row[pivot]
-            vectors.append(
-                [[i, str(v) if d == 1 else str(Fraction(v, d))] for i, v in sorted(row.items())]
-            )
-        payload = {
-            "format": CACHE_FORMAT,
-            "n": self.n,
-            "k": self.k,
-            "j": self.j,
-            "r": list(deg[0]),
-            "s": list(deg[1]),
-            "dim": len(self.monomial_space(deg)[0]),
-            "pivots": list(basis.pivots),
-            "vectors": vectors,
-        }
+        if kind == "frobenius":
+            body = value.to_json()
+        else:
+            body = {"n": self.n, "k": self.k, "j": self.j, "hilbert": value.to_json()}
+        payload = {"format": CACHE_FORMAT, "kind": kind, **body}
         payload["sha256"] = _digest(payload)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.makedirs(self.cache_dir, exist_ok=True)
         # one temporary file per process: the workers of ``verify --jobs`` may
-        # write the same component into a shared directory at once
+        # write the same series into a shared directory at once
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload))
         os.replace(tmp, path)
 
-    def _load(self, deg: Multidegree):
+    def _load(self, kind: str):
+        """The stored series of this kind, None when there is none; ValueError when damaged."""
         if self.cache_dir is None:
             return None
-        path = self._path(deg)
+        path = self._path(kind)
         if not os.path.exists(path):
             return None
         with open(path, encoding="utf-8") as fh:
@@ -338,15 +329,7 @@ class IdealComponentCache:
             raise ValueError(
                 f"cache file {path} has format {payload.get('format')!r}, expected {CACHE_FORMAT}"
             )
-        dim = len(self.monomial_space(deg)[0])
-        expected = {
-            "n": self.n,
-            "k": self.k,
-            "j": self.j,
-            "r": list(deg[0]),
-            "s": list(deg[1]),
-            "dim": dim,
-        }
+        expected = {"kind": kind, "n": self.n, "k": self.k, "j": self.j}
         for key, want in expected.items():
             if payload.get(key) != want:
                 raise ValueError(
@@ -356,30 +339,41 @@ class IdealComponentCache:
         # the header matches: now the content must be what was written
         if payload.pop("sha256", None) != _digest(payload):
             raise ValueError(f"corrupt cache file {path}: content does not match its SHA-256")
-        pivots, vectors = payload["pivots"], payload["vectors"]
-        if len(pivots) != len(vectors):
-            raise ValueError(
-                f"corrupt cache file {path}: {len(pivots)} pivots, {len(vectors)} rows"
-            )
-        rows = {}
-        for pivot, row in zip(pivots, vectors):
-            vec = {}
-            try:
-                for i, val in row:
-                    if type(i) is not int or not 0 <= i < dim:
-                        raise ValueError(f"coordinate {i!r} outside 0..{dim - 1}")
-                    vec[i] = Fraction(val) if "/" in val else int(val)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"corrupt cache file {path}: row {pivot}: {exc!r}") from exc
-            if vec.get(pivot) != 1:
-                raise ValueError(f"corrupt cache file {path}: row {pivot} is not 1 at its pivot")
-            rows[pivot] = vec
-        if len(rows) != len(pivots):
-            raise ValueError(f"corrupt cache file {path}: duplicate pivots")
+        # and it must be a series of this ring, even under a recomputed digest
         try:
-            return SubspaceBasis.from_rows(dim, rows)
-        except ValueError as exc:
-            raise ValueError(f"corrupt cache file {path}: {exc}") from exc
+            return self._series_of(kind, payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt cache file {path}: {exc!r}") from exc
+
+    def _series_of(self, kind: str, payload: dict):
+        """The series a file holds, once every degree and count is checked against the ring."""
+        n, k, j = self.n, self.k, self.j
+        if kind == "hilbert":
+            for rec in payload["hilbert"]:
+                _check_count(int(rec["c"]))
+            # QUPoly refuses an exponent that is not k + j nonnegative integers
+            return QUPoly.from_json(k, j, payload["hilbert"])
+        shapes = set(partitions_of(n))
+        for rec in payload["components"]:
+            _check_degree(rec["deg"]["r"], k)
+            _check_degree(rec["deg"]["s"], j)
+            for key, c in rec["mults"].items():
+                if _mu_from_key(key) not in shapes:
+                    raise ValueError(f"{key} is not a partition of {n}")
+                _check_count(c)
+        return FrobeniusSeries.from_json(payload)
+
+
+def _check_degree(exps, arity: int) -> None:
+    if type(exps) is not list or len(exps) != arity or not all(
+        type(e) is int and e >= 0 for e in exps
+    ):
+        raise ValueError(f"degree {exps!r} is not {arity} nonnegative integers")
+
+
+def _check_count(c) -> None:
+    if type(c) is not int or c < 1:
+        raise ValueError(f"multiplicity {c!r} is not a positive integer")
 
 
 def _digest(payload: dict) -> str:
@@ -392,28 +386,22 @@ def _digest(payload: dict) -> str:
 
 
 def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBasis:
-    """Reduced-echelon basis of the ideal's multidegree-d component.
+    """Reduced-echelon basis of the ideal's multidegree-d component, built in memory.
 
-    Invariants enter only up to total degree n; above it they already lie in
-    the variable-shifted lower component (the degree bound in the module
-    docstring).
+    The recursion I_d = V * I_(d-1) + Q * P_d of the module docstring: the
+    variable-shifted lower components and the polarized power sum.
     """
     deg = (tuple(deg[0]), tuple(deg[1]))
     basis = cache.ideal.get(deg)
     if basis is not None:
         return basis
-    basis = cache._load(deg)
-    if basis is not None:
-        cache.ideal[deg] = basis
-        return basis
     n, k, j = cache.n, cache.k, cache.j
     r, s = deg
-    monos, _index = cache.monomial_space(deg)
+    monos, index = cache.monomial_space(deg)
     if len(monos) > cache.ceiling:
         raise CeilingExceeded(deg, len(monos), cache.ceiling)
-    total = sum(r) + sum(s)
     vectors = []
-    if total > 0:
+    if sum(r) + sum(s) > 0:
         for a in range(k):
             if r[a] == 0:
                 continue
@@ -424,14 +412,15 @@ def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBas
                 continue
             pred = (r, s[:c] + (s[c] - 1,) + s[c + 1 :])
             vectors.extend(_shifted_vectors(cache, pred, "f", c))
-        if total <= n:
-            inv = cache.invariant_basis(deg)
-            vectors.extend(dict(row) for row in inv.vectors)
+        if max(s, default=0) <= 1:
+            # P_d: the one-position monomials m_p(d), each with coefficient 1
+            power_sum = {}
+            for p in range(n):
+                bos = tuple(tuple(e if q == p else 0 for q in range(n)) for e in r)
+                power_sum[index[(bos, tuple(f << p for f in s))]] = 1
+            vectors.append(power_sum)
     basis = span_basis(vectors, len(monos))
-    del vectors  # free the inputs before _save builds the file: lower peak memory
     cache.ideal[deg] = basis
-    if cache.cache_dir is not None:
-        cache._save(deg, basis)
     return basis
 
 
@@ -465,18 +454,12 @@ def _shifted_vectors(cache, pred: Multidegree, kind: str, set_idx: int):
                 yield vec
 
 
-def quotient_character(
-    cache: IdealComponentCache,
-    deg: Multidegree,
-    rho: Partition,
-    check_invariant: bool = False,
-):
+def quotient_character(cache: IdealComponentCache, deg: Multidegree, rho: Partition):
     """Trace of any permutation of cycle type rho on the quotient component.
 
     Computed as ambient trace minus the trace restricted to the ideal
-    component.  The ideal is S_n-stable by construction (see module
-    docstring); ``check_invariant`` additionally verifies membership of every
-    permuted basis vector, which property tests exercise at small sizes.
+    component, which is S_n-stable: its generators, the lower components
+    shifted by variables and the invariant P_d, are permuted into it.
     """
     deg = (tuple(deg[0]), tuple(deg[1]))
     if sum(rho) != cache.n:
@@ -488,17 +471,6 @@ def quotient_character(
     amb = sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
     if not basis.vectors:
         return amb
-    if check_invariant:
-        for row in basis.vectors:
-            img = {}
-            for idx, val in row.items():
-                img[targets[idx]] = val if signs[idx] > 0 else -val
-            if basis.reduce(img):
-                from .exactla import SubspaceNotInvariant
-
-                raise SubspaceNotInvariant(
-                    f"ideal component at {deg} not stable under cycle type {rho}"
-                )
     # invert the signed index permutation once, then read each diagonal
     # coefficient straight off the pivot coordinate: a row with pivot value d
     # contributes its entry there over d
@@ -541,6 +513,9 @@ class _QuotientComponent:
     variable u per basis element s with s = [u b] (the chain criterion of the
     module docstring), and ``source_labels`` maps each set to the labels of
     the component one lower in that set, the source of its ``mult`` matrices.
+    ``powers`` holds the column of each class [m_p(d)], p = 0..n-1, on a
+    component with |d| <= n and every s_c <= 1, for the lift of P on the
+    shell above; it is empty elsewhere.
     """
 
     dim: int
@@ -548,6 +523,7 @@ class _QuotientComponent:
     action: dict
     labels: list
     source_labels: dict
+    powers: list
 
 
 def _predecessors(deg: Multidegree, k: int) -> dict:
@@ -570,30 +546,6 @@ def _standard_coordinates(basis: SubspaceBasis) -> dict:
     return {c: q for q, c in enumerate(c for c in range(basis.dim) if c not in pivots)}
 
 
-def _least_variable(mono, n: int) -> int:
-    """A monomial's least variable in the flat order g * n + pos.
-
-    The unit monomial, a multiple of no variable, gets (k + j) * n, above every
-    variable, so no relation on it is ever skipped.
-    """
-    bos, fer = mono
-    for g, e in enumerate(bos):
-        for p, x in enumerate(e):
-            if x:
-                return g * n + p
-    for f, mask in enumerate(fer):
-        if mask:
-            return (len(bos) + f) * n + (mask & -mask).bit_length() - 1
-    return (len(bos) + len(fer)) * n
-
-
-def _standard_labels(cache, deg: Multidegree) -> list:
-    """The least variable of each standard monomial: its label."""
-    monos, _index = cache.monomial_space(deg)
-    standard = _standard_coordinates(ideal_component(cache, deg))
-    return [_least_variable(monos[c], cache.n) for c in standard]
-
-
 def _class_of(basis: SubspaceBasis, vec: dict, where: dict, den: int = 1):
     """The class of vec / den modulo span(basis), as a column in quotient coordinates."""
     w, scale = basis.scaled_residual(vec)
@@ -602,41 +554,13 @@ def _class_of(basis: SubspaceBasis, vec: dict, where: dict, den: int = 1):
     return {where[i]: v // g for i, v in w.items()}, den // g
 
 
-def _boundary_component(cache, deg: Multidegree, sigmas: dict) -> _QuotientComponent:
-    """A quotient component read off the ideal side (the scan needs shell n).
-
-    Its basis is the standard (non-pivot) monomials; multiplication matrices
-    come from the shell below through ``shift_map`` and permutation matrices
-    through ``permutation_action``, each image reduced modulo the ideal.
-    """
-    n, k, j = cache.n, cache.k, cache.j
-    basis = ideal_component(cache, deg)
-    where = _standard_coordinates(basis)
-    mult, sources = {}, {}
-    for g, pred in _predecessors(deg, k).items():
-        standard = list(_standard_coordinates(ideal_component(cache, pred)))
-        sources[g] = _standard_labels(cache, pred)
-        kind, set_idx = ("b", g) if g < k else ("f", g - k)
-        for pos in range(n):
-            signs, tgt = superring.shift_map(n, k, j, *pred, kind, set_idx, pos)
-            mult[g * n + pos] = [
-                _class_of(basis, {tgt[i]: signs[i]}, where) if signs[i] else ({}, 1)
-                for i in standard
-            ]
-    action = {}
-    for rho, sigma in sigmas.items():
-        signs, tgt = superring.permutation_action(n, k, j, *deg, sigma)
-        action[rho] = [_class_of(basis, {tgt[i]: signs[i]}, where) for i in where]
-    return _QuotientComponent(len(where), mult, action, _standard_labels(cache, deg), sources)
-
-
 def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
-    """A component above total degree n, from the quotient shell below it.
+    """A quotient component of positive degree, from the quotient shell below it.
 
     Q_deg is the border space (the sum over variables v of v (x) Q_(deg-e_v))
     modulo the super-Koszul relations of the module docstring, of which only
-    those the chain criterion keeps are offered, and its basis is the
-    non-pivot border columns of the relation span.  Returns the
+    those the chain criterion keeps are offered, and the lift of P_deg; its
+    basis is the non-pivot border columns of that span.  Returns the
     component and the trace of each class representative in ``sigmas``.
     """
     n, k = cache.n, cache.k
@@ -685,6 +609,15 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         row = {offset[v] + i: a * c for i, c in x.items()}
                         row.update((offset[w] + i, b * c) for i, c in y.items())
                         rel.insert(row)
+    # the one-position monomials m_p(deg) = u_p * m_p(deg - e_g), g the first
+    # set of positive degree, as border vectors; their sum is the lift of P
+    ones = []
+    if sum(deg[0]) + sum(deg[1]) <= n and max(deg[1], default=0) <= 1:
+        g = min(preds)
+        for p, (x, dx) in enumerate(below[preds[g]].powers):
+            ones.append(({offset[g * n + p] + i: c for i, c in x.items()}, dx))
+        den = lcm(*(dx for _x, dx in ones))
+        rel.insert({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
     where = _standard_coordinates(rel)
     mult = {}
     own = []  # the label of a standard column is the variable of its block
@@ -715,47 +648,47 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         action[rho] = cols
         traces[rho] = trace
     sources = {g: below[pred].labels for g, pred in preds.items()}
-    return _QuotientComponent(len(where), mult, action, own, sources), traces
+    powers = [_class_of(rel, x, where, dx) for x, dx in ones]
+    return _QuotientComponent(len(where), mult, action, own, sources, powers), traces
 
 
 def _series_scan(cache: IdealComponentCache, per_component, types=()):
     """Drive the shell-by-shell scan until the first all-zero shell.
 
-    Shells up to total degree n come from ideal components; every later shell
-    comes from the one below it on the quotient side (``_koszul_component``),
-    so only two quotient shells are held at a time.  ``per_component`` gets
+    Every shell of positive degree comes from the one below it on the
+    quotient side (``_koszul_component``), starting from Q_0 = span{1}, so
+    only two quotient shells are held at a time.  ``per_component`` gets
     each nonzero component's multidegree, dimension and the traces of the
     class representatives of ``types``.
     """
     n, k, j = cache.n, cache.k, cache.j
     identity = (1,) * n
     sigmas = {rho: snchar.class_representative(rho) for rho in types if rho != identity}
-    below = {}
-    total = 0
+    zero = ((0,) * k, (0,) * j)
+    unit = [({0: 1}, 1)]
+    per_component(zero, 1, dict.fromkeys(types, 1))
+    one = _QuotientComponent(
+        dim=1,
+        mult={},
+        action=dict.fromkeys(sigmas, unit),
+        # above every variable, so no relation on the unit is ever skipped
+        labels=[(k + j) * n],
+        source_labels={},
+        powers=unit * n,
+    )
+    below = {zero: one}
+    total = 1
     while True:
-        degs = shell_multidegrees(n, k, j, total)
-        if not degs:
-            break
         shell = {}
-        nonzero = False
-        for deg in degs:
-            if total <= n:
-                basis = ideal_component(cache, deg)
-                qdim = basis.dim - basis.rank
-                if qdim:
-                    class_fn = {rho: quotient_character(cache, deg, rho) for rho in types}
-            else:
-                shell[deg], class_fn = _koszul_component(cache, deg, below, sigmas)
-                qdim = shell[deg].dim
+        for deg in shell_multidegrees(n, k, j, total):
+            shell[deg], class_fn = _koszul_component(cache, deg, below, sigmas)
+            qdim = shell[deg].dim
+            if qdim:
                 if types:
                     class_fn[identity] = qdim
-            if qdim:
-                nonzero = True
                 per_component(deg, qdim, class_fn)
-        if total > 0 and not nonzero:
+        if not any(comp.dim for comp in shell.values()):
             break
-        if total == n:
-            shell = {deg: _boundary_component(cache, deg, sigmas) for deg in degs}
         below = shell
         total += 1
 
@@ -771,10 +704,14 @@ def frobenius_series(
 
     Termination at the first empty total-degree shell is valid because the
     quotient ring is generated by 1: every higher component is a variable
-    multiple of the previous shell.
+    multiple of the previous shell.  A series in the cache directory is read
+    instead of scanned, and a scanned one is stored there.
     """
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
+    series = cache._load("frobenius")
+    if series is not None:
+        return series
     series = FrobeniusSeries(n, k, j)
 
     def per_component(deg, qdim, class_fn):
@@ -788,6 +725,8 @@ def frobenius_series(
         series.components[deg] = mults
 
     _series_scan(cache, per_component, partitions_of(n))
+    if cache.cache_dir is not None:
+        cache._save("frobenius", series)
     return series
 
 
@@ -798,16 +737,25 @@ def hilbert_series(
     ceiling: int = DEFAULT_CEILING,
     cache: IdealComponentCache | None = None,
 ) -> QUPoly:
-    """Multigraded Hilbert series (dimensions only, no character work)."""
+    """Multigraded Hilbert series (dimensions only, no character work).
+
+    Read from and stored in the cache directory as ``frobenius_series`` is.
+    """
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
+    hilbert = cache._load("hilbert")
+    if hilbert is not None:
+        return hilbert
     out = {}
 
     def per_component(deg, qdim, _class_fn):
         out[tuple(deg[0]) + tuple(deg[1])] = qdim
 
     _series_scan(cache, per_component)
-    return QUPoly(k, j, out)
+    hilbert = QUPoly(k, j, out)
+    if cache.cache_dir is not None:
+        cache._save("hilbert", hilbert)
+    return hilbert
 
 
 def coeff_table(series: FrobeniusSeries, degree_bound: int | None = None) -> CoeffTable:

@@ -11,8 +11,8 @@ all permutations with tuple exponents (``_wmul``), and ``cauchy_oracle``
 runs the truncated super Cauchy comparison on ``QUPoly`` coefficients
 indexed by every z-exponent, not only the dominant ones.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
-every degree among the generators, which the engine replaced above total
-degree n by the degree bound and the quotient-side recursion.
+every degree among the generators, which the engine replaced by the
+polarized power sums and the quotient-side recursion.
 ``koszul_relations`` offers every super-Koszul relation of a quotient
 component, with none of the engine's chain-criterion pruning.
 
@@ -432,11 +432,12 @@ def full_invariant_scan(n: int, k: int, j: int):
     Every ideal component is the span of the variable-shifted lower
     components and the invariants, at every degree, and every character is
     the ambient trace minus the trace on the ideal, as the engine computed
-    them before it stopped the ideal side at total degree n.  Returns
-    (hilbert, frobenius, contained): quotient dimensions keyed by the flat
-    exponent tuple, nonzero multiplicities keyed by (r, s), and for each
-    multidegree of total degree above n whether its invariants already lie in
-    the span of the shifted lower components, V * I_(d-1).
+    them before it had the quotient side.  Returns (hilbert, frobenius,
+    contained): quotient dimensions keyed by the flat exponent tuple, nonzero
+    multiplicities keyed by (r, s), and for each multidegree of positive
+    degree whether its invariants lie in V * I_(d-1), the span of the shifted
+    lower components, and whether they lie in V * I_(d-1) + Q * P_d, P_d
+    taken as the Reynolds average of the one-position monomial at position 0.
     """
     ideal: dict = {}
     hilbert: dict = {}
@@ -450,7 +451,8 @@ def full_invariant_scan(n: int, k: int, j: int):
         nonzero = False
         for deg in degs:
             r, s = deg
-            basis = SubspaceBasis(len(superring.monomial_space(n, k, j, r, s)[0]))
+            index = superring.monomial_space(n, k, j, r, s)[1]
+            basis = SubspaceBasis(len(index))
             if total > 0:
                 for g, d in enumerate(r + s):
                     if not d:
@@ -467,8 +469,11 @@ def full_invariant_scan(n: int, k: int, j: int):
                             if vec:
                                 basis.insert(vec)
                 invariants = superring.invariant_vectors(n, k, j, r, s)[2]
-                if total > n:
-                    contained[deg] = all(basis.contains(vec) for vec in invariants)
+                shifted = all(basis.contains(vec) for vec in invariants)
+                if max(s, default=0) <= 1:
+                    first = (tuple((e,) + (0,) * (n - 1) for e in r), tuple(s))
+                    basis.insert({index[m]: c for m, c in reynolds(n, {first: 1}).items()})
+                contained[deg] = (shifted, all(basis.contains(vec) for vec in invariants))
                 for vec in invariants:
                     basis.insert(vec)
             ideal[deg] = basis

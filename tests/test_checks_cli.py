@@ -267,6 +267,7 @@ _VERIFY_NEGATIVE = [
     ("artin", "--degree-bound"),
     ("cancellation", "--m"),
     ("all", "--j"),
+    ("all", "--ceiling"),
 ]
 # one check covers every subcommand: the same flags on the others
 _COMMAND_NEGATIVE = [
@@ -276,6 +277,7 @@ _COMMAND_NEGATIVE = [
     (["expand", "--n", "3"], "--j"),
     (["cauchy", "--n", "2", "--k", "1"], "--degree-bound"),
     (["cauchy", "--n", "2"], "--j"),
+    (["compute", "--n", "3", "--k", "1"], "--ceiling"),
 ]
 
 
@@ -314,6 +316,13 @@ def test_cli_table_refuses_malformed_artifact(tmp_path, content, detail):
     assert code == 2
     assert out == ""
     assert str(artifact) in err and detail in err
+
+
+def test_cli_verify_refuses_n_zero():
+    # the closed forms of exterior, parts_le_two and sign_coeffs hold for n >= 1
+    code, out, err = _run_cli(["verify", "all", "--n", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: verify needs --n of at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -411,15 +420,16 @@ def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
 
 
 def test_bound_closure_reuses_the_session_components():
-    # the series scan's ideal components up to degree n serve the closure
-    # check as they are: none is rebuilt
+    # the closure check builds the ideal components up to degree n once per
+    # session, and none above it: a second run reuses every one
     session = CheckSession()
-    session.frobenius(3, 1, 1)
-    built = dict(session.ideal_cache(3, 1, 1).ideal)
-    assert built
     report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
     assert report.passed, report.witness
+    built = dict(session.ideal_cache(3, 1, 1).ideal)
+    assert built and max(sum(r) + sum(s) for r, s in built) == 3
+    assert run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1}).passed
     after = session.ideal_cache(3, 1, 1).ideal
+    assert after.keys() == built.keys()
     assert all(after[deg] is basis for deg, basis in built.items())
 
 
@@ -459,57 +469,71 @@ def test_cli_table_renders_hilbert(tmp_path, fmt):
     assert out == direct
 
 
-def _tamper_dim(payload):
-    payload["dim"] += 1
-
-
-def _tamper_r(payload):
-    payload["r"] = [payload["r"][0] + 1]
-
-
-def _tamper_pivot_value(payload):
-    row, pivot = payload["vectors"][0], payload["pivots"][0]
-    # the entries of a row are sorted by coordinate and the pivot is the
-    # least coordinate of its row, so it comes first
-    assert row[0][1] == "1", pivot
-    row[0][1] = "2"
-
-
-def _tamper_monomial(payload):
-    # an entry index past the component's last monomial, in a file whose
-    # digest is recomputed: only the coordinate check can tell
-    row = payload["vectors"][0]
-    row[-1][0] = payload["dim"]
+def _redigest(payload):
+    # a file whose digest is recomputed after the change: only the content
+    # check can tell
     del payload["sha256"]
     payload["sha256"] = coinvariant._digest(payload)
 
 
+def _tamper_dim(payload):
+    # a degree with one entry more than the ring has fermionic sets
+    payload["components"][1]["deg"]["s"].append(0)
+    _redigest(payload)
+
+
+def _tamper_r(payload):
+    payload["components"][1]["deg"]["r"][0] = -1
+    _redigest(payload)
+
+
+def _tamper_pivot_value(payload):
+    mults = payload["components"][1]["mults"]
+    mults[next(iter(mults))] = 0
+    _redigest(payload)
+
+
+def _tamper_monomial(payload):
+    # an irreducible that is not a partition of n = 3
+    mults = payload["components"][1]["mults"]
+    mults["[2,2]"] = mults.pop(next(iter(mults)))
+    _redigest(payload)
+
+
 def _tamper_non_pivot_entry(payload):
-    # a well-formed file whose header and pivots all match: only the
-    # content digest can tell
-    row = payload["vectors"][0]
-    assert len(row) > 1
-    row[1][1] = str(-int(row[1][1]))
+    # a well-formed file whose header matches: only the content digest can tell
+    mults = payload["components"][1]["mults"]
+    mults[next(iter(mults))] += 1
+
+
+def _tamper_ring(payload):
+    payload["n"] = 4
 
 
 @pytest.mark.parametrize(
-    "tamper",
-    [_tamper_dim, _tamper_r, _tamper_pivot_value, _tamper_monomial, _tamper_non_pivot_entry],
-    ids=["dim", "r", "pivot_value", "monomial", "non_pivot_entry"],
+    "tamper,detail",
+    [
+        (_tamper_dim, "is not 1 nonnegative integers"),
+        (_tamper_r, "is not 1 nonnegative integers"),
+        (_tamper_pivot_value, "multiplicity 0 is not a positive integer"),
+        (_tamper_monomial, "[2,2] is not a partition of 3"),
+        (_tamper_non_pivot_entry, "content does not match its SHA-256"),
+        (_tamper_ring, "does not match the request: n is 4, expected 3"),
+    ],
+    ids=["dim", "r", "pivot_value", "monomial", "non_pivot_entry", "ring"],
 )
-def test_cli_refuses_tampered_cache_file(tmp_path, tamper):
+def test_cli_refuses_tampered_cache_file(tmp_path, tamper, detail):
     argv = ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"]
     argv += ["--cache-dir", str(tmp_path)]
     code, expected, _ = _run_cli(argv)
     assert code == 0
-    path = next(tmp_path.rglob("r1_s0.json"))
+    path = tmp_path / "frobenius_n3_k1_j1.json"
     # an untouched cache reproduces the output
     assert _run_cli(argv)[:2] == (0, expected)
     payload = json.loads(path.read_text())
-    assert payload["pivots"]
     tamper(payload)
     path.write_text(json.dumps(payload))
     code, out, err = _run_cli(argv)
     assert code == 2
     assert out == ""
-    assert str(path) in err
+    assert str(path) in err and detail in err

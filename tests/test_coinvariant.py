@@ -16,7 +16,8 @@ from supercoinv.coinvariant import (
     shell_multidegrees,
 )
 from supercoinv.qcombinat import partitions_of, q_factorial
-from supercoinv.superring import permutation_action
+from supercoinv.snchar import class_representative
+from supercoinv.superring import invariant_basis, permutation_action
 from supercoinv.superschur import QUPoly
 
 
@@ -68,15 +69,17 @@ def test_quotient_character_fermionic_standard():
 
 
 def test_quotient_character_checked_small():
-    # exhaustive membership verification of every permuted basis vector
+    # every ideal component is S_n-stable: each permuted basis vector lies in it
     for (n, k, j) in [(2, 1, 1), (3, 1, 1), (3, 0, 2), (3, 2, 0)]:
         cache = IdealComponentCache(n, k, j)
         series = frobenius_series(n, k, j, cache=cache)
         for deg in _scanned_degrees(series):
+            basis = ideal_component(cache, deg)
             for rho in partitions_of(n):
-                unchecked = quotient_character(cache, deg, rho)
-                checked = quotient_character(cache, deg, rho, check_invariant=True)
-                assert unchecked == checked
+                signs, targets = permutation_action(n, k, j, *deg, class_representative(rho))
+                for row in basis.vectors:
+                    image = {targets[i]: signs[i] * v for i, v in row.items()}
+                    assert basis.contains(image), (n, k, j, deg, rho)
 
 
 def test_ambient_trace_identity_is_dimension():
@@ -194,41 +197,41 @@ def test_coeff_table_json_roundtrip():
 
 
 def test_disk_cache_roundtrip(tmp_path):
+    # what _save writes, _load reads back, for both kinds of series
+    series, hilbert = frobenius_series(3, 1, 1), hilbert_series(3, 1, 1)
     cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
-    deg = ((2,), (1,))
-    basis = ideal_component(cache, deg)
-    cache._save(deg, basis)
+    cache._save("frobenius", series)
+    cache._save("hilbert", hilbert)
     fresh = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
-    loaded = ideal_component(fresh, deg)
-    assert loaded.pivots == basis.pivots
-    assert loaded.vectors == basis.vectors
+    assert fresh._load("frobenius").components == series.components
+    assert fresh._load("hilbert") == hilbert
 
 
 def test_eviction_persists_to_disk(tmp_path):
+    # a scan writes its finished series, one file per ring and kind
     cache = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
     series = frobenius_series(2, 1, 1, cache=cache)
-    assert series.components
+    hilbert = hilbert_series(2, 1, 1, cache=cache)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["frobenius_n2_k1_j1.json", "hilbert_n2_k1_j1.json"]
     fresh = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
-    deg = ((1,), (0,))
-    loaded = ideal_component(fresh, deg)
-    direct_cache = IdealComponentCache(2, 1, 1)
-    direct = ideal_component(direct_cache, deg)
-    assert loaded.pivots == direct.pivots
-    assert loaded.vectors == direct.vectors
+    assert fresh._load("frobenius").components == series.components
+    assert fresh._load("hilbert") == hilbert
 
 
 def test_every_computed_component_is_persisted(tmp_path, monkeypatch):
-    # every ideal component a scan computes is written, so a second scan
-    # computes none
+    # every series a scan computes is written, so a second run scans nothing
     cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
     series = frobenius_series(3, 1, 1, cache=cache)
+    hilbert = hilbert_series(3, 1, 1, cache=cache)
 
-    def no_elimination(*args, **kwargs):
-        raise AssertionError("a component was computed instead of loaded")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a series was computed instead of loaded")
 
-    monkeypatch.setattr(coinvariant, "span_basis", no_elimination)
+    monkeypatch.setattr(coinvariant, "_series_scan", no_scan)
     fresh = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
     assert frobenius_series(3, 1, 1, cache=fresh).components == series.components
+    assert hilbert_series(3, 1, 1, cache=fresh) == hilbert
 
 
 @pytest.mark.parametrize("n,k,j", [(-1, 1, 0), (3, -1, 0), (3, 1, -2)])
@@ -265,38 +268,70 @@ def test_ceiling_exceeded_names_the_quotient_border():
 
 
 def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
-    deg = ((1,), (0,))
-    ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
-    path = next(tmp_path.rglob("r1_s0.json"))
+    frobenius_series(3, 1, 1, cache=IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)))
+    path = tmp_path / "frobenius_n3_k1_j1.json"
     written = path.read_text()
+
+    def load(payload):
+        path.write_text(json.dumps(payload))
+        return IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))._load("frobenius")
+
     payload = json.loads(written)
-    row = payload["vectors"][0]
-    assert len(row) > 1 and row[1][1] == "1"
-    row[1][1] = "2"  # a non-pivot entry: every header field still matches
-    path.write_text(json.dumps(payload))
+    mults = payload["components"][1]["mults"]
+    mu = next(iter(mults))
+    mults[mu] += 1  # a multiplicity: every header field still matches
     with pytest.raises(ValueError, match="SHA-256") as err:
-        ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
+        load(payload)
     assert str(path) in str(err.value)
     payload = json.loads(written)
     del payload["format"]
-    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="format") as err:
-        ideal_component(IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)), deg)
+        load(payload)
+    assert str(path) in str(err.value)
+    # a Hilbert series filed under the Frobenius name
+    payload = json.loads(written)
+    payload["kind"] = "hilbert"
+    with pytest.raises(ValueError, match="kind is 'hilbert', expected 'frobenius'") as err:
+        load(payload)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "term,detail",
+    [({"e": [1, 0, 0], "c": "2"}, "2 nonnegative integers"), ({"e": [1, 0], "c": "0"}, "0 is not")],
+    ids=["arity", "zero"],
+)
+def test_disk_cache_refuses_a_damaged_hilbert_file(tmp_path, term, detail):
+    # a content change under a recomputed digest: the header and digest pass
+    hilbert_series(3, 1, 1, cache=IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)))
+    path = tmp_path / "hilbert_n3_k1_j1.json"
+    payload = json.loads(path.read_text())
+    del payload["sha256"]
+    payload["hilbert"][1] = term
+    payload["sha256"] = coinvariant._digest(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=detail) as err:
+        IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))._load("hilbert")
     assert str(path) in str(err.value)
 
 
 def test_cache_file_roundtrip_by_coordinate(tmp_path):
-    # entries are [coordinate, value] pairs in monomial_space order; (3,2,1)
-    # has rows that are not integral over Q, so some values are fractions
-    deg = ((1, 1), (0,))
-    written = ideal_component(IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path)), deg)
-    payload = json.loads(next(tmp_path.rglob("r1-1_s0.json")).read_text())
-    assert payload["format"] == coinvariant.CACHE_FORMAT == 3
-    entries = [entry for row in payload["vectors"] for entry in row]
-    assert all(type(i) is int and 0 <= i < payload["dim"] for i, _v in entries)
-    assert any("/" in v for _i, v in entries)
-    read = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))._load(deg)
-    assert (read.pivots, read.vectors) == (written.pivots, written.vectors)
+    # a cache file is the artifact ``compute`` prints, plus its format, its
+    # kind and its digest; (3,2,1) has every degree of both alphabets
+    cache = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))
+    hilbert = hilbert_series(3, 2, 1, cache=cache).to_json()
+    artifacts = {
+        "frobenius": frobenius_series(3, 2, 1, cache=cache).to_json(),
+        "hilbert": {"n": 3, "k": 2, "j": 1, "hilbert": hilbert},
+    }
+    assert coinvariant.CACHE_FORMAT == 4
+    for kind, artifact in artifacts.items():
+        payload = json.loads((tmp_path / f"{kind}_n3_k2_j1.json").read_text())
+        assert payload.pop("sha256") == coinvariant._digest(payload)
+        assert (payload.pop("format"), payload.pop("kind")) == (4, kind)
+        assert payload == artifact
+        read = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))._load(kind)
+        assert read.to_json() == (artifact if kind == "frobenius" else artifact["hilbert"])
 
 
 def test_quotient_character_rejects_bad_type():
@@ -321,7 +356,7 @@ def test_invariants_contained_in_ideal():
             if sum(deg[0]) + sum(deg[1]) == 0:
                 continue
             ideal = ideal_component(cache, deg)
-            inv = cache.invariant_basis(deg)
+            inv = invariant_basis(n, k, j, *deg)
             for row in inv.vectors:
                 assert ideal.contains(row), deg
 
@@ -344,7 +379,7 @@ def _literal_ideal_basis(cache, deg):
         e_r, e_s = tuple(combo[:k]), tuple(combo[k:])
         if sum(e_r) + sum(e_s) == 0:
             continue
-        inv = cache.invariant_basis((e_r, e_s))
+        inv = invariant_basis(n, k, j, e_r, e_s)
         if not inv.vectors:
             continue
         inv_monos, _ = cache.monomial_space((e_r, e_s))

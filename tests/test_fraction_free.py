@@ -1,16 +1,20 @@
 """Fraction-free bases against the independent rational RREF oracle."""
 
-import json
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import OracleBasis, rref
+from oracles import OracleBasis, full_invariant_scan, rref
 
-from supercoinv import superring
-from supercoinv.coinvariant import IdealComponentCache, frobenius_series
+from supercoinv.coinvariant import (
+    FrobeniusSeries,
+    IdealComponentCache,
+    frobenius_series,
+    hilbert_series,
+)
 from supercoinv.exactla import SubspaceBasis, solve_columns, span_basis
+from supercoinv.qcombinat import QUPoly
 
 _SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -101,47 +105,18 @@ def test_from_rows_clears_denominators():
     assert basis.reduce({2: 1}) == {2: 1}
 
 
-def _oracle_ideal(cache, deg, memo):
-    """The recursion of ``coinvariant.ideal_component``, eliminated by the oracle."""
-    if deg in memo:
-        return memo[deg]
-    n, k, j = cache.n, cache.k, cache.j
-    r, s = deg
-    monos, _index = cache.monomial_space(deg)
-    vectors = []
-    if sum(r) + sum(s) > 0:
-        preds = [("b", a, (r[:a] + (r[a] - 1,) + r[a + 1 :], s)) for a in range(k) if r[a]]
-        preds += [("f", c, (r, s[:c] + (s[c] - 1,) + s[c + 1 :])) for c in range(j) if s[c]]
-        for kind, idx, pred in preds:
-            pred_basis = _oracle_ideal(cache, pred, memo)
-            for pos in range(n):
-                signs, tgt = superring.shift_map(n, k, j, pred[0], pred[1], kind, idx, pos)
-                for row in pred_basis.vectors:
-                    vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
-                    if vec:
-                        vectors.append(vec)
-        vectors.extend(superring.invariant_vectors(n, k, j, r, s)[2])
-    memo[deg] = OracleBasis(vectors, len(monos))
-    return memo[deg]
-
-
 def test_cache_files_match_oracle_bytes(tmp_path):
-    # (3,2,1) has ideal components whose reduced-echelon rows are not
-    # integral, so some stored rows have pivot values above 1
+    # the series files a scan writes are byte for byte the files written from
+    # the series of the oracle's ideal-side recursion (Inv_d at every degree)
     engine_dir, oracle_dir = tmp_path / "engine", tmp_path / "oracle"
     cache = IdealComponentCache(3, 2, 1, cache_dir=str(engine_dir))
     frobenius_series(3, 2, 1, cache=cache)
-    files = sorted(engine_dir.rglob("*.json"))
-    assert files
+    hilbert_series(3, 2, 1, cache=cache)
+    hilbert, frobenius, _contained = full_invariant_scan(3, 2, 1)
     oracle_cache = IdealComponentCache(3, 2, 1, cache_dir=str(oracle_dir))
-    memo = {}
-    fractional = 0
-    for path in files:
-        payload = path.read_text()
-        fractional += "/" in payload
-        data = json.loads(payload)
-        deg = (tuple(data["r"]), tuple(data["s"]))
-        oracle_cache._save(deg, _oracle_ideal(oracle_cache, deg, memo))
-        twin = oracle_dir / path.relative_to(engine_dir)
-        assert twin.read_bytes() == path.read_bytes(), path.name
-    assert fractional > 0
+    oracle_cache._save("frobenius", FrobeniusSeries(3, 2, 1, frobenius))
+    oracle_cache._save("hilbert", QUPoly(2, 1, hilbert))
+    files = sorted(p.name for p in engine_dir.iterdir())
+    assert files == ["frobenius_n3_k2_j1.json", "hilbert_n3_k2_j1.json"]
+    for name in files:
+        assert (oracle_dir / name).read_bytes() == (engine_dir / name).read_bytes(), name
