@@ -14,7 +14,6 @@ from .coinvariant import (
     coeff_table,
     frobenius_series,
     hilbert_series,
-    quotient_character,
 )
 from .superschur import QUPoly, expand_super_schur, super_cauchy_check, super_schur
 
@@ -30,7 +29,6 @@ __all__ = [
     "expand_super_schur",
     "frobenius_series",
     "hilbert_series",
-    "quotient_character",
     "super_cauchy_check",
     "super_schur",
     "__version__",

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from typing import NamedTuple
 
-from . import coinvariant, snchar, superring
+from . import coinvariant, snchar
 from .coinvariant import (
     CeilingExceeded,
     IdealComponentCache,
     coeff_table,
     frobenius_series,
     hilbert_series,
-    shell_multidegrees,
+    quotient_shells,
 )
 from .qcombinat import (
     QUPoly,
@@ -32,7 +33,13 @@ from .qcombinat import (
     rectangle_coeff,
     sagan_swanson_sum,
 )
-from .superschur import cauchy_tableau_bound, specialize, super_cauchy_check, super_schur
+from .superschur import (
+    cauchy_tableau_bound,
+    expansion_tableau_bound,
+    specialize,
+    super_cauchy_check,
+    super_schur,
+)
 
 __all__ = [
     "CheckReport",
@@ -41,6 +48,7 @@ __all__ = [
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
+    "expansion_ceiling_guard",
 ]
 
 
@@ -67,11 +75,11 @@ class CheckReport:
 
 
 class CheckSession:
-    """Memoized access to series, tables and ideal components per ring.
+    """Memoized access to series, tables and quotient shells per ring.
 
     One ``IdealComponentCache`` per (n, k, j) serves every series scan and
-    check of that ring: the series over a shared cache directory, the ideal
-    components of the closure check in memory.
+    check of that ring: the series over a shared cache directory, the
+    quotient shells of the closure check in memory.
     """
 
     def __init__(self, ceiling: int = coinvariant.DEFAULT_CEILING, cache_dir=None):
@@ -83,6 +91,7 @@ class CheckSession:
         self._table: dict = {}
 
     def ideal_cache(self, n: int, k: int, j: int) -> IdealComponentCache:
+        """The ring's one store: its series files and the closure check's quotient shells."""
         key = (n, k, j)
         if key not in self._caches:
             self._caches[key] = IdealComponentCache(
@@ -108,7 +117,9 @@ class CheckSession:
     def table(self, n: int, k: int, j: int):
         key = (n, k, j)
         if key not in self._table:
-            self._table[key] = coeff_table(self.frobenius(n, k, j))
+            series = self.frobenius(n, k, j)
+            expansion_ceiling_guard(k, j, n, series.max_total_degree(), self.ceiling)
+            self._table[key] = coeff_table(series)
         return self._table[key]
 
 
@@ -388,18 +399,138 @@ def check_hilb11(session: CheckSession, n: int) -> CheckReport:
     return _report("hilb11", params, witness, started)
 
 
-_DERIVATION_KINDS = ("b", "f")
+class Polarization(NamedTuple):
+    """A superderivation E of R by its values on the variables.
+
+    Variables are indexed set * n + position, bosonic sets first.  E sends
+    each key of ``image`` to its value and every other variable to 0;
+    ``target`` and ``source`` are the sets of those values and keys, and
+    ``odd`` is the parity of E.
+    """
+
+    target: int
+    source: int
+    image: dict
+    odd: bool
+
+    def label(self, k: int) -> list:
+        """[[kind, set], [kind, set]] of target and source, as witnesses name them."""
+        return [["b", g] if g < k else ["f", g - k] for g in (self.target, self.source)]
+
+
+def _polarization_operators(n: int, k: int, j: int) -> list:
+    """Every E_(t,s) = sum_p t_p d/d s_p, targets then sources bosonic first."""
+    sets = {"b": range(k), "f": range(k, k + j)}
+    return [
+        Polarization(t, s, {s * n + p: t * n + p for p in range(n)}, (t < k) != (s < k))
+        for tkind in "bf"
+        for skind in "bf"
+        for t in sets[tkind]
+        for s in sets[skind]
+    ]
+
+
+def _combine(terms, den: int = 1):
+    """sum of c * x / dx over the terms (c, (x, dx)), over den, as a column in lowest terms."""
+    common = lcm(*(dx for _c, (_x, dx) in terms))
+    out = {}
+    for c, (x, dx) in terms:
+        f = c * (common // dx)
+        for i, v in x.items():
+            out[i] = out.get(i, 0) + f * v
+    out = {i: v for i, v in out.items() if v}
+    den *= common
+    g = gcd(den, *out.values())
+    return {i: v // g for i, v in out.items()}, den // g
+
+
+def _apply(matrix: list, col):
+    """The matrix (a list of columns) times a column, both as (vector, denominator)."""
+    x, dx = col
+    return _combine([(c, matrix[i]) for i, c in x.items()], dx)
+
+
+def _closure_witness(shells: list, n: int, k: int, operators) -> tuple | None:
+    """(multidegree, operator) of the first border column that breaks the Leibniz rule, or None.
+
+    ``shells`` are the quotient shells from degree 0; the rule and its proof
+    are in ``check_bound_and_closure``.
+    """
+    below = [{} for _ in operators]  # per operator: multidegree -> columns of E
+    for shell in shells[1:]:
+        here = [{} for _ in operators]
+        for deg in sorted(shell):
+            comp = shell[deg]
+            preds = coinvariant._predecessors(deg, k)
+            standard = set(zip(comp.labels, comp.origins))
+            for op, lower, hat in zip(operators, below, here):
+                flat = list(deg[0] + deg[1])
+                if not flat[op.source]:
+                    continue  # E vanishes on the component
+                flat[op.source] -= 1
+                flat[op.target] += 1
+                target = shell.get((tuple(flat[:k]), tuple(flat[k:])))
+                if target is None:
+                    continue  # a fermionic degree above n: E maps into Q = 0
+
+                def leibniz(v: int, b: int):
+                    """E(v) b + (-1)^(|E||v|) v E(b), b a basis element of Q_(deg - e_v)."""
+                    terms = []
+                    w = op.image.get(v)
+                    if w is not None:
+                        terms.append((1, target.mult[w][b]))
+                    low = lower.get(preds[v // n])
+                    if low is not None and low[b][0]:
+                        sign = -1 if op.odd and v // n >= k else 1
+                        terms.append((sign, _apply(target.mult[v], low[b])))
+                    return _combine(terms)
+
+                cols = hat[deg] = [leibniz(u, b) for u, b in zip(comp.labels, comp.origins)]
+                for v, matrix in comp.mult.items():
+                    for b, col in enumerate(matrix):
+                        if (v, b) not in standard and _apply(cols, col) != leibniz(v, b):
+                            return deg, op
+        below = here
+    return None
 
 
 def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
-    """Restriction-multiplicity bound on the table; derivation closure of the ideal.
+    """Restriction-multiplicity bound on the table; closure of I under polarization.
 
-    Closure is checked on the ideal components of total degree <= n, built in
-    memory.  The higher degrees follow: a polarization operator E is a
-    superderivation with E(v) in V or 0 for each variable v, so
-    E(v f) = E(v) f +- v E(f), and above degree n I_d = V * I_(d-1) (the
-    generator statement in ``coinvariant``); by induction on the degree, E
-    maps I_d into I when it does so up to degree n.
+    Closure is decided on the quotient shells of total degree <= n, by the
+    Leibniz rule on their multiplication matrices (``_closure_witness``).
+    Let E be a superderivation with E(v) in V for each variable v (zero
+    outside the source set), pi: R -> Q the projection, and define E^ on Q
+    by E^(1) = 0 and E^([u b]) = [E(u) b] + (-1)^(|E||u|) u E^(b) for each
+    basis element s = [u b] (its label u, its origin b).  The rule at a
+    border column v (x) b of Q_d, b a basis element of Q_(d - e_v), is
+
+        E^(v b) = E(v) b + (-1)^(|E||v|) v E^(b),
+
+    both sides computed with the multiplication matrices; at the standard
+    columns (label, origin) it is the definition.  Claim: the rule holds at
+    every border column of every shell of total degree <= m if and only if
+    E(I_d) lies in I for every |d| <= m.
+
+    If.  E(I_d) in I for |d| <= m makes E^ the map E induces on those
+    shells: both vanish on 1 and obey the same recursion on the basis.  The
+    induced map obeys the rule, because E(v f) = E(v) f + (-1)^(|E||v|) v E(f)
+    in R, so E^ does.
+
+    Only if.  Induction over the monomials, by degree, shows
+    E^(pi(f)) = pi(E(f)) for |deg f| <= m: it holds for 1, and a monomial is
+    v f' with f' of lower degree; writing pi(f') = sum_b c_b b, the rule at
+    each column v (x) b gives
+    E^(pi(v f')) = sum_b c_b E^(v b) = E(v) pi(f') + (-1)^(|E||v|) v E^(pi(f'))
+    = pi(E(v) f' + (-1)^(|E||v|) v E(f')) = pi(E(v f')).  So f in I_d gives
+    pi(E(f)) = E^(0) = 0, that is E(f) in I.
+
+    The induction is per multidegree, given the lower total degrees, so the
+    first (multidegree, operator) that fails is the first at which E maps
+    part of I_d out of I: the witness of the ideal-side check.  Degree n is
+    enough: above it I_d = V * I_(d-1) (the generator statement in
+    ``coinvariant``), and for f = sum v f_v, E(f) = sum E(v) f_v +- v E(f_v)
+    lies in I once every E(f_v) does, by induction on the degree.
     """
     started = time.perf_counter()
     params = {"n": n, "k": k, "j": j}
@@ -416,39 +547,11 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
                 "d": bound,
             }
             return _report("bound_closure", params, witness, started)
-    # closure: push each basis vector through every polarization operator,
-    # which keeps the total degree
-    cache = session.ideal_cache(n, k, j)
-    operators = []
-    for tkind in _DERIVATION_KINDS:
-        for skind in _DERIVATION_KINDS:
-            tcount = k if tkind == "b" else j
-            scount = k if skind == "b" else j
-            for ti in range(tcount):
-                for si in range(scount):
-                    operators.append(((tkind, ti), (skind, si)))
-    for deg in (d for total in range(n + 1) for d in sorted(shell_multidegrees(n, k, j, total))):
-        basis = coinvariant.ideal_component(cache, deg)
-        if not basis.vectors:
-            continue
-        for target, source in operators:
-            op = superring.polarization_map(n, k, j, *deg, target, source)
-            if op is None:
-                continue
-            img_deg, images = op
-            for row in basis.vectors:
-                vec = {}
-                for i, v in row.items():
-                    for t, c in images[i].items():
-                        vec[t] = vec.get(t, 0) + c * v
-                vec = {t: c for t, c in vec.items() if c}
-                if vec and not coinvariant.ideal_component(cache, img_deg).contains(vec):
-                    witness = {
-                        "stage": "closure",
-                        "deg": {"r": list(deg[0]), "s": list(deg[1])},
-                        "operator": [list(target), list(source)],
-                    }
-                    return _report("bound_closure", params, witness, started)
+    shells = quotient_shells(session.ideal_cache(n, k, j))
+    found = _closure_witness(shells, n, k, _polarization_operators(n, k, j))
+    if found is not None:
+        (r, s), op = found
+        witness = {"stage": "closure", "deg": {"r": list(r), "s": list(s)}, "operator": op.label(k)}
     return _report("bound_closure", params, witness, started)
 
 
@@ -548,12 +651,21 @@ def check_haiman(session: CheckSession, n: int) -> CheckReport:
     return _report("haiman", params, witness, started)
 
 
+def _refuse_tableaux(bound: int, ceiling: int, where: str) -> None:
+    if bound > ceiling:
+        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
+
+
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
     """Refuse a Cauchy check whose tableau bound exceeds the ceiling, before it starts."""
-    bound = cauchy_tableau_bound(k, j, n, degree)
-    if bound > ceiling:
-        where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
-        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
+    where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
+    _refuse_tableaux(cauchy_tableau_bound(k, j, n, degree), ceiling, where)
+
+
+def expansion_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
+    """Refuse a coefficient table whose tableau bound exceeds the ceiling, before it starts."""
+    where = f"the super Schur expansion at k={k} j={j} n={n} degree {degree}"
+    _refuse_tableaux(expansion_tableau_bound(k, j, n, degree), ceiling, where)
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int = 2, jmax: int = 2, degree: int = 6) -> CheckReport:

@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=coinvariant.DEFAULT_CEILING,
             help=(
-                "max columns per multidegree: of its quotient border (sum over variables v"
-                " of dim Q at deg - e_v), and of the monomial spaces the closure check builds;"
-                " for the Cauchy check, max tableaux (an upper bound on those it enumerates)"
+                "max columns per multidegree of its quotient border (sum over variables v"
+                " of dim Q at deg - e_v); for coefficient tables and the Cauchy check, max"
+                " tableaux (an upper bound on those they enumerate)"
             ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -268,6 +268,8 @@ def _run_expand(args) -> int:
     n, k, j = args.n, args.k or 0, args.j or 0
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
     series = session.frobenius(n, k, j)
+    degree = series.max_total_degree() if args.degree_bound is None else args.degree_bound
+    checks.expansion_ceiling_guard(k, j, n, degree, args.ceiling)
     table = coinvariant.coeff_table(series, degree_bound=args.degree_bound)
     _emit(_COEFF_TABLE[args.format](table), args)
     return 0

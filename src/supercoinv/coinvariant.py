@@ -47,12 +47,10 @@ The Classical Groups, 1939).  With fermionic sets:
    restitution returns r! s! times the invariant inside V * I_(d-1) + Q * P_d.
 
 For |d| > n step 1 puts P_d in V * I_(d-1) as well: the ideal is generated in
-total degree <= n, and I_d = V * I_(d-1) above it.  ``ideal_component``
-builds I_d by this recursion, for the closure check and the tests; the
-series scan builds no ideal component.  Variables and permutations act on
-coordinate indices, through signed index maps of a component
-(``superring.shift_map`` and ``superring.permutation_action``) built once
-and applied to every basis vector.
+total degree <= n, and I_d = V * I_(d-1) above it.  No ideal component is
+built here: the series and the closure check of ``checks`` work on the
+quotient alone, and the test oracles build I_d by this recursion on the
+monomial model.
 
 Quotient side.  The quotient Q = R / I is computed from Q_0 = span{1} by the
 super-Koszul presentation
@@ -106,10 +104,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from . import snchar, superring
-from .exactla import SubspaceBasis, span_basis
+from .exactla import SubspaceBasis
 from .qcombinat import Partition, partition_sort_key, partitions_of
 from .superschur import QUPoly, expand_super_schur
 
@@ -119,11 +118,10 @@ __all__ = [
     "FrobeniusSeries",
     "CoeffTable",
     "IdealComponentCache",
-    "ideal_component",
-    "quotient_character",
     "frobenius_series",
     "hilbert_series",
     "coeff_table",
+    "quotient_shells",
     "shell_multidegrees",
 ]
 
@@ -147,7 +145,7 @@ class CeilingExceeded(RuntimeError):
         deg: Multidegree | None,
         dim: int,
         limit: int,
-        space: str = "monomial space",
+        space: str,
         unit: str = "columns",
     ):
         self.deg = deg
@@ -265,12 +263,14 @@ class CoeffTable:
 
 
 class IdealComponentCache:
-    """Per-(n,k,j) store: ideal components in memory, finished series on disk.
+    """Per-(n,k,j) store: quotient shells in memory, finished series on disk.
 
-    ``ideal_component`` keeps the components it builds in ``ideal``.  With a
-    cache directory, each finished Frobenius or Hilbert series of the ring is
-    written to one file, and a later scan of the same ring reads it instead
-    of computing.
+    ``quotient_shells`` keeps the shells it builds, those of the closure
+    check, in ``shells``.  With a cache directory, each finished Frobenius or
+    Hilbert series of the ring is written to one file, and a later request
+    for that series reads it instead of computing, as does a Hilbert request
+    once the Frobenius series is stored.  (The name predates the quotient
+    side; the benchmark's tracer looks the class up by it.)
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -282,10 +282,7 @@ class IdealComponentCache:
         self.j = j
         self.ceiling = ceiling
         self.cache_dir = cache_dir
-        self.ideal: dict = {}
-
-    def monomial_space(self, deg: Multidegree):
-        return superring.monomial_space(self.n, self.k, self.j, deg[0], deg[1])
+        self.shells: list = []
 
     # -- disk layer ----------------------------------------------------------
 
@@ -385,108 +382,10 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
-def ideal_component(cache: IdealComponentCache, deg: Multidegree) -> SubspaceBasis:
-    """Reduced-echelon basis of the ideal's multidegree-d component, built in memory.
-
-    The recursion I_d = V * I_(d-1) + Q * P_d of the module docstring: the
-    variable-shifted lower components and the polarized power sum.
-    """
-    deg = (tuple(deg[0]), tuple(deg[1]))
-    basis = cache.ideal.get(deg)
-    if basis is not None:
-        return basis
-    n, k, j = cache.n, cache.k, cache.j
-    r, s = deg
-    monos, index = cache.monomial_space(deg)
-    if len(monos) > cache.ceiling:
-        raise CeilingExceeded(deg, len(monos), cache.ceiling)
-    vectors = []
-    if sum(r) + sum(s) > 0:
-        for a in range(k):
-            if r[a] == 0:
-                continue
-            pred = (r[:a] + (r[a] - 1,) + r[a + 1 :], s)
-            vectors.extend(_shifted_vectors(cache, pred, "b", a))
-        for c in range(j):
-            if s[c] == 0:
-                continue
-            pred = (r, s[:c] + (s[c] - 1,) + s[c + 1 :])
-            vectors.extend(_shifted_vectors(cache, pred, "f", c))
-        if max(s, default=0) <= 1:
-            # P_d: the one-position monomials m_p(d), each with coefficient 1
-            power_sum = {}
-            for p in range(n):
-                bos = tuple(tuple(e if q == p else 0 for q in range(n)) for e in r)
-                power_sum[index[(bos, tuple(f << p for f in s))]] = 1
-            vectors.append(power_sum)
-    basis = span_basis(vectors, len(monos))
-    cache.ideal[deg] = basis
-    return basis
-
-
-def _shifted_vectors(cache, pred: Multidegree, kind: str, set_idx: int):
-    """The ideal basis at ``pred`` times each variable of one set, as vectors.
-
-    Each variable acts through one signed index map of the predecessor
-    component (``superring.shift_map``), built once per component and
-    variable, so no monomial is multiplied per vector entry.  Bosonic maps
-    have no signs and no zeros; fermionic maps carry the ordering sign and
-    drop the entries where the fermion is already present.
-    """
-    pred_basis = ideal_component(cache, pred)
-    if not pred_basis.vectors:
-        return
-    n, k, j = cache.n, cache.k, cache.j
-    r, s = pred
-    for pos in range(n):
-        signs, tgt = superring.shift_map(n, k, j, r, s, kind, set_idx, pos)
-        if kind == "b":
-            for row in pred_basis.vectors:
-                yield {tgt[i]: v for i, v in row.items()}
-            continue
-        for row in pred_basis.vectors:
-            vec = {}
-            for i, v in row.items():
-                sign = signs[i]
-                if sign:
-                    vec[tgt[i]] = v if sign > 0 else -v
-            if vec:
-                yield vec
-
-
-def quotient_character(cache: IdealComponentCache, deg: Multidegree, rho: Partition):
-    """Trace of any permutation of cycle type rho on the quotient component.
-
-    Computed as ambient trace minus the trace restricted to the ideal
-    component, which is S_n-stable: its generators, the lower components
-    shifted by variables and the invariant P_d, are permuted into it.
-    """
-    deg = (tuple(deg[0]), tuple(deg[1]))
-    if sum(rho) != cache.n:
-        raise ValueError(f"cycle type {rho} is not a partition of n={cache.n}")
-    sigma = snchar.class_representative(rho)
-    basis = ideal_component(cache, deg)
-    signs, targets = superring.permutation_action(cache.n, cache.k, cache.j, *deg, sigma)
-    # the ambient trace: the signs at the fixed indices
-    amb = sum(sign for idx, (sign, tgt) in enumerate(zip(signs, targets)) if tgt == idx)
-    if not basis.vectors:
-        return amb
-    # invert the signed index permutation once, then read each diagonal
-    # coefficient straight off the pivot coordinate: a row with pivot value d
-    # contributes its entry there over d
-    inverse = [0] * len(targets)
-    for idx, tgt in enumerate(targets):
-        inverse[tgt] = idx
-    tr_ideal = 0
-    for pivot, row in zip(basis.pivots, basis.vectors):
-        pre = inverse[pivot]
-        val = row.get(pre, 0)
-        if val:
-            if signs[pre] < 0:
-                val = -val
-            d = row[pivot]
-            tr_ideal += val if d == 1 else Fraction(val, d)
-    return amb - tr_ideal
+# Names the benchmark's tracer (perfbench/tracer.py) still looks up.  No code
+# path reaches them since the ideal side moved to the test oracles; ROADMAP N3
+# retires the tracer's patches, and these names with them.
+ideal_component = _shifted_vectors = quotient_character = None
 
 
 def shell_multidegrees(n: int, k: int, j: int, total: int):
@@ -511,7 +410,9 @@ class _QuotientComponent:
     A matrix is a list of columns, one per source basis element, and a column
     is a pair (integer vector, positive denominator).  ``labels`` holds one
     variable u per basis element s with s = [u b] (the chain criterion of the
-    module docstring), and ``source_labels`` maps each set to the labels of
+    module docstring), ``origins`` the index of that b in the component one
+    lower in u's set, so that column ``origins[s]`` of ``mult[labels[s]]`` is
+    the unit vector of s, and ``source_labels`` maps each set to the labels of
     the component one lower in that set, the source of its ``mult`` matrices.
     ``powers`` holds the column of each class [m_p(d)], p = 0..n-1, on a
     component with |d| <= n and every s_c <= 1, for the lift of P on the
@@ -522,6 +423,7 @@ class _QuotientComponent:
     mult: dict
     action: dict
     labels: list
+    origins: list
     source_labels: dict
     powers: list
 
@@ -620,13 +522,16 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         rel.insert({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
     where = _standard_coordinates(rel)
     mult = {}
-    own = []  # the label of a standard column is the variable of its block
+    # a standard column v (x) b is the basis element [v b]: its label is the
+    # variable of its block, its origin b
+    own, origins = [], []
     for v, off in offset.items():
         cols = []
         for col in range(off, off + below[preds[v // n]].dim):
             if col in where:
                 cols.append(({where[col]: 1}, 1))
                 own.append(v)
+                origins.append(col - off)
             else:
                 row = rel.row(col)
                 cols.append(({where[i]: -c for i, c in row.items() if i != col}, row[col]))
@@ -649,48 +554,60 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         traces[rho] = trace
     sources = {g: below[pred].labels for g, pred in preds.items()}
     powers = [_class_of(rel, x, where, dx) for x, dx in ones]
-    return _QuotientComponent(len(where), mult, action, own, sources, powers), traces
+    return _QuotientComponent(len(where), mult, action, own, origins, sources, powers), traces
 
 
-def _series_scan(cache: IdealComponentCache, per_component, types=()):
-    """Drive the shell-by-shell scan until the first all-zero shell.
+def _series_scan(cache: IdealComponentCache, types=()):
+    """Yield the quotient shells from degree 0 until the first all-zero shell.
 
     Every shell of positive degree comes from the one below it on the
     quotient side (``_koszul_component``), starting from Q_0 = span{1}, so
-    only two quotient shells are held at a time.  ``per_component`` gets
-    each nonzero component's multidegree, dimension and the traces of the
-    class representatives of ``types``.
+    the scan itself holds only two shells at a time.  Each item is a pair of
+    dicts keyed by the shell's multidegrees: the quotient components, and the
+    trace of each cycle type of ``types`` on them.  Termination at the first
+    empty shell is valid because the quotient ring is generated by 1: every
+    higher component is a variable multiple of the previous shell.
     """
     n, k, j = cache.n, cache.k, cache.j
     identity = (1,) * n
     sigmas = {rho: snchar.class_representative(rho) for rho in types if rho != identity}
     zero = ((0,) * k, (0,) * j)
     unit = [({0: 1}, 1)]
-    per_component(zero, 1, dict.fromkeys(types, 1))
     one = _QuotientComponent(
         dim=1,
         mult={},
         action=dict.fromkeys(sigmas, unit),
         # above every variable, so no relation on the unit is ever skipped
         labels=[(k + j) * n],
+        origins=[None],  # 1 is no variable multiple
         source_labels={},
         powers=unit * n,
     )
     below = {zero: one}
+    yield below, {zero: dict.fromkeys(types, 1)}
     total = 1
     while True:
-        shell = {}
+        shell, traces = {}, {}
         for deg in shell_multidegrees(n, k, j, total):
-            shell[deg], class_fn = _koszul_component(cache, deg, below, sigmas)
-            qdim = shell[deg].dim
-            if qdim:
-                if types:
-                    class_fn[identity] = qdim
-                per_component(deg, qdim, class_fn)
+            shell[deg], traces[deg] = _koszul_component(cache, deg, below, sigmas)
+            if identity in types:
+                traces[deg][identity] = shell[deg].dim
         if not any(comp.dim for comp in shell.values()):
-            break
+            return
+        yield shell, traces
         below = shell
         total += 1
+
+
+def quotient_shells(cache: IdealComponentCache) -> list:
+    """The quotient shells of total degree 0..n, fewer when Q dies below n.
+
+    Built once per cache and kept in ``cache.shells``; a shell maps each
+    multidegree of its total degree to its quotient component.
+    """
+    if not cache.shells:
+        cache.shells = [shell for shell, _traces in islice(_series_scan(cache), cache.n + 1)]
+    return cache.shells
 
 
 def frobenius_series(
@@ -702,10 +619,8 @@ def frobenius_series(
 ) -> FrobeniusSeries:
     """Multigraded Frobenius series, scanning shells until the quotient dies.
 
-    Termination at the first empty total-degree shell is valid because the
-    quotient ring is generated by 1: every higher component is a variable
-    multiple of the previous shell.  A series in the cache directory is read
-    instead of scanned, and a scanned one is stored there.
+    A series in the cache directory is read instead of scanned, and a
+    scanned one is stored there.
     """
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
@@ -713,18 +628,16 @@ def frobenius_series(
     if series is not None:
         return series
     series = FrobeniusSeries(n, k, j)
-
-    def per_component(deg, qdim, class_fn):
-        if class_fn[(1,) * n] != qdim:
-            raise AssertionError(f"identity character != quotient dimension at {deg}")
-        mults = snchar.frobenius_decompose(class_fn, n)
-        mults = {mu: c for mu, c in mults.items() if c}
-        for mu, c in mults.items():
-            if c < 0:
-                raise AssertionError(f"negative multiplicity {c} at {deg}, mu={mu}")
-        series.components[deg] = mults
-
-    _series_scan(cache, per_component, partitions_of(n))
+    for shell, traces in _series_scan(cache, partitions_of(n)):
+        for deg, comp in shell.items():
+            if not comp.dim:
+                continue
+            mults = snchar.frobenius_decompose(traces[deg], n)
+            mults = {mu: c for mu, c in mults.items() if c}
+            for mu, c in mults.items():
+                if c < 0:
+                    raise AssertionError(f"negative multiplicity {c} at {deg}, mu={mu}")
+            series.components[deg] = mults
     if cache.cache_dir is not None:
         cache._save("frobenius", series)
     return series
@@ -739,20 +652,25 @@ def hilbert_series(
 ) -> QUPoly:
     """Multigraded Hilbert series (dimensions only, no character work).
 
-    Read from and stored in the cache directory as ``frobenius_series`` is.
+    Read from and stored in the cache directory as ``frobenius_series`` is;
+    a stored Frobenius series of the ring also serves, through its
+    dimensions, instead of a scan.
     """
     if cache is None:
         cache = IdealComponentCache(n, k, j, ceiling=ceiling)
     hilbert = cache._load("hilbert")
     if hilbert is not None:
         return hilbert
-    out = {}
-
-    def per_component(deg, qdim, _class_fn):
-        out[tuple(deg[0]) + tuple(deg[1])] = qdim
-
-    _series_scan(cache, per_component)
-    hilbert = QUPoly(k, j, out)
+    series = cache._load("frobenius")
+    if series is not None:
+        hilbert = series.hilbert()
+    else:
+        out = {}
+        for shell, _traces in _series_scan(cache):
+            for (r, s), comp in shell.items():
+                if comp.dim:
+                    out[r + s] = comp.dim
+        hilbert = QUPoly(k, j, out)
     if cache.cache_dir is not None:
         cache._save("hilbert", hilbert)
     return hilbert

@@ -6,10 +6,10 @@ Bases are held in reduced echelon form, each row stored as the primitive
 integer multiple of its reduced-echelon row over Q: a positive pivot value d
 at its own pivot, value 0 at every other pivot, and entries with gcd 1.
 Elimination never leaves the integers for integer input; a value is divided
-by d only where it is read as a rational number, so membership coefficients
-are still read directly off pivot coordinates.  The reduced echelon basis of
-a subspace and its primitive integer rows are unique, which makes all results
-independent of insertion order.
+by d only where it is read as a rational number, so the coefficient of a row
+in a vector of the span is still that vector's pivot entry over d.  The
+reduced echelon basis of a subspace and its primitive integer rows are
+unique, which makes all results independent of insertion order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from math import gcd, lcm
 
 __all__ = [
     "DimensionMismatch",
-    "SubspaceNotInvariant",
     "SubspaceBasis",
     "span_basis",
     "solve_columns",
@@ -27,10 +26,6 @@ __all__ = [
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class SubspaceNotInvariant(ValueError):
     pass
 
 
@@ -52,7 +47,7 @@ class SubspaceBasis:
     Elimination is fraction-free (Bareiss-style): a hit pivot with
     coefficient c is cleared as ``w <- (d/g) w - (c/g) row`` with
     ``g = gcd(c, d)``, and a value is divided by d only where it is read as a
-    rational number (``reduce``, ``coefficients``, ``solve_columns``).  The
+    rational number (``reduce``, ``solve_columns``).  The
     pivot values other than 1 are also kept in ``_den`` (pivot -> d); it
     stays empty while every reduced-echelon row is integral, and then
     elimination never looks a pivot value up.  An occurrence index
@@ -139,17 +134,6 @@ class SubspaceBasis:
                 raise DimensionMismatch(f"coordinate {i} outside ambient dimension {self.dim}")
         return not self.scaled_residual(vec)[0]
 
-    def coefficients(self, vec: dict):
-        """Coordinates of vec in the basis ``vectors``, or None when vec is outside.
-
-        In reduced echelon form the coefficient of the row with pivot p and
-        pivot value d is simply vec[p] / d, provided the residual vanishes.
-        """
-        if not self.contains(vec):
-            return None
-        den = self._den
-        return [_exact_div(vec.get(p, 0), den.get(p, 1)) for p in self.pivots]
-
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; returns False when vec was already contained."""
         w, _scale = self.scaled_residual(vec)
@@ -201,29 +185,6 @@ class SubspaceBasis:
                 occ.setdefault(i, set()).add(p)
         self._sorted = None
         return True
-
-    @classmethod
-    def from_rows(cls, dim: int, rows: dict) -> "SubspaceBasis":
-        """Rebuild from pivot -> row dicts already in reduced echelon form.
-
-        Rows may be any nonzero rational multiples of the reduced-echelon
-        rows; denominators are cleared once and each row is stored primitive.
-        """
-        basis = cls(dim)
-        for p, row in rows.items():
-            if not row.get(p):
-                raise ValueError(f"row for pivot {p} is zero at its pivot")
-            row = basis._rows[p] = _primitive(row, p)
-            if row[p] != 1:
-                basis._den[p] = row[p]
-        for p, row in basis._rows.items():
-            for i in row:
-                if i != p:
-                    if i in basis._rows:
-                        raise ValueError("row touches another pivot; not reduced")
-                    basis._occ.setdefault(i, set()).add(p)
-        basis._sorted = None
-        return basis
 
 
 def _primitive(row: dict, pivot: int) -> dict:

@@ -13,8 +13,9 @@ The truncated super Cauchy comparison reads both sides only at the dominant
 z-exponents z^mu, mu a partition: both sides are symmetric in z (the right
 side because every s_lam(z) passed that cross-check), so agreeing there is
 agreeing everywhere.  At each z^mu the (q,u) coefficient is compared in full.
-``cauchy_tableau_bound`` bounds the tableaux that comparison enumerates, for
-the resource ceiling.
+``cauchy_tableau_bound`` bounds the tableaux that comparison enumerates, and
+``expansion_tableau_bound`` those of a super Schur expansion, for the
+resource ceiling.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "expand_super_schur",
     "super_cauchy_check",
     "cauchy_tableau_bound",
+    "expansion_tableau_bound",
     "CauchyResult",
     "ssyt_count",
 ]
@@ -468,29 +470,52 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
     return CauchyResult(True, None)
 
 
+def _super_schur_tableau_bound(lam: Partition, k: int, j: int) -> int:
+    """Upper bound on the tableaux ``super_schur(lam, k, j)`` enumerates.
+
+    The s_nu(1^k) tableaux of each nu, len(nu) <= k, times the skew tableaux
+    of lam'/nu' in j letters.  Straight shapes are counted exactly by the
+    hook-content formula, a skew shape by the fillings of its rows with
+    weakly increasing entries, column conditions dropped; that also bounds
+    the partial fillings the row-by-row enumeration visits.  s_lam(1^(k+j))
+    is no bound: lam = (1, 1) at k = 0, j = 1 has one tableau, and
+    s_(1,1)(1) = 0.
+    """
+    lamc = conjugate(lam)
+    total = 0
+    for nu in _subpartitions(lam):
+        if len(nu) > k:
+            continue
+        count = ssyt_count(nu, k)
+        for a, b in zip_longest(lamc, conjugate(nu), fillvalue=0):
+            count *= comb(j + a - b - 1, a - b) if a > b else 1
+        total += count
+    return total
+
+
+def expansion_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
+    """Upper bound on the tableaux a super Schur expansion up to ``degree`` enumerates.
+
+    ``expand_super_schur`` builds ``super_schur(lam, k, j)`` for every shape
+    of ``expansion_shapes`` up to its degree bound, each once (memoized), so
+    this bounds a whole coefficient table of a ring too.
+    """
+    return sum(
+        _super_schur_tableau_bound(lam, k, j)
+        for d in range(degree + 1)
+        for lam in expansion_shapes(k, j, n, d)
+    )
+
+
 def cauchy_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
     """Upper bound on the tableaux ``super_cauchy_check`` enumerates.
 
     Per shape lam of the check: the s_lam(1^n) tableaux of ``_schur_weights``
-    in the n letters z, and for ``super_schur(lam, k, j)`` the s_nu(1^k)
-    tableaux of each nu, len(nu) <= k, times the skew tableaux of lam'/nu' in
-    j letters.  Straight shapes are counted exactly by the hook-content
-    formula, a skew shape by the fillings of its rows with weakly increasing
-    entries, column conditions dropped; that also bounds the partial fillings
-    the row-by-row enumeration visits.  s_lam(1^(k+j)) is no bound for the
-    super Schur part: lam = (1, 1) at k = 0, j = 1 has one tableau, and
-    s_(1,1)(1) = 0.
+    in the n letters z, counted exactly by the hook-content formula, and the
+    bound of ``_super_schur_tableau_bound`` for ``super_schur(lam, k, j)``.
     """
-    total = 0
-    for d in range(degree + 1):
-        for lam in expansion_shapes(k, j, n, d):
-            total += ssyt_count(lam, n)
-            lamc = conjugate(lam)
-            for nu in _subpartitions(lam):
-                if len(nu) > k:
-                    continue
-                count = ssyt_count(nu, k)
-                for a, b in zip_longest(lamc, conjugate(nu), fillvalue=0):
-                    count *= comb(j + a - b - 1, a - b) if a > b else 1
-                total += count
-    return total
+    return sum(
+        ssyt_count(lam, n) + _super_schur_tableau_bound(lam, k, j)
+        for d in range(degree + 1)
+        for lam in expansion_shapes(k, j, n, d)
+    )

@@ -16,32 +16,434 @@ polarized power sums and the quotient-side recursion.
 ``koszul_relations`` offers every super-Koszul relation of a quotient
 component, with none of the engine's chain-criterion pruning.
 
-Ring elements also have a second representation here, which the engine no
-longer has: dict polynomials {monomial: coefficient} with ``poly_mul``,
-``act_poly`` and ``superderivation`` (the polarization operators), the
-references for the engine's signed index maps.  ``as_partition``
-and ``class_size`` are small closed forms only tests use.
+The ring itself has two representations here, which the engine no longer
+has.  The monomial model: a ring element of one multidegree component is an
+integer vector over the component's monomials (``monomial_space``), and
+variables, permutations and superderivations act through index maps
+(``shift_map``, ``permutation_action``, ``derivation_map``), with invariant
+bases by orbit walks (``invariant_vectors``).  On it ``ideal_component``
+builds I_d by the recursion of the generator statement, ``quotient_character``
+reads characters as ambient trace minus ideal trace, and
+``ideal_closure_witness`` is the ideal-side closure check the engine's
+quotient-side one is compared with.  And dict polynomials
+{monomial: coefficient} with ``poly_mul``, ``act_poly`` and
+``superderivation`` (the polarization operators), the references for the
+index maps.  ``as_partition`` and ``class_size`` are small closed forms only
+tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
 
-from supercoinv import coinvariant, superring, superschur
+from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
-from supercoinv.exactla import SubspaceBasis, SubspaceNotInvariant
+from supercoinv.exactla import SubspaceBasis, span_basis
 from supercoinv.qcombinat import partitions_of
 from supercoinv.snchar import class_representative, frobenius_decompose, z_order
-from supercoinv.superring import mono_mul
+from supercoinv.superring import _compositions
 from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous
+
+
+class SubspaceNotInvariant(ValueError):
+    """A map sends a basis vector out of the subspace (``restricted_trace``)."""
+
+
+# --- the monomial model ------------------------------------------------------
+# A monomial is a pair (bos, fer): ``bos`` is a k-tuple of length-n exponent
+# tuples, ``fer`` a j-tuple of n-bit occupancy masks (bit p set means the
+# fermionic variable of that set at position p occurs).  Monomials are always
+# canonical -- fermionic factors are implicitly ordered by (set index,
+# position index) ascending -- and never carry a sign themselves; all signs
+# produced by reordering land in vector entries.
+
+Monomial = tuple
+
+
+def mono_mul(a: Monomial, b: Monomial):
+    """Product of canonical monomials: (sign, monomial) or None when zero.
+
+    ``shift_map`` reads the same products off the factor lists instead.  The
+    sign counts the inversions needed to merge the two canonical fermionic
+    factor sequences; a shared occupied slot kills the product.
+    """
+    abos, afer = a
+    bbos, bfer = b
+    if len(abos) != len(bbos) or len(afer) != len(bfer):
+        raise ValueError("monomials come from different variable contexts")
+    inv = 0
+    lower_b = 0
+    for c in range(len(afer)):
+        am, bm = afer[c], bfer[c]
+        if am & bm:
+            return None
+        inv += am.bit_count() * lower_b
+        if am and bm:
+            mm = bm
+            while mm:
+                low = mm & -mm
+                pos = low.bit_length() - 1
+                inv += (am >> (pos + 1)).bit_count()
+                mm ^= low
+        lower_b += bm.bit_count()
+    bos = tuple(tuple(x + y for x, y in zip(ea, eb)) for ea, eb in zip(abos, bbos))
+    fer = tuple(am | bm for am, bm in zip(afer, bfer))
+    return (-1) ** inv, (bos, fer)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _act_exponents(sigma, e: tuple) -> tuple:
+    out = [0] * len(e)
+    for i, x in enumerate(e):
+        if x:
+            out[sigma[i]] = x
+    return tuple(out)
+
+
+def _act_mask(sigma, mask: int):
+    """(sign, image mask): the sign is the parity sigma induces on the occupied positions."""
+    imgs = [sigma[i] for i in _bits(mask)]
+    inv = 0
+    for t in range(len(imgs)):
+        for u in range(t + 1, len(imgs)):
+            if imgs[t] > imgs[u]:
+                inv += 1
+    nm = 0
+    for i in imgs:
+        nm |= 1 << i
+    return (-1 if inv & 1 else 1), nm
+
+
+@cache
+def _masks(count: int, n: int) -> tuple:
+    """All n-bit masks with the given popcount, ascending as integers."""
+    if count < 0 or count > n:
+        return ()
+    out = [m for m in range(1 << n) if m.bit_count() == count]
+    return tuple(out)
+
+
+def _groups(n: int, r, s) -> list:
+    """Per-set factor lists of a component: compositions, then masks."""
+    return [_compositions(ra, n) for ra in r] + [_masks(sc, n) for sc in s]
+
+
+@cache
+def monomial_space(n: int, k: int, j: int, r, s):
+    """Canonically ordered monomial basis of a multidegree component.
+
+    Returns (monomials, index) where index maps monomial -> position.  The
+    order is the lexicographic product of per-set composition lists and mask
+    lists; it is fixed so matrix layouts and cache files are reproducible.
+    The index of a monomial is therefore mixed radix in the positions of its
+    per-set factors within those lists, the last set varying fastest, which
+    ``_index_map`` relies on.
+    """
+    r = tuple(r)
+    s = tuple(s)
+    if len(r) != k or len(s) != j:
+        raise ValueError("multidegree arity mismatch")
+    if any(x < 0 for x in r) or any(x < 0 for x in s):
+        raise ValueError("multidegree must be nonnegative")
+    if any(x > n for x in s):
+        return (), {}
+    monos = []
+    for combo in product(*_groups(n, r, s)):
+        bos = tuple(combo[:k])
+        fer = tuple(combo[k:])
+        monos.append((bos, fer))
+    index = {m: i for i, m in enumerate(monos)}
+    return tuple(monos), index
+
+
+def _index_map(factor_maps, index: dict):
+    """Signed index map of a component assembled from one map per set.
+
+    ``factor_maps[g]`` is (signs, positions, size): the factor at position d
+    of the g-th per-set list goes to ``signs[d]`` times the factor at
+    ``positions[d]`` of a target list of ``size`` factors, sign 0 where the
+    image vanishes.  Positions combine in the mixed radix of
+    ``monomial_space`` and signs multiply.  Returns (signs, targets), two
+    lists over the source component; the targets are the int objects of the
+    target component's ``index``, so the vectors keyed by them share them.
+    """
+    signs, targets = [1], [0]
+    for fsigns, fpositions, size in factor_maps:
+        signs = [a * b for a in signs for b in fsigns]
+        targets = [a * size + b for a in targets for b in fpositions]
+    canon = list(index.values())
+    return signs, [canon[t] if sign else 0 for sign, t in zip(signs, targets)]
+
+
+def permutation_action(n: int, k: int, j: int, r, s, sigma):
+    """Signed index permutation of sigma on a component, as (signs, targets).
+
+    Monomial i goes to ``signs[i]`` times monomial ``targets[i]``, the sign
+    being the parity sigma induces on the occupied positions of each
+    fermionic set; each per-set factor is acted on once, not each monomial.
+    """
+    maps = []
+    for g, factors in enumerate(_groups(n, r, s)):
+        where = {f: d for d, f in enumerate(factors)}
+        if g < k:
+            fsigns = [1] * len(factors)
+            images = [_act_exponents(sigma, e) for e in factors]
+        else:
+            fsigns, images = [], []
+            for mask in factors:
+                sign, image = _act_mask(sigma, mask)
+                fsigns.append(sign)
+                images.append(image)
+        maps.append((fsigns, [where[f] for f in images], len(factors)))
+    return _index_map(maps, monomial_space(n, k, j, r, s)[1])
+
+
+def shift_map(n: int, k: int, j: int, r, s, kind: str, set_idx: int, pos: int):
+    """Signed index map of left multiplication by one variable on component (r, s).
+
+    The variable is bosonic (``kind == "b"``) or fermionic (``"f"``), of set
+    ``set_idx`` at position ``pos``.  Returns (signs, targets) over the
+    component: the product with ``monos[i]`` is ``signs[i]`` times monomial
+    ``targets[i]`` of the component one degree higher in that set, or zero
+    where ``signs[i] == 0`` (the fermion is already present).  Entry by entry
+    this is what ``mono_mul(variable, monos[i])`` gives, but it is read off
+    the per-set factor lists instead of multiplying monomials.
+    """
+    groups = _groups(n, r, s)
+    maps = [([1] * len(f), range(len(f)), len(f)) for f in groups]
+    r2, s2 = list(r), list(s)
+    if kind == "b":
+        g = set_idx
+        r2[set_idx] += 1
+        target = _compositions(r2[set_idx], n)
+        where = {e: d for d, e in enumerate(target)}
+        fsigns = maps[g][0]
+        fpositions = [where[e[:pos] + (e[pos] + 1,) + e[pos + 1 :]] for e in groups[g]]
+    else:
+        g = k + set_idx
+        s2[set_idx] += 1
+        target = _masks(s2[set_idx], n)
+        where = {mask: d for d, mask in enumerate(target)}
+        bit = 1 << pos
+        # the new factor moves right past every fermion of the earlier sets
+        # and past the lower positions of its own set
+        before = sum(s[:set_idx])
+        fsigns = [
+            0 if mask & bit else -1 if (before + (mask & (bit - 1)).bit_count()) & 1 else 1
+            for mask in groups[g]
+        ]
+        fpositions = [0 if mask & bit else where[mask | bit] for mask in groups[g]]
+    maps[g] = (fsigns, fpositions, len(target))
+    return _index_map(maps, monomial_space(n, k, j, tuple(r2), tuple(s2))[1])
+
+
+def invariant_vectors(n: int, k: int, j: int, r, s):
+    """Integer spanning vectors of the invariant subspace of a component.
+
+    Each monomial orbit is walked breadth-first from its first unvisited
+    monomial along the signed index maps of the adjacent transpositions,
+    giving every monomial reached a sign.  Two conflicting signs for one
+    monomial mean the stabilizer holds an element acting by -1, so the
+    orbit's Reynolds sum cancels and the orbit contributes nothing.
+    Otherwise the orbit's signed indicator is its Reynolds sum divided by
+    the stabilizer order: the span, hence the reduced echelon basis, is the
+    one full Reynolds sums give.  Every edge walked checks that the vector
+    is fixed by that transposition; as every generator is checked on every
+    orbit element, each returned vector is verified S_n-invariant, which is
+    no weaker than auditing the finished vectors against the generators.
+    """
+    monos, index = monomial_space(n, k, j, r, s)
+    gens = [permutation_action(n, k, j, r, s, tau) for tau in _adjacent_transpositions(n)]
+    sign_of = [0] * len(monos)  # 0 while unvisited
+    vectors = []
+    for start in range(len(monos)):
+        if sign_of[start]:
+            continue
+        sign_of[start] = 1
+        orbit = [start]
+        fixed = True
+        for idx in orbit:  # grows while walked: breadth-first
+            here = sign_of[idx]
+            for signs, targets in gens:
+                tgt = targets[idx]
+                want = here * signs[idx]
+                seen = sign_of[tgt]
+                if not seen:
+                    sign_of[tgt] = want
+                    orbit.append(tgt)
+                elif seen != want:
+                    fixed = False
+        if fixed:
+            vectors.append({idx: sign_of[idx] for idx in orbit})
+    return monos, index, vectors
+
+
+def _adjacent_transpositions(n: int) -> tuple:
+    gens = []
+    for i in range(n - 1):
+        tau = list(range(n))
+        tau[i], tau[i + 1] = tau[i + 1], tau[i]
+        gens.append(tuple(tau))
+    return tuple(gens)
+
+
+def invariant_basis(n: int, k: int, j: int, r, s) -> SubspaceBasis:
+    """Reduced-echelon basis of the S_n-invariant subspace of a component."""
+    monos, _index, vectors = invariant_vectors(n, k, j, r, s)
+    return span_basis(vectors, len(monos))
+
+
+# --- the ideal side ------------------------------------------------------------
+
+
+@cache
+def ideal_component(n: int, k: int, j: int, deg) -> SubspaceBasis:
+    """Reduced-echelon basis of I_d: I_d = V * I_(d-1) + Q * P_d.
+
+    The recursion of the generator statement in ``supercoinv.coinvariant``:
+    every lower component times every variable of a set of positive degree
+    (one signed index map per component and variable), and the polarized
+    power sum P_d, the sum of the one-position monomials, when every
+    fermionic degree is at most 1.
+    """
+    r, s = deg
+    index = monomial_space(n, k, j, r, s)[1]
+    vectors = []
+    if sum(r) + sum(s):
+        for g, pred in coinvariant._predecessors(deg, k).items():
+            kind, idx = ("b", g) if g < k else ("f", g - k)
+            lower = ideal_component(n, k, j, pred).vectors
+            for pos in range(n):
+                signs, tgt = shift_map(n, k, j, *pred, kind, idx, pos)
+                for row in lower:
+                    vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
+                    if vec:
+                        vectors.append(vec)
+        if max(s, default=0) <= 1:
+            power_sum = {}
+            for p in range(n):
+                bos = tuple(tuple(e if q == p else 0 for q in range(n)) for e in r)
+                power_sum[index[(bos, tuple(f << p for f in s))]] = 1
+            vectors.append(power_sum)
+    return span_basis(vectors, len(index))
+
+
+def quotient_character(n: int, k: int, j: int, deg, rho) -> Fraction:
+    """Trace of a permutation of cycle type rho on R_d / I_d: ambient minus ideal trace."""
+    if sum(rho) != n:
+        raise ValueError(f"cycle type {rho} is not a partition of n={n}")
+    signs, tgt = permutation_action(n, k, j, *deg, class_representative(rho))
+    ambient = sum(sg for i, (sg, t) in enumerate(zip(signs, tgt)) if t == i)
+
+    def act(row):
+        return {tgt[i]: signs[i] * v for i, v in row.items()}
+
+    return ambient - restricted_trace(ideal_component(n, k, j, deg), act)
+
+
+def _factors(n: int, k: int, m) -> list:
+    """The variables of a canonical monomial, as indices set * n + position, in order."""
+    bos, fer = m
+    out = [g * n + p for g, e in enumerate(bos) for p in range(n) for _ in range(e[p])]
+    return out + [(k + c) * n + p for c, mask in enumerate(fer) for p in _bits(mask)]
+
+
+def _variable(n: int, k: int, j: int, v: int):
+    g, p = divmod(v, n)
+    bos = tuple(tuple(int(g == a and q == p) for q in range(n)) for a in range(k))
+    return bos, tuple(1 << p if g == k + c else 0 for c in range(j))
+
+
+def derivation(n: int, k: int, j: int, m, op) -> dict:
+    """A superderivation of one canonical monomial, from its variable images, as a dict polynomial.
+
+    ``op`` has the fields of ``supercoinv.checks.Polarization``: variable
+    ``v`` goes to ``op.image[v]`` (0 when absent), and ``op.odd`` is the
+    parity.  The monomial v_1 ... v_m (bosons first, then fermions by set and
+    position) goes to the sum over i of eps_i v_1 ... E(v_i) ... v_m, the
+    product taken factor by factor with ``mono_mul``, eps_i = -1 when E is
+    odd and an odd number of fermions precede v_i.
+    """
+    out: dict = {}
+    factors = _factors(n, k, m)
+    for i, v in enumerate(factors):
+        if v not in op.image:
+            continue
+        sign, prod = 1, mono_one(n, k, j)
+        for f in factors[:i] + [op.image[v]] + factors[i + 1 :]:
+            step = mono_mul(prod, _variable(n, k, j, f))
+            if step is None:
+                break
+            sign *= step[0]
+            prod = step[1]
+        else:
+            if op.odd and sum(f // n >= k for f in factors[:i]) % 2:
+                sign = -sign
+            poly_add_term(out, prod, sign)
+    return out
+
+
+def derivation_map(n: int, k: int, j: int, deg, op):
+    """Index map of ``derivation`` on component ``deg``.
+
+    ``op.source`` and ``op.target`` are the sets of the keys and values of
+    ``op.image``.  Returns (image multidegree, images), ``images[i]`` the
+    image of monomial i as {coordinate: coefficient}, or None when the
+    source set has degree 0 on the component.
+    """
+    flat = list(deg[0] + deg[1])
+    if not flat[op.source]:
+        return None
+    flat[op.source] -= 1
+    flat[op.target] += 1
+    img_deg = (tuple(flat[:k]), tuple(flat[k:]))
+    index = monomial_space(n, k, j, *img_deg)[1]
+    images = [
+        {index[m2]: c for m2, c in derivation(n, k, j, m, op).items()}
+        for m in monomial_space(n, k, j, *deg)[0]
+    ]
+    return img_deg, images
+
+
+def ideal_closure_witness(n: int, k: int, j: int, operators):
+    """(multidegree, operator) of the first ideal vector an operator maps out of I, or None.
+
+    The ideal-side closure check: every basis vector of I_d, |d| <= n, in
+    the order of the shells, goes through every operator (``derivation_map``)
+    and must land in the ideal component of its image degree.
+    """
+    for total in range(n + 1):
+        for deg in sorted(shell_multidegrees(n, k, j, total)):
+            basis = ideal_component(n, k, j, deg)
+            if not basis.vectors:
+                continue
+            for op in operators:
+                mapped = derivation_map(n, k, j, deg, op)
+                if mapped is None:
+                    continue
+                img_deg, images = mapped
+                for row in basis.vectors:
+                    vec: dict = {}
+                    for i, v in row.items():
+                        for t, c in images[i].items():
+                            poly_add_term(vec, t, c * v)
+                    if vec and not ideal_component(n, k, j, img_deg).contains(vec):
+                        return deg, op
+    return None
 
 
 # --- dict polynomials --------------------------------------------------------
 # A polynomial is {canonical monomial: coefficient} with no stored zeros, in
-# the monomial layout of ``supercoinv.superring``.
+# the layout of the monomial model above.
 
 
 def mono_one(n: int, k: int, j: int):
@@ -226,11 +628,6 @@ class OracleBasis:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def coefficients(self, vec: dict):
-        if not self.contains(vec):
-            return None
-        return [Fraction(vec.get(p, 0)) for p in self.pivots]
 
 
 def restricted_trace(basis, apply_map, check: bool = True):
@@ -451,7 +848,7 @@ def full_invariant_scan(n: int, k: int, j: int):
         nonzero = False
         for deg in degs:
             r, s = deg
-            index = superring.monomial_space(n, k, j, r, s)[1]
+            index = monomial_space(n, k, j, r, s)[1]
             basis = SubspaceBasis(len(index))
             if total > 0:
                 for g, d in enumerate(r + s):
@@ -463,12 +860,12 @@ def full_invariant_scan(n: int, k: int, j: int):
                         c = g - k
                         kind, idx, pred = "f", c, (r, s[:c] + (d - 1,) + s[c + 1 :])
                     for pos in range(n):
-                        signs, tgt = superring.shift_map(n, k, j, *pred, kind, idx, pos)
+                        signs, tgt = shift_map(n, k, j, *pred, kind, idx, pos)
                         for row in ideal[pred].vectors:
                             vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
                             if vec:
                                 basis.insert(vec)
-                invariants = superring.invariant_vectors(n, k, j, r, s)[2]
+                invariants = invariant_vectors(n, k, j, r, s)[2]
                 shifted = all(basis.contains(vec) for vec in invariants)
                 if max(s, default=0) <= 1:
                     first = (tuple((e,) + (0,) * (n - 1) for e in r), tuple(s))
@@ -484,7 +881,7 @@ def full_invariant_scan(n: int, k: int, j: int):
             hilbert[r + s] = qdim
             class_fn = {}
             for rho in partitions_of(n):
-                signs, tgt = superring.permutation_action(n, k, j, r, s, class_representative(rho))
+                signs, tgt = permutation_action(n, k, j, r, s, class_representative(rho))
                 ambient = sum(sg for i, (sg, t) in enumerate(zip(signs, tgt)) if t == i)
 
                 def act(row, signs=signs, tgt=tgt):

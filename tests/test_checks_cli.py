@@ -395,21 +395,21 @@ def test_bound_closure_all_operator_families():
 
 
 def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
-    # negate the image of one monomial under E_(f0,b0) = sum_p theta_p d/dx_p:
-    # the ideal's degree-1 line x1 + x2 + x3 then maps off the line
-    # theta1 + theta2 + theta3, the first image the check pushes through it
-    from supercoinv import superring
+    # send x_0 to theta_1 instead of theta_0 under E_(f0,b0): the operator
+    # no longer maps the degree-1 line x0 + x1 + x2 of I into I, and the
+    # Leibniz rule on Q fails at the border column of x2
+    from supercoinv import checks
 
-    polarization_map = superring.polarization_map
+    operators = checks._polarization_operators
 
-    def perturbed(n, k, j, r, s, target, source):
-        op = polarization_map(n, k, j, r, s, target, source)
-        if op is not None and (target, source) == (("f", 0), ("b", 0)):
-            img_deg, images = op
-            op = img_deg, [{t: -c for t, c in images[0].items()}] + images[1:]
-        return op
+    def perturbed(n, k, j):
+        ops = operators(n, k, j)
+        for i, op in enumerate(ops):
+            if op.label(k) == [["f", 0], ["b", 0]]:
+                ops[i] = op._replace(image={**op.image, op.source * n: op.target * n + 1})
+        return ops
 
-    monkeypatch.setattr(superring, "polarization_map", perturbed)
+    monkeypatch.setattr(checks, "_polarization_operators", perturbed)
     report = run_check("bound_closure", CheckSession(), {"n": 3, "k": 1, "j": 1})
     assert report.status == "fail"
     assert report.witness == {
@@ -419,18 +419,75 @@ def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
     }
 
 
-def test_bound_closure_reuses_the_session_components():
-    # the closure check builds the ideal components up to degree n once per
+def test_bound_closure_reuses_the_session_components(monkeypatch):
+    # the closure check builds the quotient shells up to degree n once per
     # session, and none above it: a second run reuses every one
+    built = []
+    koszul = coinvariant._koszul_component
+
+    def recorded(cache, deg, below, sigmas):
+        if not sigmas:  # the closure check's scan: no character work
+            built.append(deg)
+        return koszul(cache, deg, below, sigmas)
+
+    monkeypatch.setattr(coinvariant, "_koszul_component", recorded)
     session = CheckSession()
     report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
     assert report.passed, report.witness
-    built = dict(session.ideal_cache(3, 1, 1).ideal)
     assert built and max(sum(r) + sum(s) for r, s in built) == 3
+    shells = session.ideal_cache(3, 1, 1).shells
+    assert [max(sum(r) + sum(s) for r, s in shell) for shell in shells] == [0, 1, 2, 3]
+    count = len(built)
     assert run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1}).passed
-    after = session.ideal_cache(3, 1, 1).ideal
-    assert after.keys() == built.keys()
-    assert all(after[deg] is basis for deg, basis in built.items())
+    assert len(built) == count
+    assert session.ideal_cache(3, 1, 1).shells is shells
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        # (4,2,1) needs borders of up to 156 columns and a table of 376 tableaux
+        (
+            ["expand", "--n", "4", "--k", "2", "--j", "1", "--ceiling", "300"],
+            "k=2 j=1 n=4 degree 6 has 376 tableaux",
+        ),
+        # (3,1,1) needs borders of up to 15 columns and a table of 17 tableaux
+        (["verify", "sign_coeffs", "--n", "3", "--ceiling", "16"], "k=1 j=1 n=3 degree 3 has 17"),
+    ],
+    ids=["expand", "verify"],
+)
+def test_cli_coefficient_tables_obey_the_ceiling(argv, where, monkeypatch):
+    # refused before any tableau is enumerated
+    from supercoinv import superschur
+
+    with monkeypatch.context() as patch:
+        patch.setattr(superschur, "_skew_tableau_weights", None)
+        code, out, err = _run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource ceiling exceeded: the super Schur expansion at ")
+    assert where in err
+    code, _out, _err = _run_cli(argv[:-2])
+    assert code == 0
+
+
+def test_cli_hilbert_reads_a_stored_frobenius_series(tmp_path, monkeypatch):
+    # a Hilbert request is served from the ring's stored Frobenius series,
+    # byte for byte what a scan prints
+    ring = ["--n", "4", "--k", "2", "--j", "1"]
+    cache = ["--cache-dir", str(tmp_path)]
+    code, _out, _err = _run_cli(["compute", *ring, "--series", "frobenius", *cache])
+    assert code == 0
+    code, fresh, _err = _run_cli(["compute", *ring, "--series", "hilbert"])
+    assert code == 0
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the Hilbert series was scanned")
+
+    monkeypatch.setattr(coinvariant, "_series_scan", no_scan)
+    code, served, _err = _run_cli(["compute", *ring, "--series", "hilbert", *cache])
+    assert code == 0
+    assert served == fresh
 
 
 @pytest.mark.parametrize(

@@ -1,27 +1,33 @@
-"""The quotient-side recursion against the ideal side.
+"""The quotient-side recursion and closure check against the ideal side.
 
 The series scan builds no ideal component: it presents each quotient
 component by the super-Koszul relations on the shell below and, up to total
 degree n, the lift of the polarized power sum P_d.  The oracle here runs the
 ideal-side recursion with the invariants of every degree among the
 generators, on every ring ``verify all`` builds at its default sizes and on
-a few larger mixed rings.
+a few larger mixed rings.  The closure check runs the Leibniz rule on the
+quotient shells; the oracle's ideal-side loop must pass and fail with it.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from oracles import full_invariant_scan, koszul_relations, restricted_trace
-from supercoinv import checks, cli, coinvariant, superring
+from oracles import (
+    full_invariant_scan,
+    ideal_closure_witness,
+    ideal_component,
+    koszul_relations,
+    quotient_character,
+)
+from supercoinv import checks, cli, coinvariant
 from supercoinv.coinvariant import (
     IdealComponentCache,
     frobenius_series,
     hilbert_series,
-    ideal_component,
+    quotient_shells,
 )
 from supercoinv.exactla import SubspaceBasis, span_basis
-from supercoinv.snchar import class_representative
 from supercoinv.qcombinat import q_factorial
 from supercoinv.superschur import QUPoly
 
@@ -140,17 +146,11 @@ def test_koszul_presentation_at_every_degree(n, k, j, monkeypatch):
     # ideal side: the same dimension and the same character
     shells = _koszul_shells(monkeypatch, n, k, j, frobenius=True)
     checked = 0
-    for cache, deg, _below, comp, traces, _rel in shells:
-        ideal = ideal_component(cache, deg)
+    for _cache, deg, _below, comp, traces, _rel in shells:
+        ideal = ideal_component(n, k, j, deg)
         assert comp.dim == ideal.dim - ideal.rank, deg
         for rho, trace in traces.items():
-            signs, tgt = superring.permutation_action(n, k, j, *deg, class_representative(rho))
-            ambient = sum(sg for i, (sg, t) in enumerate(zip(signs, tgt)) if t == i)
-
-            def act(row, signs=signs, tgt=tgt):
-                return {tgt[i]: signs[i] * v for i, v in row.items()}
-
-            assert trace == Fraction(ambient - restricted_trace(ideal, act)), (deg, rho)
+            assert trace == Fraction(quotient_character(n, k, j, deg, rho)), (deg, rho)
         checked += len(traces)
     assert checked
 
@@ -185,8 +185,9 @@ def _divides(comp, s: int, u: int) -> bool:
 
 
 def test_every_label_divides_its_basis_element(rings, monkeypatch):
-    # s = [label(s) b] for some b on every shell of positive degree; the unit
-    # of Q_0 carries the label above every variable
+    # s = [label(s) b] for some b on every shell of positive degree, and b is
+    # the recorded origin; the unit of Q_0 carries the label above every
+    # variable
     checked = 0
     for n, k, j in _criterion_rings(rings):
         unit = (k + j) * n
@@ -198,8 +199,72 @@ def test_every_label_divides_its_basis_element(rings, monkeypatch):
         for _cache, deg, below, comp, _traces, _rel in shells:
             for g, pred in coinvariant._predecessors(deg, k).items():
                 assert comp.source_labels[g] == below[pred].labels, ((n, k, j), deg, g)
-            assert len(comp.labels) == comp.dim, ((n, k, j), deg)
-            for s, u in enumerate(comp.labels):
+            assert len(comp.labels) == len(comp.origins) == comp.dim, ((n, k, j), deg)
+            for s, (u, b) in enumerate(zip(comp.labels, comp.origins)):
                 assert u < unit and _divides(comp, s, u), ((n, k, j), deg, s, u)
+                assert comp.mult[u][b] == ({s: 1}, 1), ((n, k, j), deg, s, u)
                 checked += 1
     assert checked > 900
+
+
+# --- the closure check against the ideal side --------------------------------
+
+# every ring with n + k + j <= 6 and a variable set
+SMALL_RINGS = [
+    (n, k, total - n - k)
+    for total in range(2, 7)
+    for n in range(1, total)
+    for k in range(total - n + 1)
+]
+
+
+def _closure_witnesses(n, k, j, operators):
+    """(quotient-side, ideal-side) witnesses, each (deg, operator label) or None."""
+    shells = quotient_shells(IdealComponentCache(n, k, j))
+    found = (checks._closure_witness(shells, n, k, operators), ideal_closure_witness(n, k, j, operators))
+    return [None if w is None else (w[0], w[1].label(k)) for w in found]
+
+
+def _moved_first_variable(operators, n, which):
+    """The operators with E(s_0) sent to t_1 instead of t_0 in operator ``which``."""
+    out = list(operators)
+    op = out[which]
+    out[which] = op._replace(image={**op.image, op.source * n: op.target * n + 1})
+    return out
+
+
+def test_closure_check_agrees_with_the_ideal_side_on_small_rings():
+    # the Leibniz rule on Q holds on every border column up to degree n
+    # exactly when the ideal-side loop finds every E(I_d) inside I
+    for n, k, j in SMALL_RINGS:
+        quotient, ideal = _closure_witnesses(n, k, j, checks._polarization_operators(n, k, j))
+        assert quotient == ideal is None, (n, k, j)
+
+
+def test_closure_check_and_the_ideal_side_fail_alike_on_a_moved_variable():
+    # E(s_0) = t_1 still defines a superderivation, which no longer maps I
+    # into I: both sides fail, at the same multidegree and operator
+    checked = 0
+    for n, k, j in SMALL_RINGS:
+        if n < 2:
+            continue
+        operators = checks._polarization_operators(n, k, j)
+        for which in range(len(operators)):
+            quotient, ideal = _closure_witnesses(n, k, j, _moved_first_variable(operators, n, which))
+            assert quotient == ideal and quotient is not None, (n, k, j, which)
+            checked += 1
+    assert checked > 50
+
+
+def test_closure_check_and_the_ideal_side_fail_alike_without_the_sign():
+    # E_(b0,f0) at (3,1,1) with the superderivation sign dropped: on Q the
+    # rule E([u b]) = [E(u) b] + u E(b), on the monomials the same sum over
+    # factors without the sign of the fermions passed; both fail first at
+    # r=(0) s=(2), where theta_p theta_q has two odd factors
+    n, k, j = 3, 1, 1
+    operators = checks._polarization_operators(n, k, j)
+    (which,) = [i for i, op in enumerate(operators) if op.label(k) == [["b", 0], ["f", 0]]]
+    operators[which] = operators[which]._replace(odd=False)
+    quotient, ideal = _closure_witnesses(n, k, j, operators)
+    assert quotient == ideal == (((0,), (2,)), [["b", 0], ["f", 0]])
+

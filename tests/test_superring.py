@@ -5,26 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercoinv.superring import (
-    invariant_basis,
-    invariant_vectors,
-    mono_mul,
-    monomial_space,
-    permutation_action,
-    polarization_map,
-    shift_map,
-)
+from supercoinv.checks import _polarization_operators
 
 from oracles import (
     act_mono,
     act_poly,
     all_perms,
+    derivation,
+    invariant_basis,
+    invariant_vectors,
     mono_degree,
+    mono_mul,
     mono_one,
+    monomial_space,
     monomial_space_dim,
+    permutation_action,
     poly_add_term,
     poly_mul,
     reynolds,
+    shift_map,
     superderivation,
 )
 
@@ -336,22 +335,21 @@ def test_invariant_vectors_match_full_reynolds():
                 assert act_poly(sigma, poly) == poly
 
 
-def _apply(images, vec):
-    """The image of a component vector under an index map, as a vector."""
+def _polarize(n, k, j, r, s, target, source, vec):
+    """E_(target,source) of a component vector, as a dict polynomial.
+
+    The operator is the engine's (variable images and parity), applied by
+    the oracle's ``derivation``.
+    """
+    (op,) = [
+        op for op in _polarization_operators(n, k, j) if op.label(k) == [list(target), list(source)]
+    ]
+    monos = monomial_space(n, k, j, r, s)[0]
     out = {}
     for i, v in vec.items():
-        for t, c in images[i].items():
-            out[t] = out.get(t, 0) + c * v
-    return {t: c for t, c in out.items() if c}
-
-
-def _polarize(n, k, j, r, s, target, source, vec):
-    """E_(target,source) of a component vector through its index map, as a dict polynomial."""
-    op = polarization_map(n, k, j, r, s, target, source)
-    if op is None:
-        return {}
-    image_monos, _ = monomial_space(n, k, j, *op[0])
-    return {image_monos[t]: c for t, c in _apply(op[1], vec).items()}
+        for m, c in derivation(n, k, j, monos[i], op).items():
+            poly_add_term(out, m, c * v)
+    return out
 
 
 def _sets(k, j):
@@ -360,7 +358,9 @@ def _sets(k, j):
 
 def test_polarization_maps_match_superderivation_exhaustively():
     # all four operator families, the cross-set fermionic pairs included, on
-    # every monomial of every component up to total degree 3
+    # every monomial of every component up to total degree 3: the engine's
+    # operators (variable images and parity) through the oracle's
+    # derivation map are the polarization operators
     for n, k, j in [(2, 2, 2), (3, 1, 2), (3, 2, 1)]:
         for r, s in _components_upto(n, k, j, 3):
             monos, _index = monomial_space(n, k, j, r, s)
@@ -393,17 +393,12 @@ def test_polarization_maps_match_superderivation(case):
     (n, k, j, r, s), target, source, vec, sigma = case
     monos, _index = monomial_space(n, k, j, r, s)
     poly = {monos[i]: v for i, v in vec.items()}
-    assert _polarize(n, k, j, r, s, target, source, vec) == superderivation(poly, target, source)
-    # E commutes with sigma: E(sigma v) == sigma(E v), both as index maps
-    op = polarization_map(n, k, j, r, s, target, source)
-    if op is None:
-        return
-    img_deg, images = op
+    image = _polarize(n, k, j, r, s, target, source, vec)
+    assert image == superderivation(poly, target, source)
+    # E commutes with sigma: E(sigma v) == sigma(E v)
     signs, targets = permutation_action(n, k, j, r, s, sigma)
-    isigns, itargets = permutation_action(n, k, j, *img_deg, sigma)
     moved = {targets[i]: signs[i] * v for i, v in vec.items()}
-    image = _apply(images, vec)
-    assert _apply(images, moved) == {itargets[t]: isigns[t] * c for t, c in image.items()}
+    assert _polarize(n, k, j, r, s, target, source, moved) == act_poly(sigma, image)
 
 
 @st.composite

@@ -335,9 +335,7 @@ def test_schur_weights_cross_check_fires(monkeypatch, fresh_weight_caches):
 def test_mono_mul_context_mismatch():
     import pytest
 
-    from supercoinv.superring import mono_mul
-
-    from oracles import mono_one
+    from oracles import mono_mul, mono_one
 
     with pytest.raises(ValueError):
         mono_mul(mono_one(2, 1, 0), mono_one(2, 2, 0))
