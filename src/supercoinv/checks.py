@@ -2,8 +2,8 @@
 
 Each check returns a CheckReport; a failing report always carries a minimal
 witness (the first discrepancy found).  Checks only share state through a
-CheckSession, which memoizes series and tables per ring so a suite run never
-recomputes a quotient.
+CheckSession, which keeps one store per ring so a suite run never recomputes
+a quotient.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 from . import coinvariant, snchar
-from .coinvariant import (
-    CeilingExceeded,
-    IdealComponentCache,
-    coeff_table,
-    frobenius_series,
-    hilbert_series,
-    quotient_shells,
-)
+from .coinvariant import CeilingExceeded, IdealComponentCache, quotient_shells
 from .qcombinat import (
     QUPoly,
     in_Pkjn,
@@ -35,7 +28,6 @@ from .qcombinat import (
 )
 from .superschur import (
     cauchy_tableau_bound,
-    expansion_tableau_bound,
     specialize,
     super_cauchy_check,
     super_schur,
@@ -48,7 +40,6 @@ __all__ = [
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
-    "expansion_ceiling_guard",
 ]
 
 
@@ -75,52 +66,33 @@ class CheckReport:
 
 
 class CheckSession:
-    """Memoized access to series, tables and quotient shells per ring.
+    """One ``IdealComponentCache`` per ring, shared by every check of a run.
 
-    One ``IdealComponentCache`` per (n, k, j) serves every series scan and
-    check of that ring: the series over a shared cache directory, the
-    quotient shells of the closure check in memory.
+    Each ring's store holds its series, its coefficient table and the
+    quotient shells of the closure check, and reads and writes its series
+    in the session's cache directory, so a suite run computes each once.
     """
 
     def __init__(self, ceiling: int = coinvariant.DEFAULT_CEILING, cache_dir=None):
         self.ceiling = ceiling
         self.cache_dir = cache_dir
-        self._caches: dict = {}
-        self._frob: dict = {}
-        self._hilb: dict = {}
-        self._table: dict = {}
+        self._rings: dict = {}
 
-    def ideal_cache(self, n: int, k: int, j: int) -> IdealComponentCache:
-        """The ring's one store: its series files and the closure check's quotient shells."""
+    def ring(self, n: int, k: int, j: int) -> IdealComponentCache:
+        """The ring's one store, made on first request."""
         key = (n, k, j)
-        if key not in self._caches:
-            self._caches[key] = IdealComponentCache(
-                n, k, j, ceiling=self.ceiling, cache_dir=self.cache_dir
-            )
-        return self._caches[key]
+        if key not in self._rings:
+            self._rings[key] = IdealComponentCache(n, k, j, self.ceiling, self.cache_dir)
+        return self._rings[key]
 
     def frobenius(self, n: int, k: int, j: int):
-        key = (n, k, j)
-        if key not in self._frob:
-            self._frob[key] = frobenius_series(n, k, j, cache=self.ideal_cache(n, k, j))
-        return self._frob[key]
+        return self.ring(n, k, j).frobenius()
 
     def hilbert(self, n: int, k: int, j: int) -> QUPoly:
-        key = (n, k, j)
-        if key not in self._hilb:
-            if key in self._frob:
-                self._hilb[key] = self._frob[key].hilbert()
-            else:
-                self._hilb[key] = hilbert_series(n, k, j, cache=self.ideal_cache(n, k, j))
-        return self._hilb[key]
+        return self.ring(n, k, j).hilbert()
 
     def table(self, n: int, k: int, j: int):
-        key = (n, k, j)
-        if key not in self._table:
-            series = self.frobenius(n, k, j)
-            expansion_ceiling_guard(k, j, n, series.max_total_degree(), self.ceiling)
-            self._table[key] = coeff_table(series)
-        return self._table[key]
+        return self.ring(n, k, j).table()
 
 
 def _report(check_id: str, params: dict, witness, started: float) -> CheckReport:
@@ -547,7 +519,7 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
                 "d": bound,
             }
             return _report("bound_closure", params, witness, started)
-    shells = quotient_shells(session.ideal_cache(n, k, j))
+    shells = quotient_shells(session.ring(n, k, j))
     found = _closure_witness(shells, n, k, _polarization_operators(n, k, j))
     if found is not None:
         (r, s), op = found
@@ -651,21 +623,12 @@ def check_haiman(session: CheckSession, n: int) -> CheckReport:
     return _report("haiman", params, witness, started)
 
 
-def _refuse_tableaux(bound: int, ceiling: int, where: str) -> None:
-    if bound > ceiling:
-        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
-
-
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
     """Refuse a Cauchy check whose tableau bound exceeds the ceiling, before it starts."""
-    where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
-    _refuse_tableaux(cauchy_tableau_bound(k, j, n, degree), ceiling, where)
-
-
-def expansion_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
-    """Refuse a coefficient table whose tableau bound exceeds the ceiling, before it starts."""
-    where = f"the super Schur expansion at k={k} j={j} n={n} degree {degree}"
-    _refuse_tableaux(expansion_tableau_bound(k, j, n, degree), ceiling, where)
+    bound = cauchy_tableau_bound(k, j, n, degree)
+    if bound > ceiling:
+        where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
+        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int = 2, jmax: int = 2, degree: int = 6) -> CheckReport:

@@ -238,7 +238,8 @@ def _run_verify(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=args.jobs,
+            # the pool starts every worker at once: no more than there are checks
+            max_workers=min(args.jobs, len(jobs)),
             initializer=_start_verify_worker,
             initargs=(args.ceiling, _cache_dir(args)),
         ) as pool:
@@ -253,24 +254,25 @@ def _run_verify(args) -> int:
     return 0 if all(rec["status"] == "pass" for rec in reports) else 1
 
 
-def _run_compute(args) -> int:
+def _store(args) -> coinvariant.IdealComponentCache:
+    """The store of the ring the arguments name."""
     n, k, j = args.n, args.k or 0, args.j or 0
-    session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
+    return coinvariant.IdealComponentCache(n, k, j, args.ceiling, _cache_dir(args))
+
+
+def _run_compute(args) -> int:
+    store = _store(args)
     if args.series == "hilbert":
-        artifact = {"n": n, "k": k, "j": j, "hilbert": session.hilbert(n, k, j)}
+        artifact = {"n": store.n, "k": store.k, "j": store.j, "hilbert": store.hilbert()}
         _emit(_HILBERT[args.format](artifact), args)
     else:
-        _emit(_FROBENIUS[args.format](session.frobenius(n, k, j)), args)
+        _emit(_FROBENIUS[args.format](store.frobenius()), args)
     return 0
 
 
 def _run_expand(args) -> int:
-    n, k, j = args.n, args.k or 0, args.j or 0
-    session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
-    series = session.frobenius(n, k, j)
-    degree = series.max_total_degree() if args.degree_bound is None else args.degree_bound
-    checks.expansion_ceiling_guard(k, j, n, degree, args.ceiling)
-    table = coinvariant.coeff_table(series, degree_bound=args.degree_bound)
+    series = _store(args).frobenius()
+    table = coinvariant.coeff_table(series, args.degree_bound, args.ceiling)
     _emit(_COEFF_TABLE[args.format](table), args)
     return 0
 

@@ -110,7 +110,7 @@ from math import gcd, lcm
 from . import snchar, superring
 from .exactla import SubspaceBasis
 from .qcombinat import Partition, partition_sort_key, partitions_of
-from .superschur import QUPoly, expand_super_schur
+from .superschur import QUPoly, expand_super_schur, expansion_tableau_bound
 
 __all__ = [
     "CeilingExceeded",
@@ -263,14 +263,17 @@ class CoeffTable:
 
 
 class IdealComponentCache:
-    """Per-(n,k,j) store: quotient shells in memory, finished series on disk.
+    """One ring's store: its series and coefficient table, in memory and on disk.
 
-    ``quotient_shells`` keeps the shells it builds, those of the closure
-    check, in ``shells``.  With a cache directory, each finished Frobenius or
-    Hilbert series of the ring is written to one file, and a later request
-    for that series reads it instead of computing, as does a Hilbert request
-    once the Frobenius series is stored.  (The name predates the quotient
-    side; the benchmark's tracer looks the class up by it.)
+    ``frobenius``, ``hilbert`` and ``table`` each return the value held in
+    memory, else the series stored in the cache directory, else a scan's.
+    A Hilbert request is also served by a held or stored Frobenius series,
+    through its dimensions.  With a cache directory, every series not read
+    from its own file is written to one, so a later store of the ring reads
+    it instead of computing.  Tables stay in memory.  ``quotient_shells``
+    keeps the shells it builds, those of the closure check, in ``shells``.
+    (The name predates the quotient side; the benchmark's tracer looks the
+    class up by it.)
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -283,6 +286,40 @@ class IdealComponentCache:
         self.ceiling = ceiling
         self.cache_dir = cache_dir
         self.shells: list = []
+        self._held: dict = {}  # "frobenius", "hilbert" or "table" -> its value
+
+    def frobenius(self) -> FrobeniusSeries:
+        """Multigraded Frobenius series, scanning shells until the quotient dies."""
+        if "frobenius" not in self._held:
+            series = self._load("frobenius")
+            if series is None:
+                series = _frobenius_scan(self)
+                self._write("frobenius", series)
+            self._held["frobenius"] = series
+        return self._held["frobenius"]
+
+    def hilbert(self) -> QUPoly:
+        """Multigraded Hilbert series; a scan for it does no character work.
+
+        The disk is read only without a held Frobenius series: the Hilbert
+        file first, then the Frobenius file.
+        """
+        if "hilbert" not in self._held:
+            series = self._held.get("frobenius")
+            hilbert = self._load("hilbert") if series is None else None
+            if hilbert is None:
+                if series is None:
+                    series = self._load("frobenius")
+                hilbert = _hilbert_scan(self) if series is None else series.hilbert()
+                self._write("hilbert", hilbert)
+            self._held["hilbert"] = hilbert
+        return self._held["hilbert"]
+
+    def table(self) -> CoeffTable:
+        """The coefficient table of the Frobenius series, up to its top degree."""
+        if "table" not in self._held:
+            self._held["table"] = coeff_table(self.frobenius(), ceiling=self.ceiling)
+        return self._held["table"]
 
     # -- disk layer ----------------------------------------------------------
 
@@ -307,6 +344,11 @@ class IdealComponentCache:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload))
         os.replace(tmp, path)
+
+    def _write(self, kind: str, value) -> None:
+        """Store a series not read from its file, when there is a cache directory."""
+        if self.cache_dir is not None:
+            self._save(kind, value)
 
     def _load(self, kind: str):
         """The stored series of this kind, None when there is none; ValueError when damaged."""
@@ -610,24 +652,10 @@ def quotient_shells(cache: IdealComponentCache) -> list:
     return cache.shells
 
 
-def frobenius_series(
-    n: int,
-    k: int,
-    j: int,
-    ceiling: int = DEFAULT_CEILING,
-    cache: IdealComponentCache | None = None,
-) -> FrobeniusSeries:
-    """Multigraded Frobenius series, scanning shells until the quotient dies.
-
-    A series in the cache directory is read instead of scanned, and a
-    scanned one is stored there.
-    """
-    if cache is None:
-        cache = IdealComponentCache(n, k, j, ceiling=ceiling)
-    series = cache._load("frobenius")
-    if series is not None:
-        return series
-    series = FrobeniusSeries(n, k, j)
+def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
+    """The Frobenius series: each nonzero component's traces, decomposed."""
+    n = cache.n
+    series = FrobeniusSeries(n, cache.k, cache.j)
     for shell, traces in _series_scan(cache, partitions_of(n)):
         for deg, comp in shell.items():
             if not comp.dim:
@@ -638,53 +666,45 @@ def frobenius_series(
                 if c < 0:
                     raise AssertionError(f"negative multiplicity {c} at {deg}, mu={mu}")
             series.components[deg] = mults
-    if cache.cache_dir is not None:
-        cache._save("frobenius", series)
     return series
 
 
-def hilbert_series(
-    n: int,
-    k: int,
-    j: int,
-    ceiling: int = DEFAULT_CEILING,
-    cache: IdealComponentCache | None = None,
-) -> QUPoly:
-    """Multigraded Hilbert series (dimensions only, no character work).
-
-    Read from and stored in the cache directory as ``frobenius_series`` is;
-    a stored Frobenius series of the ring also serves, through its
-    dimensions, instead of a scan.
-    """
-    if cache is None:
-        cache = IdealComponentCache(n, k, j, ceiling=ceiling)
-    hilbert = cache._load("hilbert")
-    if hilbert is not None:
-        return hilbert
-    series = cache._load("frobenius")
-    if series is not None:
-        hilbert = series.hilbert()
-    else:
-        out = {}
-        for shell, _traces in _series_scan(cache):
-            for (r, s), comp in shell.items():
-                if comp.dim:
-                    out[r + s] = comp.dim
-        hilbert = QUPoly(k, j, out)
-    if cache.cache_dir is not None:
-        cache._save("hilbert", hilbert)
-    return hilbert
+def _hilbert_scan(cache: IdealComponentCache) -> QUPoly:
+    """The Hilbert series: each component's dimension, with no traces."""
+    out = {}
+    for shell, _traces in _series_scan(cache):
+        for (r, s), comp in shell.items():
+            if comp.dim:
+                out[r + s] = comp.dim
+    return QUPoly(cache.k, cache.j, out)
 
 
-def coeff_table(series: FrobeniusSeries, degree_bound: int | None = None) -> CoeffTable:
+def frobenius_series(n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING) -> FrobeniusSeries:
+    """Multigraded Frobenius series of one ring, with no cache directory."""
+    return IdealComponentCache(n, k, j, ceiling).frobenius()
+
+
+def hilbert_series(n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING) -> QUPoly:
+    """Multigraded Hilbert series of one ring, with no cache directory."""
+    return IdealComponentCache(n, k, j, ceiling).hilbert()
+
+
+def coeff_table(
+    series: FrobeniusSeries, degree_bound: int | None = None, ceiling: int = DEFAULT_CEILING
+) -> CoeffTable:
     """Expand every irreducible's coefficient polynomial in super Schurs.
 
     The table determines c for every shape in P(k,j,n); shapes beyond the
-    series' top degree are zero and stored implicitly.
+    series' top degree are zero and stored implicitly.  An expansion whose
+    tableau bound exceeds ``ceiling`` is refused before it starts.
     """
     n, k, j = series.n, series.k, series.j
     if degree_bound is None:
         degree_bound = series.max_total_degree()
+    tableaux = expansion_tableau_bound(k, j, n, degree_bound)
+    if tableaux > ceiling:
+        where = f"the super Schur expansion at k={k} j={j} n={n} degree {degree_bound}"
+        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux (upper bound)")
     table = CoeffTable(n, (k, j))
     for mu in partitions_of(n):
         poly = series.mu_polynomial(mu)

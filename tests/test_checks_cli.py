@@ -354,6 +354,64 @@ def test_cli_jobs_deterministic_at_envelope_sizes(tmp_path):
     assert not list(shared.rglob("*.tmp"))
 
 
+def test_cli_verify_pool_has_no_more_workers_than_checks(monkeypatch):
+    # the pool starts all its workers at once, so a --jobs above the number
+    # of checks must start no idle ones; the fake pool runs the jobs here
+    import concurrent.futures
+
+    from supercoinv import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_WORKER_SESSION", None)
+    code, pooled, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "20"])
+    assert code == 0, err
+    code, _out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "3"])
+    assert code == 0, err
+    assert sizes == [len(REGISTRY), 3]
+    code, serial, err = _run_cli(["verify", "all", "--n", "2"])
+    assert code == 0, err
+    assert _reports_without_times(pooled) == _reports_without_times(serial)
+
+
+def test_cli_verify_writes_every_series_it_computes(tmp_path, monkeypatch):
+    # a Hilbert series served by a held Frobenius series is written too, so a
+    # second run on the directory reads every series and scans none
+    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+    argv = ["verify", "cancellation", "--n", "3", "--cache-dir", str(tmp_path)]
+    code, first, err = _run_cli(argv)
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "frobenius_n3_k0_j0.json",
+        "frobenius_n3_k1_j1.json",
+        "hilbert_n3_k0_j0.json",
+        "hilbert_n3_k1_j1.json",
+    ]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a series was scanned instead of read")
+
+    monkeypatch.setattr(coinvariant, "_series_scan", no_scan)
+    code, second, err = _run_cli(argv)
+    assert code == 0, err
+    assert _reports_without_times(second) == _reports_without_times(first)
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "supercoinv.cli", "verify", "sagan_swanson", "--n", "10"],
@@ -435,12 +493,12 @@ def test_bound_closure_reuses_the_session_components(monkeypatch):
     report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
     assert report.passed, report.witness
     assert built and max(sum(r) + sum(s) for r, s in built) == 3
-    shells = session.ideal_cache(3, 1, 1).shells
+    shells = session.ring(3, 1, 1).shells
     assert [max(sum(r) + sum(s) for r, s in shell) for shell in shells] == [0, 1, 2, 3]
     count = len(built)
     assert run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1}).passed
     assert len(built) == count
-    assert session.ideal_cache(3, 1, 1).shells is shells
+    assert session.ring(3, 1, 1).shells is shells
 
 
 @pytest.mark.parametrize(

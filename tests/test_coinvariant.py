@@ -211,8 +211,8 @@ def test_disk_cache_roundtrip(tmp_path):
 def test_eviction_persists_to_disk(tmp_path):
     # a scan writes its finished series, one file per ring and kind
     cache = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
-    series = frobenius_series(2, 1, 1, cache=cache)
-    hilbert = hilbert_series(2, 1, 1, cache=cache)
+    series = cache.frobenius()
+    hilbert = cache.hilbert()
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["frobenius_n2_k1_j1.json", "hilbert_n2_k1_j1.json"]
     fresh = IdealComponentCache(2, 1, 1, cache_dir=str(tmp_path))
@@ -223,16 +223,17 @@ def test_eviction_persists_to_disk(tmp_path):
 def test_every_computed_component_is_persisted(tmp_path, monkeypatch):
     # every series a scan computes is written, so a second run scans nothing
     cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
-    series = frobenius_series(3, 1, 1, cache=cache)
-    hilbert = hilbert_series(3, 1, 1, cache=cache)
+    series = cache.frobenius()
+    hilbert = cache.hilbert()
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a series was computed instead of loaded")
 
     monkeypatch.setattr(coinvariant, "_series_scan", no_scan)
     fresh = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
-    assert frobenius_series(3, 1, 1, cache=fresh).components == series.components
-    assert hilbert_series(3, 1, 1, cache=fresh) == hilbert
+    assert fresh.frobenius().components == series.components
+    # a store of its own, so that the Hilbert file is read, not derived
+    assert IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)).hilbert() == hilbert
 
 
 @pytest.mark.parametrize("n,k,j", [(-1, 1, 0), (3, -1, 0), (3, 1, -2)])
@@ -246,9 +247,29 @@ def test_negative_sizes_rejected(n, k, j):
 def test_ceiling_exceeded_reports_offender():
     cache = IdealComponentCache(4, 2, 0, ceiling=10)
     with pytest.raises(CeilingExceeded) as err:
-        hilbert_series(4, 2, 0, cache=cache)
+        cache.hilbert()
     assert err.value.dim > 10
     assert err.value.limit == 10
+
+
+def test_ceiling_holds_with_a_cache_directory(tmp_path):
+    # a store with a cache directory obeys its ceiling and writes nothing
+    cache = IdealComponentCache(4, 2, 0, ceiling=10, cache_dir=str(tmp_path))
+    with pytest.raises(CeilingExceeded):
+        cache.frobenius()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coeff_table_refuses_an_expansion_over_the_ceiling(monkeypatch):
+    # refused from the tableau bound, before any tableau is enumerated
+    from supercoinv import superschur
+
+    series = frobenius_series(4, 2, 1)
+    monkeypatch.setattr(superschur, "_skew_tableau_weights", None)
+    where = "the super Schur expansion at k=2 j=1 n=4 degree 6 has 376 tableaux"
+    with pytest.raises(CeilingExceeded, match=where) as err:
+        coeff_table(series, ceiling=300)
+    assert (err.value.deg, err.value.dim, err.value.limit) == (None, 376, 300)
 
 
 def _artin(n):
@@ -269,7 +290,7 @@ def test_ceiling_exceeded_names_the_quotient_border():
 
 
 def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
-    frobenius_series(3, 1, 1, cache=IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)))
+    IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)).frobenius()
     path = tmp_path / "frobenius_n3_k1_j1.json"
     written = path.read_text()
 
@@ -304,7 +325,7 @@ def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
 )
 def test_disk_cache_refuses_a_damaged_hilbert_file(tmp_path, term, detail):
     # a content change under a recomputed digest: the header and digest pass
-    hilbert_series(3, 1, 1, cache=IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)))
+    IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path)).hilbert()
     path = tmp_path / "hilbert_n3_k1_j1.json"
     payload = json.loads(path.read_text())
     del payload["sha256"]
@@ -320,9 +341,9 @@ def test_cache_file_roundtrip_by_coordinate(tmp_path):
     # a cache file is the artifact ``compute`` prints, plus its format, its
     # kind and its digest; (3,2,1) has every degree of both alphabets
     cache = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))
-    hilbert = hilbert_series(3, 2, 1, cache=cache).to_json()
+    hilbert = cache.hilbert().to_json()
     artifacts = {
-        "frobenius": frobenius_series(3, 2, 1, cache=cache).to_json(),
+        "frobenius": cache.frobenius().to_json(),
         "hilbert": {"n": 3, "k": 2, "j": 1, "hilbert": hilbert},
     }
     assert coinvariant.CACHE_FORMAT == 4

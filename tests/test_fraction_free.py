@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import OracleBasis, full_invariant_scan, rref
 
-from supercoinv.coinvariant import (
-    FrobeniusSeries,
-    IdealComponentCache,
-    frobenius_series,
-    hilbert_series,
-)
+from supercoinv.coinvariant import FrobeniusSeries, IdealComponentCache
 from supercoinv.exactla import solve_columns, span_basis
 from supercoinv.qcombinat import QUPoly
 
@@ -103,8 +98,8 @@ def test_cache_files_match_oracle_bytes(tmp_path):
     # the series of the oracle's ideal-side recursion (Inv_d at every degree)
     engine_dir, oracle_dir = tmp_path / "engine", tmp_path / "oracle"
     cache = IdealComponentCache(3, 2, 1, cache_dir=str(engine_dir))
-    frobenius_series(3, 2, 1, cache=cache)
-    hilbert_series(3, 2, 1, cache=cache)
+    cache.frobenius()
+    cache.hilbert()
     hilbert, frobenius, _contained = full_invariant_scan(3, 2, 1)
     oracle_cache = IdealComponentCache(3, 2, 1, cache_dir=str(oracle_dir))
     oracle_cache._save("frobenius", FrobeniusSeries(3, 2, 1, frobenius))

@@ -41,13 +41,9 @@ def _envelope_rings() -> set:
     rings = set()
 
     class Recording(checks.CheckSession):
-        def frobenius(self, n, k, j):
+        def ring(self, n, k, j):
             rings.add((n, k, j))
-            return super().frobenius(n, k, j)
-
-        def hilbert(self, n, k, j):
-            rings.add((n, k, j))
-            return super().hilbert(n, k, j)
+            return super().ring(n, k, j)
 
     session = Recording()
     envelope = cli._load_envelope()
@@ -133,9 +129,9 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
         patch.setattr(coinvariant, "_koszul_component", recorded)
         cache = IdealComponentCache(n, k, j)
         if frobenius:
-            frobenius_series(n, k, j, cache=cache)
+            cache.frobenius()
         else:
-            hilbert_series(n, k, j, cache=cache)
+            cache.hilbert()
     return out
 
 
