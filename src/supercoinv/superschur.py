@@ -1,38 +1,33 @@
-"""Schur, skew Schur, and super Schur polynomials in the character alphabets.
+"""Super Schur polynomials in the character alphabets, and their expansions.
 
 Polynomials are ``QUPoly`` values (defined in ``qcombinat``, re-exported
 here): ordinary commuting polynomials in q_1..q_k, u_1..u_j with integer
 coefficients; the u variables track fermionic degrees but commute here.
-Schur polynomials are produced by semistandard-tableau enumeration and every
-shape/alphabet pair is cross-checked once against a Jacobi-Trudi determinant,
-expanded along rows with memoized minors whose exponent vectors are packed
-into single integers (two independent constructions guard against indexing
-and sign bugs in everything built on top).
+Super Schur polynomials and Kostka numbers come from one memoized
+strip-branching kernel: a semistandard filling loses its largest letter as
+a horizontal or a vertical strip, so each is a sum over strips of the same
+object one letter smaller.  The tableau enumeration and the Jacobi-Trudi
+determinant they replaced are the test side's independent references.
 
 The truncated super Cauchy comparison reads both sides only at the dominant
-z-exponents z^mu, mu a partition: both sides are symmetric in z (the right
-side because every s_lam(z) passed that cross-check), so agreeing there is
-agreeing everywhere.  At each z^mu the (q,u) coefficient is compared in full.
-``cauchy_tableau_bound`` bounds the tableaux that comparison enumerates, and
-``expansion_tableau_bound`` those of a super Schur expansion, for the
-resource ceiling.
+z-exponents z^mu, mu a partition: both sides are symmetric in z, so agreeing
+there is agreeing everywhere.  At each z^mu the (q,u) coefficient is
+compared in full.  ``cauchy_tableau_bound`` and ``expansion_tableau_bound``
+bound the monomials those computations build, for the resource ceiling.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from itertools import zip_longest
+from itertools import product, zip_longest
 from math import comb
 
 from . import exactla
-from .qcombinat import Partition, QUPoly, conjugate, contains, in_Pkjn, partitions_of
+from .qcombinat import Partition, QUPoly, conjugate, in_Pkjn, partitions_of
 
 __all__ = [
     "QUPoly",
     "NotExpressible",
-    "schur_poly",
-    "skew_schur_poly",
     "super_schur",
     "specialize",
     "expand_super_schur",
@@ -49,132 +44,67 @@ class NotExpressible(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tableau enumeration
-
-
-def _row_fillings(length: int, lo_bounds, nvars: int):
-    """Weakly increasing rows with entries in 1..nvars, entry t > lo_bounds[t]."""
-    if length == 0:
-        yield ()
-        return
-
-    def rec(pos: int, prev: int, acc: list):
-        if pos == length:
-            yield tuple(acc)
-            return
-        for v in range(max(prev, lo_bounds[pos] + 1), nvars + 1):
-            acc.append(v)
-            yield from rec(pos + 1, v, acc)
-            acc.pop()
-
-    yield from rec(0, 1, [])
-
-
-def _skew_tableau_weights(lam: Partition, nu: Partition, nvars: int) -> tuple:
-    """Exponent vector (one per semistandard filling) of the shape lam/nu."""
-    lam = tuple(lam)
-    nu = tuple(nu) + (0,) * (len(lam) - len(nu))
-    weights = []
-
-    def rec(row_idx: int, prev_row: tuple, prev_nu: int, weight: list):
-        if row_idx == len(lam):
-            weights.append(tuple(weight))
-            return
-        length = lam[row_idx] - nu[row_idx]
-        # lower bounds come from the cell directly above (0 when that cell
-        # is outside the skew shape)
-        lo = []
-        for t in range(length):
-            col = nu[row_idx] + t
-            if row_idx > 0 and prev_nu <= col < prev_nu + len(prev_row):
-                lo.append(prev_row[col - prev_nu])
-            else:
-                lo.append(0)
-        for row in _row_fillings(length, lo, nvars):
-            for v in row:
-                weight[v - 1] += 1
-            rec(row_idx + 1, row, nu[row_idx], weight)
-            for v in row:
-                weight[v - 1] -= 1
-
-    rec(0, (), 0, [0] * nvars)
-    return tuple(weights)
+# strip branching
 
 
 @cache
-def _complete_homogeneous(r: int, nvars: int) -> dict:
-    """Weight dict of h_r in nvars variables."""
-    if r < 0:
-        return {}
-    if r == 0:
-        return {(0,) * nvars: 1}
-    out: dict[tuple, int] = {}
-    # h_r(x_1..x_m) = sum over x_m^a * h_(r-a)(x_1..x_(m-1))
-    if nvars == 0:
-        return {}
-    for a in range(r + 1):
-        for e, c in _complete_homogeneous(r - a, nvars - 1).items():
-            out[e + (a,)] = out.get(e + (a,), 0) + c
-    return out
+def _strips(lam: Partition, vertical: bool) -> tuple:
+    """Every (mu, |lam/mu|) with lam/mu a vertical strip, or a horizontal one.
 
-
-@cache
-def _packed_homogeneous(r: int, nvars: int, radix: int) -> tuple:
-    """h_r in nvars variables as (packed exponent, coefficient) pairs."""
-    places = [radix**i for i in range(nvars)]
-    return tuple(
-        (sum(x * place for x, place in zip(e, places)), c)
-        for e, c in _complete_homogeneous(r, nvars).items()
-    )
-
-
-def _jacobi_trudi(lam: Partition, nvars: int) -> dict:
-    """Weight dict of s_lam via det(h_(lam_i - i + j)), expanded along rows.
-
-    ``minors[S]`` is the minor on the last |S| rows and the column set S (a
-    bitmask); each one is the Laplace expansion of its top row against the
-    minors one row smaller, so every minor is built once: ell * 2^(ell-1)
-    products instead of the ell! of the permutation sum.  Exponent vectors
-    are packed into one integer of radix |lam| + 1, so a product of two terms
-    adds two integers.  No digit carries: the minor on rows r >= r0 and
-    columns S has total degree sum over r >= r0 of (lam_r - r) plus the sum of
-    S, and S has |S| = ell - r0 columns, so the sum of S is at most
-    r0 + ... + (ell - 1) and the degree at most lam_r0 + ... <= |lam|.
+    The cells of the largest letter of a semistandard filling: a horizontal
+    strip (at most one per column) for a letter that may repeat along a row,
+    a vertical strip (at most one per row) for one that may repeat down a
+    column.  Row i of mu keeps lam_i or lam_i - 1 cells of a vertical strip,
+    and between lam_(i+1) and lam_i cells of a horizontal one; only the
+    vertical choices can leave mu out of order.
     """
-    ell = len(lam)
-    radix = sum(lam) + 1
-    minors = {0: {0: 1}}
-    for row in range(ell - 1, -1, -1):
-        bigger: dict[int, dict] = {}
-        for mask, minor in minors.items():
-            for col in range(ell):
-                bit = 1 << col
-                if mask & bit:
-                    continue
-                terms = _packed_homogeneous(lam[row] - row + col, nvars, radix)
-                if not terms:
-                    continue
-                # (-1)^(position of col among the columns of the new minor)
-                sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
-                acc = bigger.setdefault(mask | bit, {})
-                for e1, c1 in terms:
-                    c1 *= sign
-                    for e2, c2 in minor.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        minors = {}
-        for mask, acc in bigger.items():
-            nonzero = {e: c for e, c in acc.items() if c}
-            if nonzero:
-                minors[mask] = nonzero
-    out = {}
-    for key, c in minors.get((1 << ell) - 1, {}).items():
-        e = []
-        for _ in range(nvars):
-            key, x = divmod(key, radix)
-            e.append(x)
-        out[tuple(e)] = c
+    if vertical:
+        choices = [(part, part - 1) for part in lam]
+    else:
+        choices = [range(below, part + 1) for part, below in zip(lam, lam[1:] + (0,))]
+    size = sum(lam)
+    out = []
+    for mu in product(*choices):
+        if vertical and any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        out.append((tuple(p for p in mu if p), size - sum(mu)))
+    return tuple(out)
+
+
+@cache
+def _hook_weights(lam: Partition, k: int, j: int) -> dict:
+    """Weight dict {(q_1..q_k, u_1..u_j exponents): coefficient} of s_lam(q/u).
+
+    The letters are ordered q_1 < ... < q_k < u_1 < ... < u_j, and the
+    largest one is stripped off: u_j fills a vertical strip, q_k (once no u
+    is left) a horizontal one (Berele-Regev).  The hook bound lam_(k+1) <= j
+    cuts every branch that cannot be filled, the empty alphabet included.
+    """
+    if not lam:
+        return {(0,) * (k + j): 1}
+    if len(lam) > k and lam[k] > j:
+        return {}
+    rest = (k, j - 1) if j else (k - 1, 0)
+    out: dict[tuple, int] = {}
+    for mu, size in _strips(lam, j > 0):
+        for e, c in _hook_weights(mu, *rest).items():
+            key = e + (size,)
+            out[key] = out.get(key, 0) + c
     return out
+
+
+@cache
+def _kostka(lam: Partition, mu: Partition) -> int:
+    """Kostka number K_(lam,mu): semistandard tableaux of shape lam and content mu.
+
+    The largest letter fills a horizontal strip of mu's last part
+    (Macdonald I.5); a shape with more rows than mu has parts has none.
+    """
+    if not mu:
+        return 0 if lam else 1
+    if len(lam) > len(mu):
+        return 0
+    return sum(_kostka(nu, mu[:-1]) for nu, size in _strips(lam, False) if size == mu[-1])
 
 
 @cache
@@ -192,57 +122,6 @@ def ssyt_count(lam: Partition, n: int) -> int:
             num *= n + c - i
             den *= part - c + lamc[c] - i - 1
     return num // den
-
-
-@cache
-def _schur_weights(lam: Partition, nvars: int) -> tuple:
-    """SSYT weights of s_lam, verified against the Jacobi-Trudi determinant."""
-    weights = _skew_tableau_weights(lam, (), nvars)
-    tableau_dict: dict[tuple, int] = {}
-    for w in weights:
-        tableau_dict[w] = tableau_dict.get(w, 0) + 1
-    jt = _jacobi_trudi(lam, nvars)
-    if tableau_dict != jt:
-        raise AssertionError(f"tableau sum and Jacobi-Trudi disagree for {lam} in {nvars} vars")
-    return weights
-
-
-@cache
-def _skew_weights(lam: Partition, nu: Partition, nvars: int) -> tuple:
-    return _skew_tableau_weights(lam, nu, nvars)
-
-
-def _weights_to_qupoly(weights, slots, k: int, j: int) -> QUPoly:
-    nv = k + j
-    out: dict[tuple, int] = {}
-    for w in weights:
-        e = [0] * nv
-        for slot, m in zip(slots, w):
-            e[slot] += m
-        te = tuple(e)
-        out[te] = out.get(te, 0) + 1
-    return QUPoly(k, j, out)
-
-
-def schur_poly(lam: Partition, slots, k: int, j: int) -> QUPoly:
-    """Schur polynomial of shape lam in the variables named by slot indices.
-
-    Returns zero when lam has more rows than variables.
-    """
-    lam = tuple(lam)
-    slots = list(slots)
-    if len(lam) > len(slots):
-        return QUPoly.zero(k, j)
-    return _weights_to_qupoly(_schur_weights(lam, len(slots)), slots, k, j)
-
-
-def skew_schur_poly(lam: Partition, nu: Partition, slots, k: int, j: int) -> QUPoly:
-    """Skew Schur polynomial of lam/nu; requires nu ⊆ lam."""
-    lam, nu = tuple(lam), tuple(nu)
-    if not contains(lam, nu):
-        raise ValueError(f"{nu} is not contained in {lam}")
-    slots = list(slots)
-    return _weights_to_qupoly(_skew_weights(lam, nu, len(slots)), slots, k, j)
 
 
 @cache
@@ -266,27 +145,12 @@ def _subpartitions(lam: Partition) -> tuple:
 
 @cache
 def super_schur(lam: Partition, k: int, j: int) -> QUPoly:
-    """Super Schur polynomial: sum over nu ⊆ lam of s_nu(q) * s_(lam'/nu')(u).
+    """Super (hook) Schur polynomial s_lam(q/u) = sum over nu ⊆ lam of s_nu(q) s_(lam'/nu')(u).
 
-    Vanishes exactly when lam has more than j columns past its first k rows
-    (the hook-bound condition).
+    Built by strip branching (``_hook_weights``).  Vanishes exactly when lam
+    has more than j columns past its first k rows (the hook-bound condition).
     """
-    lam = tuple(lam)
-    lamc = conjugate(lam)
-    qslots = list(range(k))
-    uslots = list(range(k, k + j))
-    total = QUPoly.zero(k, j)
-    for nu in _subpartitions(lam):
-        if len(nu) > k:
-            continue
-        qpart = schur_poly(nu, qslots, k, j)
-        if qpart.is_zero():
-            continue
-        upart = skew_schur_poly(lamc, conjugate(nu), uslots, k, j)
-        if upart.is_zero():
-            continue
-        total = total + qpart * upart
-    return total
+    return QUPoly(k, j, _hook_weights(tuple(lam), k, j))
 
 
 def specialize(poly: QUPoly, assignment: dict) -> QUPoly:
@@ -417,13 +281,14 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
       one-letter product prod_a (1 - q_a z)^-1 prod_c (1 + u_c z); products
       are memoized by prefix of mu;
     - right side: sum over lam of K_(lam,mu) * super_schur(lam), with the
-      Kostka number K_(lam,mu) read as the multiplicity of the weight mu in
-      ``_schur_weights(lam, n)``.
+      Kostka number K_(lam,mu) from the horizontal-strip recursion
+      ``_kostka``, the coefficient of z^mu in s_lam(z).
 
     This decides the identity exactly.  The left side is symmetric in z by
     construction.  The right side is symmetric in z whatever ``super_schur``
-    returns, because every s_lam(z) is symmetric: its tableau weights have
-    passed the Jacobi-Trudi cross-check in ``_schur_weights``.  Two symmetric
+    returns, because s_lam(z) = sum over mu of K_(lam,mu) m_mu(z) is
+    symmetric: K_(lam,mu) does not change when the parts of mu are permuted
+    (Bender-Knuth), a theorem, not a property checked at run time.  Two symmetric
     polynomials agree at every z-monomial of degree d exactly when they agree
     at every z^mu with mu a partition of d, so ``passed`` and
     ``first_failure`` are those of the comparison at every z-monomial.  Only
@@ -448,20 +313,19 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
             f[m] = f[m] + u * f[m - 1]
     lhs = {(): f[0]}  # coefficient of z^mu, keyed by the partition mu
     for d in range(degree + 1):
-        shapes = []  # (super Schur coefficients, Kostka numbers by weight)
+        shapes = []  # (shape, super Schur coefficients)
         for lam in expansion_shapes(k, j, n, d):
             squ = super_schur(lam, k, j)
             if not squ.is_zero():
-                shapes.append((squ.coeffs, Counter(_schur_weights(lam, n))))
+                shapes.append((lam, squ.coeffs))
         for mu in partitions_of(d):
             if len(mu) > n:
                 continue
             if mu:
                 lhs[mu] = lhs[mu[:-1]] * f[mu[-1]]
-            weight = mu + (0,) * (n - len(mu))
             rhs: dict[tuple, int] = {}
-            for coeffs, kostka in shapes:
-                mult = kostka.get(weight)
+            for lam, coeffs in shapes:
+                mult = _kostka(lam, mu)
                 if mult:
                     for e, c in coeffs.items():
                         rhs[e] = rhs.get(e, 0) + mult * c
@@ -471,15 +335,14 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
 
 
 def _super_schur_tableau_bound(lam: Partition, k: int, j: int) -> int:
-    """Upper bound on the tableaux ``super_schur(lam, k, j)`` enumerates.
+    """Upper bound on the monomials of ``super_schur(lam, k, j)``.
 
-    The s_nu(1^k) tableaux of each nu, len(nu) <= k, times the skew tableaux
-    of lam'/nu' in j letters.  Straight shapes are counted exactly by the
-    hook-content formula, a skew shape by the fillings of its rows with
-    weakly increasing entries, column conditions dropped; that also bounds
-    the partial fillings the row-by-row enumeration visits.  s_lam(1^(k+j))
-    is no bound: lam = (1, 1) at k = 0, j = 1 has one tableau, and
-    s_(1,1)(1) = 0.
+    Each coefficient counts at least one tableau: the s_nu(1^k) tableaux of
+    each nu, len(nu) <= k, times the skew tableaux of lam'/nu' in j letters.
+    Straight shapes are counted exactly by the hook-content formula, a skew
+    shape by the fillings of its rows with weakly increasing entries, column
+    conditions dropped.  s_lam(1^(k+j)) is no bound: lam = (1, 1) at k = 0,
+    j = 1 has one tableau, and s_(1,1)(1) = 0.
     """
     lamc = conjugate(lam)
     total = 0
@@ -494,7 +357,7 @@ def _super_schur_tableau_bound(lam: Partition, k: int, j: int) -> int:
 
 
 def expansion_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
-    """Upper bound on the tableaux a super Schur expansion up to ``degree`` enumerates.
+    """Upper bound on the monomials a super Schur expansion up to ``degree`` builds.
 
     ``expand_super_schur`` builds ``super_schur(lam, k, j)`` for every shape
     of ``expansion_shapes`` up to its degree bound, each once (memoized), so
@@ -508,11 +371,13 @@ def expansion_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
 
 
 def cauchy_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
-    """Upper bound on the tableaux ``super_cauchy_check`` enumerates.
+    """Upper bound on the monomials ``super_cauchy_check`` builds or reads.
 
-    Per shape lam of the check: the s_lam(1^n) tableaux of ``_schur_weights``
-    in the n letters z, counted exactly by the hook-content formula, and the
-    bound of ``_super_schur_tableau_bound`` for ``super_schur(lam, k, j)``.
+    Per shape lam of the check: the monomials of s_lam(z) in the n letters
+    z, whose coefficients are the Kostka numbers the check may read, each
+    counting at least one of the s_lam(1^n) tableaux (the hook-content
+    formula); and the bound of ``_super_schur_tableau_bound`` for
+    ``super_schur(lam, k, j)``.
     """
     return sum(
         ssyt_count(lam, n) + _super_schur_tableau_bound(lam, k, j)

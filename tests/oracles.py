@@ -6,10 +6,17 @@ Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``restricted_trace`` reads a trace off any reduced-echelon basis object;
 ``reynolds`` averages a polynomial over all of S_n, and
 ``monomial_space_dim`` counts a component's monomials in closed form.
-``jacobi_trudi_perm`` expands the Jacobi–Trudi determinant as a sum over
-all permutations with tuple exponents (``_wmul``), and ``cauchy_oracle``
-runs the truncated super Cauchy comparison on ``QUPoly`` coefficients
-indexed by every z-exponent, not only the dominant ones.
+Schur polynomials by tableau enumeration: ``schur_poly`` and
+``skew_schur_poly`` list every semistandard filling (``_skew_tableau_weights``),
+and ``_schur_weights`` compares each straight shape with the Jacobi–Trudi
+determinant ``_jacobi_trudi`` (packed exponents, memoized minors), itself
+checked against ``jacobi_trudi_perm``, the sum over all permutations with
+tuple exponents (``_wmul``).  On them ``super_schur_sum`` builds
+s_lam(q/u) = sum over nu of s_nu(q) s_(lam'/nu')(u) and ``kostka_count``
+counts tableaux of one weight, the references for the engine's strip
+branching.  ``cauchy_oracle`` runs the truncated super Cauchy comparison
+on ``QUPoly`` coefficients indexed by every z-exponent, not only the
+dominant ones.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced by the
 polarized power sums and the quotient-side recursion.
@@ -42,10 +49,10 @@ from math import comb, factorial, gcd
 from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, span_basis
-from supercoinv.qcombinat import partitions_of
+from supercoinv.qcombinat import conjugate, contains, partitions_of
 from supercoinv.snchar import class_representative, frobenius_decompose, z_order
 from supercoinv.superring import _compositions
-from supercoinv.superschur import CauchyResult, QUPoly, _complete_homogeneous
+from supercoinv.superschur import CauchyResult, QUPoly
 
 
 class SubspaceNotInvariant(ValueError):
@@ -713,6 +720,205 @@ def reynolds(n: int, poly: dict) -> dict:
     return {m: c * scale for m, c in out.items()}
 
 
+# --- Schur polynomials by tableau enumeration -------------------------------
+
+
+def _row_fillings(length: int, lo_bounds, nvars: int):
+    """Weakly increasing rows with entries in 1..nvars, entry t > lo_bounds[t]."""
+    if length == 0:
+        yield ()
+        return
+
+    def rec(pos: int, prev: int, acc: list):
+        if pos == length:
+            yield tuple(acc)
+            return
+        for v in range(max(prev, lo_bounds[pos] + 1), nvars + 1):
+            acc.append(v)
+            yield from rec(pos + 1, v, acc)
+            acc.pop()
+
+    yield from rec(0, 1, [])
+
+
+def _skew_tableau_weights(lam, nu, nvars: int) -> tuple:
+    """Exponent vector (one per semistandard filling) of the shape lam/nu."""
+    lam = tuple(lam)
+    nu = tuple(nu) + (0,) * (len(lam) - len(nu))
+    weights = []
+
+    def rec(row_idx: int, prev_row: tuple, prev_nu: int, weight: list):
+        if row_idx == len(lam):
+            weights.append(tuple(weight))
+            return
+        length = lam[row_idx] - nu[row_idx]
+        # lower bounds come from the cell directly above (0 when that cell
+        # is outside the skew shape)
+        lo = []
+        for t in range(length):
+            col = nu[row_idx] + t
+            if row_idx > 0 and prev_nu <= col < prev_nu + len(prev_row):
+                lo.append(prev_row[col - prev_nu])
+            else:
+                lo.append(0)
+        for row in _row_fillings(length, lo, nvars):
+            for v in row:
+                weight[v - 1] += 1
+            rec(row_idx + 1, row, nu[row_idx], weight)
+            for v in row:
+                weight[v - 1] -= 1
+
+    rec(0, (), 0, [0] * nvars)
+    return tuple(weights)
+
+
+@cache
+def _complete_homogeneous(r: int, nvars: int) -> dict:
+    """Weight dict of h_r in nvars variables."""
+    if r < 0:
+        return {}
+    if r == 0:
+        return {(0,) * nvars: 1}
+    out: dict[tuple, int] = {}
+    # h_r(x_1..x_m) = sum over x_m^a * h_(r-a)(x_1..x_(m-1))
+    if nvars == 0:
+        return {}
+    for a in range(r + 1):
+        for e, c in _complete_homogeneous(r - a, nvars - 1).items():
+            out[e + (a,)] = out.get(e + (a,), 0) + c
+    return out
+
+
+@cache
+def _packed_homogeneous(r: int, nvars: int, radix: int) -> tuple:
+    """h_r in nvars variables as (packed exponent, coefficient) pairs."""
+    places = [radix**i for i in range(nvars)]
+    return tuple(
+        (sum(x * place for x, place in zip(e, places)), c)
+        for e, c in _complete_homogeneous(r, nvars).items()
+    )
+
+
+def _jacobi_trudi(lam, nvars: int) -> dict:
+    """Weight dict of s_lam via det(h_(lam_i - i + j)), expanded along rows.
+
+    ``minors[S]`` is the minor on the last |S| rows and the column set S (a
+    bitmask); each one is the Laplace expansion of its top row against the
+    minors one row smaller, so every minor is built once: ell * 2^(ell-1)
+    products instead of the ell! of the permutation sum.  Exponent vectors
+    are packed into one integer of radix |lam| + 1, so a product of two terms
+    adds two integers.  No digit carries: the minor on rows r >= r0 and
+    columns S has total degree sum over r >= r0 of (lam_r - r) plus the sum of
+    S, and S has |S| = ell - r0 columns, so the sum of S is at most
+    r0 + ... + (ell - 1) and the degree at most lam_r0 + ... <= |lam|.
+    """
+    ell = len(lam)
+    radix = sum(lam) + 1
+    minors = {0: {0: 1}}
+    for row in range(ell - 1, -1, -1):
+        bigger: dict[int, dict] = {}
+        for mask, minor in minors.items():
+            for col in range(ell):
+                bit = 1 << col
+                if mask & bit:
+                    continue
+                terms = _packed_homogeneous(lam[row] - row + col, nvars, radix)
+                if not terms:
+                    continue
+                # (-1)^(position of col among the columns of the new minor)
+                sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
+                acc = bigger.setdefault(mask | bit, {})
+                for e1, c1 in terms:
+                    c1 *= sign
+                    for e2, c2 in minor.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        minors = {}
+        for mask, acc in bigger.items():
+            nonzero = {e: c for e, c in acc.items() if c}
+            if nonzero:
+                minors[mask] = nonzero
+    out = {}
+    for key, c in minors.get((1 << ell) - 1, {}).items():
+        e = []
+        for _ in range(nvars):
+            key, x = divmod(key, radix)
+            e.append(x)
+        out[tuple(e)] = c
+    return out
+
+
+@cache
+def _schur_weights(lam, nvars: int) -> tuple:
+    """SSYT weights of s_lam, verified against the Jacobi-Trudi determinant."""
+    weights = _skew_tableau_weights(lam, (), nvars)
+    tableau_dict: dict[tuple, int] = {}
+    for w in weights:
+        tableau_dict[w] = tableau_dict.get(w, 0) + 1
+    jt = _jacobi_trudi(lam, nvars)
+    if tableau_dict != jt:
+        raise AssertionError(f"tableau sum and Jacobi-Trudi disagree for {lam} in {nvars} vars")
+    return weights
+
+
+@cache
+def _skew_weights(lam, nu, nvars: int) -> tuple:
+    return _skew_tableau_weights(lam, nu, nvars)
+
+
+def _weights_to_qupoly(weights, slots, k: int, j: int) -> QUPoly:
+    nv = k + j
+    out: dict[tuple, int] = {}
+    for w in weights:
+        e = [0] * nv
+        for slot, m in zip(slots, w):
+            e[slot] += m
+        te = tuple(e)
+        out[te] = out.get(te, 0) + 1
+    return QUPoly(k, j, out)
+
+
+def schur_poly(lam, slots, k: int, j: int) -> QUPoly:
+    """Schur polynomial of shape lam in the variables named by slot indices.
+
+    Returns zero when lam has more rows than variables.
+    """
+    lam = tuple(lam)
+    slots = list(slots)
+    if len(lam) > len(slots):
+        return QUPoly.zero(k, j)
+    return _weights_to_qupoly(_schur_weights(lam, len(slots)), slots, k, j)
+
+
+def skew_schur_poly(lam, nu, slots, k: int, j: int) -> QUPoly:
+    """Skew Schur polynomial of lam/nu; requires nu ⊆ lam."""
+    lam, nu = tuple(lam), tuple(nu)
+    if not contains(lam, nu):
+        raise ValueError(f"{nu} is not contained in {lam}")
+    slots = list(slots)
+    return _weights_to_qupoly(_skew_weights(lam, nu, len(slots)), slots, k, j)
+
+
+def super_schur_sum(lam, k: int, j: int) -> QUPoly:
+    """s_lam(q/u) = sum over nu ⊆ lam of s_nu(q) * s_(lam'/nu')(u), by tableaux."""
+    lam = tuple(lam)
+    qslots = list(range(k))
+    uslots = list(range(k, k + j))
+    total = QUPoly.zero(k, j)
+    for size in range(sum(lam) + 1):
+        for nu in partitions_of(size):
+            if contains(lam, nu):
+                qpart = schur_poly(nu, qslots, k, j)
+                total = total + qpart * skew_schur_poly(conjugate(lam), conjugate(nu), uslots, k, j)
+    return total
+
+
+def kostka_count(lam, mu, n: int) -> int:
+    """Semistandard tableaux of shape lam in n letters with weight mu (padded with 0s)."""
+    weight = tuple(mu) + (0,) * (n - len(mu))
+    return sum(1 for w in _schur_weights(tuple(lam), n) if w == weight)
+
+
 def _wmul(a: dict, b: dict) -> dict:
     """Product of two weight dicts keyed by exponent tuples."""
     out: dict[tuple, int] = {}
@@ -775,8 +981,9 @@ def _unit(nv: int, idx: int, m: int) -> tuple:
 def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
     """Truncated super Cauchy comparison with a ``QUPoly`` per z-exponent.
 
-    Reads ``super_schur`` and ``_schur_weights`` from the module at call time,
-    so a test that patches them there changes both this and the engine.
+    Reads ``super_schur`` from the engine module at call time, so a test
+    that patches it there changes both this and the engine; s_lam(z) comes
+    from the tableau weights of ``_schur_weights``.
     """
     lhs: dict[tuple, QUPoly] = {(0,) * n: QUPoly.one(k, j)}
 
@@ -810,7 +1017,7 @@ def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
             squ = superschur.super_schur(lam, k, j)
             if squ.is_zero():
                 continue
-            for w in superschur._schur_weights(lam, n):
+            for w in _schur_weights(lam, n):
                 cur = rhs.get(w)
                 rhs[w] = squ if cur is None else cur + squ
 

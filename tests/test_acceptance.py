@@ -132,7 +132,7 @@ def test_criterion_10_cauchy_and_alternating_sum():
 
 def test_criterion_11_property_suites():
     # Schur via tableaux agrees with the determinant construction
-    from supercoinv.superschur import _jacobi_trudi, _schur_weights
+    from oracles import _jacobi_trudi, _schur_weights
 
     for size in range(7):
         for lam in partitions_of(size):

@@ -515,11 +515,11 @@ def test_bound_closure_reuses_the_session_components(monkeypatch):
     ids=["expand", "verify"],
 )
 def test_cli_coefficient_tables_obey_the_ceiling(argv, where, monkeypatch):
-    # refused before any tableau is enumerated
-    from supercoinv import superschur
+    # refused before the expansion starts
+    from supercoinv import coinvariant
 
     with monkeypatch.context() as patch:
-        patch.setattr(superschur, "_skew_tableau_weights", None)
+        patch.setattr(coinvariant, "expand_super_schur", None)
         code, out, err = _run_cli(argv)
     assert code == 2
     assert out == ""

@@ -1,5 +1,13 @@
+import oracles
 import pytest
-from oracles import cauchy_oracle, jacobi_trudi_perm
+from oracles import (
+    cauchy_oracle,
+    jacobi_trudi_perm,
+    kostka_count,
+    schur_poly,
+    skew_schur_poly,
+    super_schur_sum,
+)
 
 from supercoinv import superschur
 from supercoinv.qcombinat import conjugate, in_Pkjn, partitions_of
@@ -8,8 +16,6 @@ from supercoinv.superschur import (
     QUPoly,
     expand_super_schur,
     expansion_shapes,
-    schur_poly,
-    skew_schur_poly,
     specialize,
     ssyt_count,
     super_cauchy_check,
@@ -101,6 +107,26 @@ def test_super_schur_pure_cases():
                 assert super_schur(lam, 0, j) == schur_poly(
                     conjugate(lam), list(range(j)), 0, j
                 )
+
+
+def test_super_schur_matches_the_tableau_sum():
+    # strip branching against sum over nu of s_nu(q) s_(lam'/nu')(u) by tableaux
+    for size in range(9):
+        for lam in partitions_of(size):
+            for k in range(4):
+                for j in range(4):
+                    assert super_schur(lam, k, j) == super_schur_sum(lam, k, j), (lam, k, j)
+
+
+def test_kostka_matches_tableau_counts():
+    # the horizontal-strip recursion against tableaux counted at dominant weights
+    for size in range(10):
+        for lam in partitions_of(size):
+            for n in range(1, 6):
+                for mu in partitions_of(size):
+                    if len(mu) <= n:
+                        got = superschur._kostka(lam, mu)
+                        assert got == kostka_count(lam, mu, n), (lam, mu, n)
 
 
 def test_super_schur_duality():
@@ -228,7 +254,7 @@ def test_jacobi_trudi_matches_permutation_sum():
     for size in range(9):
         for lam in partitions_of(size):
             for m in range(7):
-                assert superschur._jacobi_trudi(lam, m) == jacobi_trudi_perm(lam, m), (lam, m)
+                assert oracles._jacobi_trudi(lam, m) == jacobi_trudi_perm(lam, m), (lam, m)
 
 
 def _outcome(result):
@@ -313,7 +339,7 @@ def test_cauchy_tableau_bound_covers_the_tableaux():
 
 @pytest.fixture
 def fresh_weight_caches():
-    memoized = (superschur._schur_weights, superschur._skew_weights)
+    memoized = (oracles._schur_weights, oracles._skew_weights)
     for fn in memoized:
         fn.cache_clear()
     yield
@@ -322,14 +348,14 @@ def fresh_weight_caches():
 
 
 def test_schur_weights_cross_check_fires(monkeypatch, fresh_weight_caches):
-    right = superschur._skew_tableau_weights
+    right = oracles._skew_tableau_weights
     # drop the first semistandard tableau of every shape
     monkeypatch.setattr(
-        superschur, "_skew_tableau_weights", lambda lam, nu, nvars: right(lam, nu, nvars)[1:]
+        oracles, "_skew_tableau_weights", lambda lam, nu, nvars: right(lam, nu, nvars)[1:]
     )
     for lam, nvars in [((1,), 1), ((2, 1), 3), ((3, 2, 1), 4)]:
         with pytest.raises(AssertionError, match="Jacobi-Trudi"):
-            superschur._schur_weights(lam, nvars)
+            oracles._schur_weights(lam, nvars)
 
 
 def test_mono_mul_context_mismatch():
