@@ -68,9 +68,9 @@ class CheckReport:
 class CheckSession:
     """One ``IdealComponentCache`` per ring, shared by every check of a run.
 
-    Each ring's store holds its series, its coefficient table and the
-    quotient shells of the closure check, and reads and writes its series
-    in the session's cache directory, so a suite run computes each once.
+    Each ring's store holds its series and its coefficient table, and reads
+    and writes its series in the session's cache directory, so a suite run
+    computes each once.
     """
 
     def __init__(self, ceiling: int = coinvariant.DEFAULT_CEILING, cache_dir=None):
@@ -422,14 +422,14 @@ def _apply(matrix: list, col):
     return _combine([(c, matrix[i]) for i, c in x.items()], dx)
 
 
-def _closure_witness(shells: list, n: int, k: int, operators) -> tuple | None:
+def _closure_witness(shells, n: int, k: int, operators) -> tuple | None:
     """(multidegree, operator) of the first border column that breaks the Leibniz rule, or None.
 
-    ``shells`` are the quotient shells from degree 0; the rule and its proof
-    are in ``check_bound_and_closure``.
+    ``shells`` is any iterable of the quotient shells from degree 0, each
+    read once; the rule and its proof are in ``check_bound_and_closure``.
     """
     below = [{} for _ in operators]  # per operator: multidegree -> columns of E
-    for shell in shells[1:]:
+    for shell in shells:  # E vanishes on degree 0: its shell adds no columns
         here = [{} for _ in operators]
         for deg in sorted(shell):
             comp = shell[deg]
@@ -624,11 +624,11 @@ def check_haiman(session: CheckSession, n: int) -> CheckReport:
 
 
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
-    """Refuse a Cauchy check whose tableau bound exceeds the ceiling, before it starts."""
-    bound = cauchy_tableau_bound(k, j, n, degree)
-    if bound > ceiling:
+    """Refuse a Cauchy check whose tableau count exceeds the ceiling, before it starts."""
+    tableaux = cauchy_tableau_bound(k, j, n, degree)
+    if tableaux > ceiling:
         where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
-        raise CeilingExceeded(None, bound, ceiling, where, "tableaux (upper bound)")
+        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int = 2, jmax: int = 2, degree: int = 6) -> CheckReport:

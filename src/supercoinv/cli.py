@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "max columns per multidegree of its quotient border (sum over variables v"
                 " of dim Q at deg - e_v); for coefficient tables and the Cauchy check, max"
-                " tableaux (an upper bound on those they enumerate)"
+                " tableaux of the Schur polynomials they may build, counted exactly"
             ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="emit the coefficient table of a ring")
     add_common(p)
-    p.add_argument("--degree-bound", type=int, default=None)
 
     p = sub.add_parser("verify", help="run verification checks")
     add_common(p, need_n=False)
@@ -272,7 +271,7 @@ def _run_compute(args) -> int:
 
 def _run_expand(args) -> int:
     series = _store(args).frobenius()
-    table = coinvariant.coeff_table(series, args.degree_bound, args.ceiling)
+    table = coinvariant.coeff_table(series, args.ceiling)
     _emit(_COEFF_TABLE[args.format](table), args)
     return 0
 

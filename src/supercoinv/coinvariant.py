@@ -270,10 +270,8 @@ class IdealComponentCache:
     A Hilbert request is also served by a held or stored Frobenius series,
     through its dimensions.  With a cache directory, every series not read
     from its own file is written to one, so a later store of the ring reads
-    it instead of computing.  Tables stay in memory.  ``quotient_shells``
-    keeps the shells it builds, those of the closure check, in ``shells``.
-    (The name predates the quotient side; the benchmark's tracer looks the
-    class up by it.)
+    it instead of computing.  Tables stay in memory.  (The name predates the
+    quotient side; the benchmark's tracer looks the class up by it.)
     """
 
     def __init__(self, n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING, cache_dir=None):
@@ -285,7 +283,6 @@ class IdealComponentCache:
         self.j = j
         self.ceiling = ceiling
         self.cache_dir = cache_dir
-        self.shells: list = []
         self._held: dict = {}  # "frobenius", "hilbert" or "table" -> its value
 
     def frobenius(self) -> FrobeniusSeries:
@@ -641,15 +638,14 @@ def _series_scan(cache: IdealComponentCache, types=()):
         total += 1
 
 
-def quotient_shells(cache: IdealComponentCache) -> list:
-    """The quotient shells of total degree 0..n, fewer when Q dies below n.
+def quotient_shells(cache: IdealComponentCache):
+    """Yield the quotient shells of total degree 0..n, fewer when Q dies below n.
 
-    Built once per cache and kept in ``cache.shells``; a shell maps each
-    multidegree of its total degree to its quotient component.
+    A shell maps each multidegree of its total degree to its quotient
+    component; the scan holds two at a time, and so does this.
     """
-    if not cache.shells:
-        cache.shells = [shell for shell, _traces in islice(_series_scan(cache), cache.n + 1)]
-    return cache.shells
+    for shell, _traces in islice(_series_scan(cache), cache.n + 1):
+        yield shell
 
 
 def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
@@ -689,28 +685,25 @@ def hilbert_series(n: int, k: int, j: int, ceiling: int = DEFAULT_CEILING) -> QU
     return IdealComponentCache(n, k, j, ceiling).hilbert()
 
 
-def coeff_table(
-    series: FrobeniusSeries, degree_bound: int | None = None, ceiling: int = DEFAULT_CEILING
-) -> CoeffTable:
+def coeff_table(series: FrobeniusSeries, ceiling: int = DEFAULT_CEILING) -> CoeffTable:
     """Expand every irreducible's coefficient polynomial in super Schurs.
 
     The table determines c for every shape in P(k,j,n); shapes beyond the
     series' top degree are zero and stored implicitly.  An expansion whose
-    tableau bound exceeds ``ceiling`` is refused before it starts.
+    tableau count exceeds ``ceiling`` is refused before it starts.
     """
     n, k, j = series.n, series.k, series.j
-    if degree_bound is None:
-        degree_bound = series.max_total_degree()
-    tableaux = expansion_tableau_bound(k, j, n, degree_bound)
+    top = series.max_total_degree()
+    tableaux = expansion_tableau_bound(k, j, n, top)
     if tableaux > ceiling:
-        where = f"the super Schur expansion at k={k} j={j} n={n} degree {degree_bound}"
-        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux (upper bound)")
+        where = f"the super Schur expansion at k={k} j={j} n={n} degree {top}"
+        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
     table = CoeffTable(n, (k, j))
     for mu in partitions_of(n):
         poly = series.mu_polynomial(mu)
         if poly.is_zero():
             continue
-        expansion = expand_super_schur(poly, k, j, n, degree_bound=degree_bound)
+        expansion = expand_super_schur(poly, k, j, n)
         for lam, c in expansion.items():
             if c:
                 table.entries[(lam, mu)] = c

@@ -176,12 +176,6 @@ class QUPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        return max(map(sum, self.coeffs), default=0)
-
-    def homogeneous_component(self, d: int) -> "QUPoly":
-        return QUPoly(self.k, self.j, {e: c for e, c in self.coeffs.items() if sum(e) == d})
-
     def coeff(self, exponents) -> int:
         return self.coeffs.get(tuple(exponents), 0)
 
@@ -197,28 +191,6 @@ class QUPoly:
                     term *= x**m
             total += term
         return total
-
-    def swap_vars(self, i: int, jdx: int) -> "QUPoly":
-        out = {}
-        for e, c in self.coeffs.items():
-            le = list(e)
-            le[i], le[jdx] = le[jdx], le[i]
-            out[tuple(le)] = c
-        return QUPoly(self.k, self.j, out)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under adjacent transpositions within each alphabet block.
-
-        Transpositions generate the full symmetric groups on the blocks, so
-        this is a complete symmetry test despite touching only k+j-2 swaps.
-        """
-        for i in range(self.k - 1):
-            if self.swap_vars(i, i + 1).coeffs != self.coeffs:
-                return False
-        for c in range(self.j - 1):
-            if self.swap_vars(self.k + c, self.k + c + 1).coeffs != self.coeffs:
-                return False
-        return True
 
     def reindex(self, k2: int, j2: int, qshift: int = 0, ushift: int = 0) -> "QUPoly":
         """Embed into a (k2, j2) alphabet, mapping q_i -> q_(i+qshift) etc."""

@@ -3,26 +3,29 @@
 Polynomials are ``QUPoly`` values (defined in ``qcombinat``, re-exported
 here): ordinary commuting polynomials in q_1..q_k, u_1..u_j with integer
 coefficients; the u variables track fermionic degrees but commute here.
-Super Schur polynomials and Kostka numbers come from one memoized
-strip-branching kernel: a semistandard filling loses its largest letter as
-a horizontal or a vertical strip, so each is a sum over strips of the same
-object one letter smaller.  The tableau enumeration and the Jacobi-Trudi
-determinant they replaced are the test side's independent references.
+Super Schur polynomials, Kostka numbers and tableau counts come from one
+memoized strip-branching kernel: a semistandard filling loses its largest
+letter as a horizontal or a vertical strip, so each is a sum over strips of
+the same object one letter smaller.  The tableau enumeration, the
+Jacobi-Trudi determinant and the hook-content formula they replaced are the
+test side's independent references.
+
+Each super Schur polynomial has one lex-leading monomial, with coefficient
+1, so an expansion is read off leading monomials with no linear solve.
 
 The truncated super Cauchy comparison reads both sides only at the dominant
 z-exponents z^mu, mu a partition: both sides are symmetric in z, so agreeing
 there is agreeing everywhere.  At each z^mu the (q,u) coefficient is
 compared in full.  ``cauchy_tableau_bound`` and ``expansion_tableau_bound``
-bound the monomials those computations build, for the resource ceiling.
+count the tableaux behind the monomials those computations build, for the
+resource ceiling.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product, zip_longest
-from math import comb
+from itertools import product
 
-from . import exactla
 from .qcombinat import Partition, QUPoly, conjugate, in_Pkjn, partitions_of
 
 __all__ = [
@@ -35,7 +38,6 @@ __all__ = [
     "cauchy_tableau_bound",
     "expansion_tableau_bound",
     "CauchyResult",
-    "ssyt_count",
 ]
 
 
@@ -108,39 +110,18 @@ def _kostka(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def ssyt_count(lam: Partition, n: int) -> int:
-    """Number of semistandard tableaux of shape lam with entries <= n.
+def _tableau_count(lam: Partition, k: int, j: int) -> int:
+    """s_lam(1^k/1^j): the semistandard fillings of lam in k + j letters.
 
-    The hook-content formula: the product over the cells (i, c) of
-    (n + c - i) / hook(i, c).  A shape with more than n rows gets a zero
-    factor in row n.
+    ``_hook_weights``' recursion with the weights summed, so the tableaux of
+    s_lam(q/u) in its alphabet, and those of s_lam(1^n) at (n, 0).
     """
-    lamc = conjugate(lam)
-    num = den = 1
-    for i, part in enumerate(lam):
-        for c in range(part):
-            num *= n + c - i
-            den *= part - c + lamc[c] - i - 1
-    return num // den
-
-
-@cache
-def _subpartitions(lam: Partition) -> tuple:
-    """All partitions nu ⊆ lam, each exactly once."""
-    lam = tuple(lam)
-    out = []
-
-    def rec(i: int, prev: int, acc: list):
-        out.append(tuple(acc))
-        if i == len(lam):
-            return
-        for v in range(1, min(lam[i], prev) + 1):
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-
-    rec(0, lam[0] if lam else 0, [])
-    return tuple(out)
+    if not lam:
+        return 1
+    if len(lam) > k and lam[k] > j:
+        return 0
+    rest = (k, j - 1) if j else (k - 1, 0)
+    return sum(_tableau_count(mu, *rest) for mu, _size in _strips(lam, j > 0))
 
 
 @cache
@@ -197,55 +178,48 @@ def expansion_shapes(k: int, j: int, n: int, degree: int) -> list[Partition]:
     return [lam for lam in partitions_of(degree) if in_Pkjn(lam, k, j, n)]
 
 
-def expand_super_schur(
-    poly: QUPoly, k: int, j: int, n: int, degree_bound: int | None = None
-) -> dict[Partition, int]:
-    """Unique expansion of a symmetric polynomial in the super Schur basis.
+def _leading_exponent(lam: Partition, k: int, j: int) -> tuple:
+    """q^(lam_1..lam_k) u^((lam_(k+1), ...)'), the lex-largest exponent of s_lam(q/u).
 
-    Solves one exact linear system per total degree in monomial coordinates.
-    Raises NotExpressible when no expansion over P(k,j,n) exists and
-    ValueError when the polynomial is not symmetric in each alphabet or a
-    coefficient fails to be an integer.
+    Its coefficient is 1 (Berele-Regev): q_1..q_k fill the first k rows and
+    u_1, u_2, ... the columns of the rest, one column each.
+    """
+    head = lam[:k]
+    tail = conjugate(lam[k:])
+    return head + (0,) * (k - len(head)) + tail + (0,) * (j - len(tail))
+
+
+def expand_super_schur(poly: QUPoly, k: int, j: int, n: int) -> dict[Partition, int]:
+    """Unique expansion of a polynomial in the super Schur basis over P(k,j,n).
+
+    The basis is unitriangular: the lex-leading exponent e of what is left
+    names the one shape lam whose ``_leading_exponent`` it can be, the
+    coefficient of e is that of s_lam, and subtracting that multiple of
+    s_lam lowers the leading exponent.  Raises NotExpressible, a ValueError,
+    when e is the leading exponent of no shape of P(k,j,n); then no
+    expansion exists, as for every polynomial that is not symmetric in each
+    alphabet.
     """
     if (poly.k, poly.j) != (k, j):
         raise ValueError("alphabet mismatch")
-    if not poly.is_symmetric():
-        raise ValueError("polynomial is not symmetric in the q and u alphabets")
-    maxdeg = poly.total_degree()
-    if degree_bound is None:
-        degree_bound = maxdeg
-    if maxdeg > degree_bound:
-        raise ValueError(f"degree {maxdeg} exceeds bound {degree_bound}")
+    rest = dict(poly.coeffs)
     result: dict[Partition, int] = {}
-    for d in range(degree_bound + 1):
-        component = poly.homogeneous_component(d)
-        shapes = expansion_shapes(k, j, n, d)
-        if not shapes:
-            if not component.is_zero():
-                raise NotExpressible(f"degree-{d} component has no basis shapes")
-            continue
-        basis_polys = [super_schur(lam, k, j) for lam in shapes]
-        keys: dict[tuple, int] = {}
-        for bp in basis_polys:
-            for e in bp.coeffs:
-                keys.setdefault(e, len(keys))
-        for e in component.coeffs:
-            keys.setdefault(e, len(keys))
-        cols = [{keys[e]: c for e, c in bp.coeffs.items()} for bp in basis_polys]
-        rhs = {keys[e]: c for e, c in component.coeffs.items()}
-        try:
-            coeffs = exactla.solve_columns(cols, rhs, len(keys))
-        except ValueError as exc:
-            raise AssertionError(
-                f"super Schur basis unexpectedly dependent at degree {d}: {exc}"
-            ) from exc
-        if coeffs is None:
-            raise NotExpressible(f"degree-{d} component is outside the super Schur span")
-        for lam, c in zip(shapes, coeffs):
-            if c:
-                if c != int(c):
-                    raise ValueError(f"non-integral coefficient {c} at {lam}")
-                result[lam] = int(c)
+    while rest:
+        e = max(rest)
+        lam = tuple(x for x in e[:k] if x) + conjugate(tuple(x for x in e[k:] if x))
+        if (
+            any(a < b for a, b in zip(lam, lam[1:]))  # q u v at k = 1: (1) + (2)
+            or not in_Pkjn(lam, k, j, n)
+            or _leading_exponent(lam, k, j) != e
+        ):
+            raise NotExpressible(f"exponent {e} leads no super Schur polynomial in P({k},{j},{n})")
+        c = result[lam] = rest[e]
+        for f, v in super_schur(lam, k, j).coeffs.items():
+            w = rest.get(f, 0) - c * v
+            if w:
+                rest[f] = w
+            else:
+                del rest[f]
     return result
 
 
@@ -334,53 +308,30 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
     return CauchyResult(True, None)
 
 
-def _super_schur_tableau_bound(lam: Partition, k: int, j: int) -> int:
-    """Upper bound on the monomials of ``super_schur(lam, k, j)``.
-
-    Each coefficient counts at least one tableau: the s_nu(1^k) tableaux of
-    each nu, len(nu) <= k, times the skew tableaux of lam'/nu' in j letters.
-    Straight shapes are counted exactly by the hook-content formula, a skew
-    shape by the fillings of its rows with weakly increasing entries, column
-    conditions dropped.  s_lam(1^(k+j)) is no bound: lam = (1, 1) at k = 0,
-    j = 1 has one tableau, and s_(1,1)(1) = 0.
-    """
-    lamc = conjugate(lam)
-    total = 0
-    for nu in _subpartitions(lam):
-        if len(nu) > k:
-            continue
-        count = ssyt_count(nu, k)
-        for a, b in zip_longest(lamc, conjugate(nu), fillvalue=0):
-            count *= comb(j + a - b - 1, a - b) if a > b else 1
-        total += count
-    return total
-
-
 def expansion_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
-    """Upper bound on the monomials a super Schur expansion up to ``degree`` builds.
+    """The tableaux of the super Schur polynomials an expansion up to ``degree`` may build.
 
-    ``expand_super_schur`` builds ``super_schur(lam, k, j)`` for every shape
-    of ``expansion_shapes`` up to its degree bound, each once (memoized), so
-    this bounds a whole coefficient table of a ring too.
+    ``expand_super_schur`` builds ``super_schur(lam, k, j)`` for shapes of
+    ``expansion_shapes`` up to the polynomial's degree, each once
+    (memoized), and each monomial counts at least one tableau, so this
+    bounds a whole coefficient table of a ring too.
     """
     return sum(
-        _super_schur_tableau_bound(lam, k, j)
+        _tableau_count(lam, k, j)
         for d in range(degree + 1)
         for lam in expansion_shapes(k, j, n, d)
     )
 
 
 def cauchy_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
-    """Upper bound on the monomials ``super_cauchy_check`` builds or reads.
+    """The tableaux behind the monomials ``super_cauchy_check`` builds or reads.
 
-    Per shape lam of the check: the monomials of s_lam(z) in the n letters
-    z, whose coefficients are the Kostka numbers the check may read, each
-    counting at least one of the s_lam(1^n) tableaux (the hook-content
-    formula); and the bound of ``_super_schur_tableau_bound`` for
-    ``super_schur(lam, k, j)``.
+    Per shape lam of the check: the s_lam(1^n) tableaux of s_lam(z) in the
+    n letters z, whose monomials carry the Kostka numbers the check may
+    read, and the tableaux of ``super_schur(lam, k, j)``.
     """
     return sum(
-        ssyt_count(lam, n) + _super_schur_tableau_bound(lam, k, j)
+        _tableau_count(lam, n, 0) + _tableau_count(lam, k, j)
         for d in range(degree + 1)
         for lam in expansion_shapes(k, j, n, d)
     )

@@ -14,9 +14,11 @@ checked against ``jacobi_trudi_perm``, the sum over all permutations with
 tuple exponents (``_wmul``).  On them ``super_schur_sum`` builds
 s_lam(q/u) = sum over nu of s_nu(q) s_(lam'/nu')(u) and ``kostka_count``
 counts tableaux of one weight, the references for the engine's strip
-branching.  ``cauchy_oracle`` runs the truncated super Cauchy comparison
-on ``QUPoly`` coefficients indexed by every z-exponent, not only the
-dominant ones.
+branching, and ``ssyt_count`` counts a shape's tableaux by the hook-content
+formula.  ``solve_columns`` expands a vector in given columns by one
+linear solve, the reference for expansions read off leading monomials.
+``cauchy_oracle`` runs the truncated super Cauchy comparison on ``QUPoly``
+coefficients indexed by every z-exponent, not only the dominant ones.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced by the
 polarized power sums and the quotient-side recursion.
@@ -637,6 +639,32 @@ class OracleBasis:
         return not self.reduce(vec)
 
 
+def solve_columns(columns, rhs: dict, dim: int):
+    """Exact solution c of  sum_i c[i] * columns[i] == rhs,  or None.
+
+    The linear-solve reference for super Schur expansions: one
+    ``SubspaceBasis`` of the columns, each tagged by its own coordinate past
+    ``dim``.  Raises ValueError when the columns are linearly dependent.
+    """
+    ncols = len(columns)
+    basis = SubspaceBasis(dim + ncols)
+    for idx, col in enumerate(columns):
+        tagged = dict(col)
+        tagged[dim + idx] = 1
+        basis.insert(tagged)
+    # a column whose pivot landed in the tag block is a dependency relation
+    for p in basis.pivots:
+        if p >= dim:
+            raise ValueError("dependent columns detected")
+    resid = basis.reduce(dict(rhs))
+    if any(i < dim for i in resid):
+        return None
+    coeffs = [0] * ncols
+    for i, v in resid.items():
+        coeffs[i - dim] = -v
+    return coeffs
+
+
 def restricted_trace(basis, apply_map, check: bool = True):
     """Trace of a linear map restricted to span(basis).
 
@@ -917,6 +945,21 @@ def kostka_count(lam, mu, n: int) -> int:
     """Semistandard tableaux of shape lam in n letters with weight mu (padded with 0s)."""
     weight = tuple(mu) + (0,) * (n - len(mu))
     return sum(1 for w in _schur_weights(tuple(lam), n) if w == weight)
+
+
+def ssyt_count(lam, n: int) -> int:
+    """Semistandard tableaux of shape lam with entries <= n, by the hook-content formula.
+
+    The product over the cells (i, c) of (n + c - i) / hook(i, c); a shape
+    with more than n rows gets a zero factor in row n.
+    """
+    lamc = conjugate(lam)
+    num = den = 1
+    for i, part in enumerate(lam):
+        for c in range(part):
+            num *= n + c - i
+            den *= part - c + lamc[c] - i - 1
+    return num // den
 
 
 def _wmul(a: dict, b: dict) -> dict:

@@ -273,7 +273,6 @@ _VERIFY_NEGATIVE = [
 _COMMAND_NEGATIVE = [
     (["compute", "--n", "3"], "--k"),
     (["compute", "--n", "3", "--k", "1"], "--j"),
-    (["expand", "--n", "3", "--k", "1"], "--degree-bound"),
     (["expand", "--n", "3"], "--j"),
     (["cauchy", "--n", "2", "--k", "1"], "--degree-bound"),
     (["cauchy", "--n", "2"], "--j"),
@@ -302,6 +301,13 @@ def test_cli_verify_negative_size_exit_2(argv, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be a nonnegative integer, got -1\n"
+
+
+def test_cli_expand_refuses_a_degree_bound():
+    # an expansion reads its degrees off the series: expand takes no bound
+    code, out, err = _run_cli(["expand", "--n", "3", "--k", "1", "--degree-bound", "-1"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --degree-bound -1" in err
 
 
 @pytest.mark.parametrize(
@@ -478,8 +484,8 @@ def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
 
 
 def test_bound_closure_reuses_the_session_components(monkeypatch):
-    # the closure check builds the quotient shells up to degree n once per
-    # session, and none above it: a second run reuses every one
+    # the closure check builds the quotient shells up to degree n, and none
+    # above it
     built = []
     koszul = coinvariant._koszul_component
 
@@ -493,39 +499,50 @@ def test_bound_closure_reuses_the_session_components(monkeypatch):
     report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
     assert report.passed, report.witness
     assert built and max(sum(r) + sum(s) for r, s in built) == 3
-    shells = session.ring(3, 1, 1).shells
+    shells = coinvariant.quotient_shells(session.ring(3, 1, 1))
     assert [max(sum(r) + sum(s) for r, s in shell) for shell in shells] == [0, 1, 2, 3]
-    count = len(built)
-    assert run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1}).passed
-    assert len(built) == count
-    assert session.ring(3, 1, 1).shells is shells
 
 
 @pytest.mark.parametrize(
-    "argv, where",
+    "argv, ceiling, stored, where",
     [
-        # (4,2,1) needs borders of up to 156 columns and a table of 376 tableaux
+        # (4,2,1) needs borders of up to 156 columns and a table of 217 tableaux
         (
-            ["expand", "--n", "4", "--k", "2", "--j", "1", "--ceiling", "300"],
-            "k=2 j=1 n=4 degree 6 has 376 tableaux",
+            ["expand", "--n", "4", "--k", "2", "--j", "1"],
+            "200",
+            None,
+            "k=2 j=1 n=4 degree 6 has 217 tableaux",
         ),
-        # (3,1,1) needs borders of up to 15 columns and a table of 17 tableaux
-        (["verify", "sign_coeffs", "--n", "3", "--ceiling", "16"], "k=1 j=1 n=3 degree 3 has 17"),
+        # (3,1,1) needs borders of up to 15 columns and a table of 13 tableaux:
+        # its series is stored first, so the ceiling meets the table alone
+        (
+            ["verify", "sign_coeffs", "--n", "3"],
+            "12",
+            ["--n", "3", "--k", "1", "--j", "1"],
+            "k=1 j=1 n=3 degree 3 has 13 tableaux",
+        ),
     ],
     ids=["expand", "verify"],
 )
-def test_cli_coefficient_tables_obey_the_ceiling(argv, where, monkeypatch):
+def test_cli_coefficient_tables_obey_the_ceiling(
+    argv, ceiling, stored, where, monkeypatch, tmp_path
+):
     # refused before the expansion starts
     from supercoinv import coinvariant
 
+    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+    if stored:
+        argv = argv + ["--cache-dir", str(tmp_path)]
+        code, _out, _err = _run_cli(["compute", *stored, "--series", "frobenius", *argv[-2:]])
+        assert code == 0
     with monkeypatch.context() as patch:
         patch.setattr(coinvariant, "expand_super_schur", None)
-        code, out, err = _run_cli(argv)
+        code, out, err = _run_cli(argv + ["--ceiling", ceiling])
     assert code == 2
     assert out == ""
     assert err.startswith("resource ceiling exceeded: the super Schur expansion at ")
     assert where in err
-    code, _out, _err = _run_cli(argv[:-2])
+    code, _out, _err = _run_cli(argv)
     assert code == 0
 
 
@@ -553,10 +570,10 @@ def test_cli_hilbert_reads_a_stored_frobenius_series(tmp_path, monkeypatch):
     [
         (
             ["cauchy", "--n", "4", "--k", "2", "--j", "2", "--degree-bound", "8"],
-            "k=2 j=2 n=4 degree 8 has 20896 tableaux",
+            "k=2 j=2 n=4 degree 8 has 6704 tableaux",
         ),
         # verify's grid is bounded by its largest call, (k, j, n) = (2, 2, 3)
-        (["verify", "cauchy"], "k=2 j=2 n=3 degree 6 has 2462 tableaux"),
+        (["verify", "cauchy"], "k=2 j=2 n=3 degree 6 has 896 tableaux"),
     ],
     ids=["cauchy", "verify"],
 )

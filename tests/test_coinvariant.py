@@ -261,15 +261,15 @@ def test_ceiling_holds_with_a_cache_directory(tmp_path):
 
 
 def test_coeff_table_refuses_an_expansion_over_the_ceiling(monkeypatch):
-    # refused from the tableau bound, before the expansion starts
+    # refused from the tableau count, before the expansion starts
     from supercoinv import coinvariant
 
     series = frobenius_series(4, 2, 1)
     monkeypatch.setattr(coinvariant, "expand_super_schur", None)
-    where = "the super Schur expansion at k=2 j=1 n=4 degree 6 has 376 tableaux"
+    where = "the super Schur expansion at k=2 j=1 n=4 degree 6 has 217 tableaux"
     with pytest.raises(CeilingExceeded, match=where) as err:
-        coeff_table(series, ceiling=300)
-    assert (err.value.deg, err.value.dim, err.value.limit) == (None, 376, 300)
+        coeff_table(series, ceiling=200)
+    assert (err.value.deg, err.value.dim, err.value.limit) == (None, 217, 200)
 
 
 def _artin(n):

@@ -6,11 +6,10 @@ import pytest
 from supercoinv.exactla import (
     DimensionMismatch,
     SubspaceBasis,
-    solve_columns,
     span_basis,
 )
 
-from oracles import SubspaceNotInvariant, bareiss_rank, restricted_trace
+from oracles import SubspaceNotInvariant, bareiss_rank, restricted_trace, solve_columns
 
 SEED = 20240817
 

@@ -5,10 +5,10 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import OracleBasis, full_invariant_scan, rref
+from oracles import OracleBasis, full_invariant_scan, rref, solve_columns
 
 from supercoinv.coinvariant import FrobeniusSeries, IdealComponentCache
-from supercoinv.exactla import solve_columns, span_basis
+from supercoinv.exactla import span_basis
 from supercoinv.qcombinat import QUPoly
 
 _SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)

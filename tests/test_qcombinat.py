@@ -116,7 +116,7 @@ def test_q_factorial_degree_and_value():
     assert q_factorial(3) == _q({0: 1, 1: 2, 2: 2, 3: 1})
     for d in range(8):
         assert q_factorial(d).evaluate((1,)) == __import__("math").factorial(d)
-        assert q_factorial(d).total_degree() == d * (d - 1) // 2
+        assert max(map(sum, q_factorial(d).coeffs)) == d * (d - 1) // 2
 
 
 def test_q_binomial_specializes_to_binomial():

@@ -13,9 +13,7 @@ from supercoinv.snchar import (
     syt_count,
     z_order,
 )
-from supercoinv.superschur import ssyt_count
-
-from oracles import class_size
+from oracles import class_size, ssyt_count
 
 
 def _cycle_type(perm):

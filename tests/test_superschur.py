@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import oracles
 import pytest
 from oracles import (
@@ -6,10 +9,13 @@ from oracles import (
     kostka_count,
     schur_poly,
     skew_schur_poly,
+    solve_columns,
+    ssyt_count,
     super_schur_sum,
 )
 
 from supercoinv import superschur
+from supercoinv.coinvariant import frobenius_series
 from supercoinv.qcombinat import conjugate, in_Pkjn, partitions_of
 from supercoinv.superschur import (
     NotExpressible,
@@ -17,7 +23,6 @@ from supercoinv.superschur import (
     expand_super_schur,
     expansion_shapes,
     specialize,
-    ssyt_count,
     super_cauchy_check,
     super_schur,
 )
@@ -29,9 +34,7 @@ def test_qupoly_ring_ops():
     one = QUPoly.one(1, 1)
     assert (q + u) * (q - u) == q * q - u * u
     assert (q + one).scale(2) == q.scale(2) + one + one
-    assert (q * u).total_degree() == 2
     p = q * q + q * u + u
-    assert p.homogeneous_component(2) == q * q + q * u
     assert p.coeff((1, 1)) == 1
     assert p.evaluate((1, 1)) == 3
     assert p.evaluate((2, -1)) == 4 - 2 - 1
@@ -199,10 +202,112 @@ def test_expand_not_expressible():
         expand_super_schur(qu, 1, 1, 3)
 
 
-def test_expand_degree_bound_validates():
-    p = QUPoly(1, 1, {(2, 0): 1, (1, 1): 1, (0, 2): 0})
-    with pytest.raises(ValueError):
-        expand_super_schur(p, 1, 1, 3, degree_bound=1)
+def test_super_schur_leading_monomial():
+    # the one lex-largest exponent is q^(lam_1..lam_k) u^((lam_(k+1), ...)'),
+    # with coefficient 1 (Berele-Regev)
+    for size in range(9):
+        for lam in partitions_of(size):
+            for k in range(4):
+                for j in range(4):
+                    poly = super_schur(lam, k, j)
+                    if poly.is_zero():
+                        continue
+                    head = tuple(lam[i] if i < len(lam) else 0 for i in range(k))
+                    tail = conjugate(lam[k:])
+                    lead = head + tail + (0,) * (j - len(tail))
+                    assert max(poly.coeffs) == lead, (lam, k, j)
+                    assert poly.coeffs[lead] == 1, (lam, k, j)
+
+
+def _solved_expansion(poly, k, j, n):
+    """The super Schur expansion by one linear solve per degree, or None."""
+    result = {}
+    for d in sorted({sum(e) for e in poly.coeffs}):
+        component = {e: c for e, c in poly.coeffs.items() if sum(e) == d}
+        shapes = expansion_shapes(k, j, n, d)
+        basis = [super_schur(lam, k, j).coeffs for lam in shapes]
+        keys = {}
+        for coeffs in basis + [component]:
+            for e in coeffs:
+                keys.setdefault(e, len(keys))
+        cols = [{keys[e]: c for e, c in coeffs.items()} for coeffs in basis]
+        rhs = {keys[e]: c for e, c in component.items()}
+        solution = solve_columns(cols, rhs, len(keys))
+        if solution is None:
+            return None
+        result.update((lam, c) for lam, c in zip(shapes, solution) if c)
+    return result
+
+
+def _peeled_expansion(poly, k, j, n):
+    try:
+        return expand_super_schur(poly, k, j, n)
+    except NotExpressible:
+        return None
+
+
+def test_expand_matches_the_linear_solve_on_every_small_ring():
+    for n in range(1, 8):
+        for k in range(8 - n):
+            for j in range(8 - n - k):
+                series = frobenius_series(n, k, j)
+                for mu in partitions_of(n):
+                    poly = series.mu_polynomial(mu)
+                    want = _solved_expansion(poly, k, j, n)
+                    assert want is not None, (n, k, j, mu)
+                    assert expand_super_schur(poly, k, j, n) == want, (n, k, j, mu)
+
+
+def _random_combination(rng, k, j, n):
+    """A random integer combination of super Schurs of degree <= 6, as (poly, coefficients)."""
+    poly = QUPoly.zero(k, j)
+    coeffs = {}
+    for d in range(7):
+        for lam in expansion_shapes(k, j, n, d):
+            c = rng.choice([0, 0, 0, 1, -1, 2, -3])
+            if c:
+                coeffs[lam] = c
+                poly = poly + super_schur(lam, k, j).scale(c)
+    return poly, coeffs
+
+
+def test_expand_matches_the_linear_solve_on_random_combinations():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        k, j, n = rng.randrange(4), rng.randrange(4), rng.randrange(1, 5)
+        poly, coeffs = _random_combination(rng, k, j, n)
+        assert expand_super_schur(poly, k, j, n) == coeffs, (k, j, n)
+        assert _solved_expansion(poly, k, j, n) == coeffs, (k, j, n)
+
+
+def test_expand_refuses_in_a_bounded_number_of_steps(monkeypatch):
+    # each peeling step lowers the leading exponent, so a polynomial outside
+    # the span is refused after at most one step per exponent of its degrees
+    right = superschur.super_schur
+    rng = random.Random(20261020)
+    cases = [
+        (QUPoly.variable(2, 0, 1), 2, 0, 2),
+        (QUPoly.variable(1, 1, 1), 1, 1, 1),
+        (QUPoly(1, 1, {(1, 1): 1}), 1, 1, 3),
+        (QUPoly(1, 2, {(1, 1, 1): 1}), 1, 2, 3),  # (1) + (2)' is no partition
+    ]
+    for _ in range(40):
+        k, j, n = rng.randrange(4), rng.randrange(1, 4), rng.randrange(1, 5)
+        poly, _coeffs = _random_combination(rng, k, j, n)
+        stray = tuple(rng.randrange(3) for _ in range(k + j))
+        cases.append((poly + QUPoly.monomial(k, j, stray), k, j, n))
+    calls, steps = [], [0]
+
+    def counted(lam, k, j):
+        calls.append(lam)
+        assert len(calls) <= steps[0], f"no refusal after {steps[0]} steps"
+        return right(lam, k, j)
+
+    monkeypatch.setattr(superschur, "super_schur", counted)
+    for poly, k, j, n in cases:
+        calls.clear()
+        steps[0] = sum(comb(d + k + j - 1, k + j - 1) for d in {sum(e) for e in poly.coeffs})
+        assert _peeled_expansion(poly, k, j, n) == _solved_expansion(poly, k, j, n)
 
 
 def test_super_schur_linear_independence():
@@ -320,8 +425,8 @@ def test_super_cauchy_fails_on_a_wrong_column(monkeypatch):
 
 
 def test_cauchy_tableau_bound_covers_the_tableaux():
-    # the tableaux enumerated: s_lam(1^n) in z, and the super Schur terms;
-    # k = 0 is where s_lam(1^(k+j)) would undercount
+    # the tableaux enumerated, counted exactly: s_lam(1^n) in z, and the
+    # super Schur terms; k = 0 is where s_lam(1^(k+j)) would undercount
     for k in range(3):
         for j in range(3):
             for n in range(5):
@@ -332,9 +437,21 @@ def test_cauchy_tableau_bound_covers_the_tableaux():
                             count += ssyt_count(lam, n)
                             count += super_schur(lam, k, j).evaluate((1,) * (k + j))
                     bound = superschur.cauchy_tableau_bound(k, j, n, degree)
-                    assert count <= bound, (k, j, n, degree)
-    assert superschur.cauchy_tableau_bound(2, 2, 4, 8) == 20896
-    assert superschur.cauchy_tableau_bound(2, 2, 3, 6) == 2462
+                    assert count == bound, (k, j, n, degree)
+    assert superschur.cauchy_tableau_bound(2, 2, 4, 8) == 6704
+    assert superschur.cauchy_tableau_bound(2, 2, 3, 6) == 896
+
+
+def test_tableau_count_matches_the_tableau_sum_and_hook_content():
+    for size in range(8):
+        for lam in partitions_of(size):
+            for k in range(4):
+                for j in range(4):
+                    ones = (1,) * (k + j)
+                    got = superschur._tableau_count(lam, k, j)
+                    assert got == super_schur_sum(lam, k, j).evaluate(ones), (lam, k, j)
+            for n in range(7):
+                assert superschur._tableau_count(lam, n, 0) == ssyt_count(lam, n), (lam, n)
 
 
 @pytest.fixture
