@@ -9,7 +9,6 @@ a quotient.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -43,13 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckReport:
-    id: str
-    params: dict
-    status: str
-    witness: object
-    seconds: float
+    def __init__(self, id: str, params: dict, status: str, witness, seconds: float):
+        self.id = id
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.seconds = seconds
 
     @property
     def passed(self) -> bool:
@@ -100,10 +99,6 @@ def _report(check_id: str, params: dict, witness, started: float) -> CheckReport
     return CheckReport(check_id, params, status, witness, time.perf_counter() - started)
 
 
-def _fmt_partition(lam) -> list:
-    return list(lam)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -128,8 +123,8 @@ def check_universality(session: CheckSession, n: int, configs=None) -> CheckRepo
                 if va != vb:
                     witness = {
                         "configs": [list(ca), list(cb)],
-                        "lambda": _fmt_partition(lam),
-                        "mu": _fmt_partition(mu),
+                        "lambda": list(lam),
+                        "mu": list(mu),
                         "values": [va, vb],
                     }
                     return _report("universality", params, witness, started)
@@ -158,7 +153,7 @@ def check_cancellation(session: CheckSession, n: int, k: int, j: int, m: int) ->
         want = fb.mu_polynomial(mu).reindex(k, j)
         if got != want:
             witness = {
-                "mu": _fmt_partition(mu),
+                "mu": list(mu),
                 "specialized": got.pretty(),
                 "direct": want.pretty(),
             }
@@ -182,20 +177,21 @@ def check_restriction(session: CheckSession, n: int, k: int, j: int) -> CheckRep
         jobs.append(({k + j - 1: None}, (n, k, j - 1), "u"))
     for assignment, target, label in jobs:
         tn, tk, tj = target
+        # the Frobenius series first, so that each Hilbert series is read off it
+        fa = session.frobenius(n, k, j)
+        fb = session.frobenius(tn, tk, tj)
         got = specialize(session.hilbert(n, k, j), assignment)
         want = session.hilbert(tn, tk, tj).reindex(k, j)
         if got != want:
             witness = {"killed": label, "hilbert": [got.pretty(), want.pretty()]}
             return _report("restriction", params, witness, started)
-        fa = session.frobenius(n, k, j)
-        fb = session.frobenius(tn, tk, tj)
         for mu in partitions_of(n):
             gotp = specialize(fa.mu_polynomial(mu), assignment)
             wantp = fb.mu_polynomial(mu).reindex(k, j)
             if gotp != wantp:
                 witness = {
                     "killed": label,
-                    "mu": _fmt_partition(mu),
+                    "mu": list(mu),
                     "values": [gotp.pretty(), wantp.pretty()],
                 }
                 return _report("restriction", params, witness, started)
@@ -261,8 +257,8 @@ def check_parts_le_two(session: CheckSession, n: int) -> CheckReport:
         got = table.coeff(lam, mu)
         if want != got:
             witness = {
-                "lambda": _fmt_partition(lam),
-                "mu": _fmt_partition(mu),
+                "lambda": list(lam),
+                "mu": list(mu),
                 "expected": want,
                 "computed": got,
             }
@@ -335,7 +331,7 @@ def check_sign_coeffs(session: CheckSession, n: int) -> CheckReport:
         if want != got:
             witness = {
                 "stage": "table-column",
-                "lambda": _fmt_partition(lam),
+                "lambda": list(lam),
                 "expected": want,
                 "computed": got,
             }
@@ -513,8 +509,8 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
         if not 0 <= c <= bound:
             witness = {
                 "stage": "bound",
-                "lambda": _fmt_partition(lam),
-                "mu": _fmt_partition(mu),
+                "lambda": list(lam),
+                "mu": list(mu),
                 "c": c,
                 "d": bound,
             }
@@ -546,7 +542,7 @@ def check_n_le_kj(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
                 rebuilt = rebuilt + term.scale(c)
         if rebuilt != direct.mu_polynomial(mu):
             witness = {
-                "mu": _fmt_partition(mu),
+                "mu": list(mu),
                 "rebuilt": rebuilt.pretty(),
                 "direct": direct.mu_polynomial(mu).pretty(),
             }
@@ -573,8 +569,8 @@ def check_witnesses(session: CheckSession, n: int) -> CheckReport:
         if table.coeff(lam, mu) != 1:
             witness = {
                 "claim": label,
-                "lambda": _fmt_partition(lam),
-                "mu": _fmt_partition(mu),
+                "lambda": list(lam),
+                "mu": list(mu),
                 "computed": table.coeff(lam, mu),
             }
             break

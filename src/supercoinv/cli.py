@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from importlib import resources
 
 from . import checks, coinvariant
 from .coinvariant import CeilingExceeded, CoeffTable, FrobeniusSeries
@@ -22,7 +21,8 @@ from .superschur import QUPoly, super_cauchy_check
 
 
 def _load_envelope() -> dict:
-    with resources.files(__package__).joinpath("envelope.json").open() as fh:
+    # package data beside this file; importlib.resources would cost start-up
+    with open(os.path.join(os.path.dirname(__file__), "envelope.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 

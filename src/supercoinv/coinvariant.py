@@ -102,8 +102,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
@@ -164,14 +162,12 @@ def _mu_from_key(key: str) -> Partition:
     return tuple(json.loads(key))
 
 
-@dataclass
 class FrobeniusSeries:
     """Multigraded Frobenius series: multidegree -> irreducible multiplicities."""
 
-    n: int
-    k: int
-    j: int
-    components: dict = field(default_factory=dict)
+    def __init__(self, n: int, k: int, j: int, components: dict | None = None):
+        self.n, self.k, self.j = n, k, j
+        self.components = {} if components is None else components
 
     def sorted_degrees(self):
         return sorted(self.components, key=lambda d: (sum(d[0]) + sum(d[1]), d))
@@ -223,13 +219,13 @@ class FrobeniusSeries:
         return series
 
 
-@dataclass
 class CoeffTable:
     """Universal coefficients extracted from one ring: (lambda, mu) -> c."""
 
-    n: int
-    source: tuple
-    entries: dict = field(default_factory=dict)
+    def __init__(self, n: int, source: tuple, entries: dict | None = None):
+        self.n = n
+        self.source = source
+        self.entries = {} if entries is None else entries
 
     def coeff(self, lam: Partition, mu: Partition) -> int:
         return self.entries.get((tuple(lam), tuple(mu)), 0)
@@ -439,7 +435,6 @@ def shell_multidegrees(n: int, k: int, j: int, total: int):
     return degs
 
 
-@dataclass
 class _QuotientComponent:
     """One quotient component, in coordinates 0..dim-1 of a fixed basis.
 
@@ -458,13 +453,16 @@ class _QuotientComponent:
     shell above; it is empty elsewhere.
     """
 
-    dim: int
-    mult: dict
-    action: dict
-    labels: list
-    origins: list
-    source_labels: dict
-    powers: list
+    __slots__ = ("dim", "mult", "action", "labels", "origins", "source_labels", "powers")
+
+    def __init__(self, dim, mult, action, labels, origins, source_labels, powers):
+        self.dim = dim
+        self.mult = mult
+        self.action = action
+        self.labels = labels
+        self.origins = origins
+        self.source_labels = source_labels
+        self.powers = powers
 
 
 def _predecessors(deg: Multidegree, k: int) -> dict:
@@ -578,7 +576,8 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
     action, traces = {}, {}
     for rho, sigma in sigmas.items():
         cols = []
-        trace = Fraction(0)
+        # the trace: its diagonal entries summed per denominator
+        by_den: dict = {}
         for v, off in offset.items():
             g, pos = divmod(v, n)
             image = offset[g * n + sigma[pos]]
@@ -587,9 +586,13 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                 if q is None:
                     continue
                 col = _class_of(rel, {image + i: c for i, c in x.items()}, where, dx)
-                trace += Fraction(col[0].get(q, 0), col[1])
+                by_den[col[1]] = by_den.get(col[1], 0) + col[0].get(q, 0)
                 cols.append(col)
         action[rho] = cols
+        common = lcm(*by_den)
+        trace, rest = divmod(sum(c * (common // d) for d, c in by_den.items()), common)
+        if rest:
+            raise AssertionError(f"non-integral trace of {rho} at multidegree {deg}")
         traces[rho] = trace
     sources = {g: below[pred].labels for g, pred in preds.items()}
     powers = [_class_of(rel, x, where, dx) for x, dx in ones]

@@ -2,6 +2,8 @@
 
 Vectors are plain dicts {coordinate: value} with no stored zeros.  Callers
 may pass int or Fraction values; the engine's own callers pass integers.
+The module imports ``fractions`` only to return a non-integral ``reduce``
+result, so the engine runs without it.
 Bases are held in reduced echelon form, each row stored as the primitive
 integer multiple of its reduced-echelon row over Q: a positive pivot value d
 at its own pivot, value 0 at every other pivot, and entries with gcd 1.
@@ -14,7 +16,6 @@ unique, which makes all results independent of insertion order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
@@ -28,12 +29,14 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _exact_div(a, b):
+def _exact_div(a, b: int):
     """a / b as int when exact, Fraction otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return Fraction(a) / Fraction(b)
+    q, r = divmod(a, b)
+    if not r:
+        return q
+    from fractions import Fraction  # here: the engine never reads a non-integral residual
+
+    return Fraction(a, b)
 
 
 class SubspaceBasis:
@@ -191,7 +194,7 @@ def _primitive(row: dict, pivot: int) -> dict:
     try:
         g = gcd(*row.values())
     except TypeError:  # Fraction entries: clear the denominators once
-        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        den = lcm(*(v.denominator for v in row.values()))
         row = {i: int(v * den) for i, v in row.items()}
         g = gcd(*row.values())
     if row[pivot] < 0:

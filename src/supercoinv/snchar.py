@@ -4,11 +4,12 @@ Irreducible characters chi^lam are computed by the Murnaghan-Nakayama
 border-strip recursion on beta-numbers, memoized on (shape, cycle type).
 The memo tables are only ever extended (functools.cache), so concurrent
 readers at worst duplicate work.
+Inner products (1/N!) sum_rho f(rho) g(rho) N!/z_rho are summed in integers
+and divided by N! once (Macdonald, Symmetric Functions, I.7).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -76,19 +77,20 @@ def irreducible_character(lam: Partition, rho: Partition) -> int:
 def frobenius_decompose(class_fn, n: int) -> dict[Partition, int]:
     """Multiplicities <f, chi^mu> of a class function over all mu of n.
 
-    ``class_fn`` maps every cycle type (partition of n) to a rational value.
+    ``class_fn`` maps every cycle type (partition of n) to an int or a Fraction.
     Raises ValueError when some multiplicity fails to be an integer, which
     always signals an upstream bug.
     """
     out: dict[Partition, int] = {}
     types = partitions_of(n)
+    order = factorial(n)
+    weighted = [class_fn[rho] * (order // z_order(rho)) for rho in types]
     for mu in types:
-        acc = Fraction(0)
-        for rho in types:
-            acc += Fraction(class_fn[rho] * irreducible_character(mu, rho), z_order(rho))
-        if acc.denominator != 1:
-            raise ValueError(f"non-integral multiplicity {acc} at mu={mu}")
-        out[mu] = int(acc)
+        acc = sum(f * _mn(mu, rho) for f, rho in zip(weighted, types))
+        q, rest = divmod(acc, order)
+        if rest:
+            raise ValueError(f"non-integral multiplicity {acc}/{order} at mu={mu}")
+        out[mu] = q
     return out
 
 
@@ -111,23 +113,19 @@ def gl_restriction_mult(lam: Partition, n: int) -> dict[Partition, int]:
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
     size = sum(lam)
-    traces: dict[Partition, Fraction] = {}
+    order = factorial(size)
+    traces: dict[Partition, int] = {}
     for tau in partitions_of(n):
-        tr = Fraction(0)
+        tr = 0
         for rho in partitions_of(size):
-            chi = _mn(lam, rho)
-            if not chi:
-                continue
-            val = 1
+            val = _mn(lam, rho) * (order // z_order(rho))
             for r in rho:
                 val *= _power_sum_on_class(r, tau)
-                if not val:
-                    break
-            if val:
-                tr += Fraction(chi * val, z_order(rho))
-        if tr.denominator != 1:
-            raise ValueError(f"non-integral trace {tr} at tau={tau}")
-        traces[tau] = int(tr)
+            tr += val
+        q, rest = divmod(tr, order)
+        if rest:
+            raise ValueError(f"non-integral trace {tr}/{order} at tau={tau}")
+        traces[tau] = q
     mults = frobenius_decompose(traces, n)
     for mu, d in mults.items():
         if d < 0:

@@ -39,6 +39,9 @@ quotient-side one is compared with.  And dict polynomials
 ``superderivation`` (the polarization operators), the references for the
 index maps.  ``as_partition`` and ``class_size`` are small closed forms only
 tests use.
+``frobenius_decompose`` and ``gl_restriction_mult`` are the character inner
+products summed in ``Fraction`` arithmetic, one term over z_rho at a time:
+the references for the engine's integer kernels in ``supercoinv.snchar``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,13 @@ from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, span_basis
 from supercoinv.qcombinat import conjugate, contains, partitions_of
-from supercoinv.snchar import class_representative, frobenius_decompose, z_order
+from supercoinv.snchar import (
+    _mn,
+    _power_sum_on_class,
+    class_representative,
+    irreducible_character,
+    z_order,
+)
 from supercoinv.superring import _compositions
 from supercoinv.superschur import CauchyResult, QUPoly
 
@@ -1182,6 +1191,64 @@ def koszul_relations(cache, deg, below) -> SubspaceBasis:
                 row.update((offset[w] + i, -eps * dx * c) for i, c in y.items())
                 rel.insert(row)
     return rel
+
+
+# --- S_n character inner products in Fraction arithmetic ----------------------
+
+
+def frobenius_decompose(class_fn, n: int) -> dict:
+    """Multiplicities <f, chi^mu> of a class function over all mu of n.
+
+    ``class_fn`` maps every cycle type (partition of n) to a rational value.
+    Raises ValueError when some multiplicity fails to be an integer, which
+    always signals an upstream bug.
+    """
+    out: dict = {}
+    types = partitions_of(n)
+    for mu in types:
+        acc = Fraction(0)
+        for rho in types:
+            acc += Fraction(class_fn[rho] * irreducible_character(mu, rho), z_order(rho))
+        if acc.denominator != 1:
+            raise ValueError(f"non-integral multiplicity {acc} at mu={mu}")
+        out[mu] = int(acc)
+    return out
+
+
+@cache
+def gl_restriction_mult(lam, n: int) -> dict:
+    """Multiplicities d_{lam,mu} of S_n-irreducibles in the GL(n)-irreducible lam.
+
+    The trace of a permutation on the GL(n)-module is obtained from the
+    power-sum expansion of the Schur function, then decomposed by characters.
+    All outputs are nonnegative integers (the restriction is semisimple).
+    """
+    lam = tuple(lam)
+    if len(lam) > n:
+        raise ValueError(f"shape {lam} has more than n={n} rows")
+    size = sum(lam)
+    traces: dict = {}
+    for tau in partitions_of(n):
+        tr = Fraction(0)
+        for rho in partitions_of(size):
+            chi = _mn(lam, rho)
+            if not chi:
+                continue
+            val = 1
+            for r in rho:
+                val *= _power_sum_on_class(r, tau)
+                if not val:
+                    break
+            if val:
+                tr += Fraction(chi * val, z_order(rho))
+        if tr.denominator != 1:
+            raise ValueError(f"non-integral trace {tr} at tau={tau}")
+        traces[tau] = int(tr)
+    mults = frobenius_decompose(traces, n)
+    for mu, d in mults.items():
+        if d < 0:
+            raise ValueError(f"negative restriction multiplicity d[{lam},{mu}] = {d}")
+    return mults
 
 
 # --- closed forms only tests use ----------------------------------------------

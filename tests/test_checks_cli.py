@@ -418,6 +418,24 @@ def test_cli_verify_writes_every_series_it_computes(tmp_path, monkeypatch):
     assert _reports_without_times(second) == _reports_without_times(first)
 
 
+def test_cli_verify_all_scans_each_ring_once(monkeypatch):
+    # a ring's Hilbert series is read off its Frobenius series when a check
+    # needs both, so no ring is scanned twice (``quotient_shells`` of the
+    # closure check is a scan of its own and not counted here)
+    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+    scans = []
+    for name in ("_frobenius_scan", "_hilbert_scan"):
+
+        def counted(cache, scan=getattr(coinvariant, name)):
+            scans.append((cache.n, cache.k, cache.j))
+            return scan(cache)
+
+        monkeypatch.setattr(coinvariant, name, counted)
+    code, _out, err = _run_cli(["verify", "all"])
+    assert code == 0, err
+    assert scans and len(scans) == len(set(scans)), sorted(scans)
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "supercoinv.cli", "verify", "sagan_swanson", "--n", "10"],

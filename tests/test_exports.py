@@ -43,3 +43,21 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(result.read_text())["trace"]
     assert trace["spans"] and trace["counts"]
+
+
+def test_cli_import_loads_no_heavy_module():
+    # the engine runs on integers and plain classes, and hashlib and the
+    # process pool are imported by the commands that use them: importing the
+    # CLI must load none of these modules a bare interpreter has not
+    heavy = {"fractions", "decimal", "dataclasses", "inspect", "hashlib", "concurrent.futures"}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def loaded(prelude: str) -> set:
+        code = prelude + "import sys; print('\\n'.join(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    assert heavy & (loaded("import supercoinv.cli; ") - loaded("")) == set()

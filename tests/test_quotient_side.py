@@ -264,3 +264,15 @@ def test_closure_check_and_the_ideal_side_fail_alike_without_the_sign():
     quotient, ideal = _closure_witnesses(n, k, j, operators)
     assert quotient == ideal == (((0,), (2,)), [["b", 0], ["f", 0]])
 
+
+def test_a_non_integral_trace_is_refused(monkeypatch):
+    # halving every class read off the relation span halves the trace of the
+    # 3-cycle on Q_1 of (3,1,0), the standard representation, to -1/2
+    class_of = coinvariant._class_of
+
+    def halved(basis, vec, where, den=1):
+        return class_of(basis, vec, where, 2 * den)
+
+    monkeypatch.setattr(coinvariant, "_class_of", halved)
+    with pytest.raises(AssertionError, match=r"trace of \(3,\) at multidegree \(\(1,\), \(\)\)"):
+        frobenius_series(3, 1, 0)

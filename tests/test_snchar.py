@@ -3,7 +3,10 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from supercoinv.qcombinat import partitions_of
 from supercoinv.snchar import (
     class_representative,
@@ -119,6 +122,48 @@ def test_frobenius_decompose_flags_non_integral():
     bad[(1, 1, 1)] = Fraction(1, 3)
     with pytest.raises(ValueError):
         frobenius_decompose(bad, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_decomposition_matches_the_fraction_oracle(data):
+    # three kinds of integer class function: a combination of irreducible
+    # characters, multiples of n! (both with integral multiplicities), and
+    # arbitrary values, where the two must refuse the same inputs
+    n = data.draw(st.integers(1, 6), label="n")
+    types = partitions_of(n)
+    kind = data.draw(st.sampled_from(["characters", "multiples", "any"]), label="kind")
+    values = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(types), max_size=len(types)))
+    if kind == "characters":
+        class_fn = {
+            rho: sum(c * irreducible_character(mu, rho) for c, mu in zip(values, types))
+            for rho in types
+        }
+    else:
+        scale = factorial(n) if kind == "multiples" else 1
+        class_fn = {rho: scale * v for rho, v in zip(types, values)}
+    try:
+        want = oracles.frobenius_decompose(class_fn, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            frobenius_decompose(class_fn, n)
+        return
+    got = frobenius_decompose(class_fn, n)
+    assert got == want
+    assert all(type(c) is int for c in got.values())
+    if kind == "characters":
+        assert got == dict(zip(types, values))
+
+
+def test_gl_restriction_matches_the_fraction_oracle():
+    for n in range(1, 6):
+        for size in range(7):
+            for lam in partitions_of(size):
+                if len(lam) > n:
+                    with pytest.raises(ValueError):
+                        gl_restriction_mult(lam, n)
+                    continue
+                assert gl_restriction_mult(lam, n) == oracles.gl_restriction_mult(lam, n), (lam, n)
 
 
 def test_gl_restriction_defining_rep():
