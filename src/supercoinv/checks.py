@@ -1,9 +1,10 @@
 """Verification suite: every reproducible structural claim as a named check.
 
-Each check returns a CheckReport; a failing report always carries a minimal
-witness (the first discrepancy found).  Checks only share state through a
-CheckSession, which keeps one store per ring so a suite run never recomputes
-a quotient.
+Each check returns its witness, the first discrepancy found, or None when it
+passes; ``run_check`` times it and reports it as a CheckReport, and
+``default_params`` holds every check's defaults.  Checks only share state
+through a CheckSession, which keeps one store per ring so a suite run never
+recomputes a quotient.
 """
 
 from __future__ import annotations
@@ -84,32 +85,14 @@ class CheckSession:
             self._rings[key] = IdealComponentCache(n, k, j, self.ceiling, self.cache_dir)
         return self._rings[key]
 
-    def frobenius(self, n: int, k: int, j: int):
-        return self.ring(n, k, j).frobenius()
-
-    def hilbert(self, n: int, k: int, j: int) -> QUPoly:
-        return self.ring(n, k, j).hilbert()
-
-    def table(self, n: int, k: int, j: int):
-        return self.ring(n, k, j).table()
-
-
-def _report(check_id: str, params: dict, witness, started: float) -> CheckReport:
-    status = "pass" if witness is None else "fail"
-    return CheckReport(check_id, params, status, witness, time.perf_counter() - started)
-
 
 # ---------------------------------------------------------------------------
 
 
-def check_universality(session: CheckSession, n: int, configs=None) -> CheckReport:
+def check_universality(session: CheckSession, n: int, configs) -> dict | None:
     """Tables from different (k,j) agree wherever both determine a coefficient."""
-    started = time.perf_counter()
-    if configs is None:
-        configs = default_universality_configs(n)
-    params = {"n": n, "configs": [list(c) for c in configs]}
-    tables = {cfg: session.table(n, *cfg) for cfg in configs}
-    witness = None
+    configs = [tuple(c) for c in configs]
+    tables = {cfg: session.ring(n, *cfg).table() for cfg in configs}
     for a in range(len(configs)):
         for b in range(a + 1, len(configs)):
             ca, cb = configs[a], configs[b]
@@ -121,55 +104,36 @@ def check_universality(session: CheckSession, n: int, configs=None) -> CheckRepo
                 va = ta.coeff(lam, mu)
                 vb = tb.coeff(lam, mu)
                 if va != vb:
-                    witness = {
+                    return {
                         "configs": [list(ca), list(cb)],
                         "lambda": list(lam),
                         "mu": list(mu),
                         "values": [va, vb],
                     }
-                    return _report("universality", params, witness, started)
-    return _report("universality", params, witness, started)
+    return None
 
 
-def default_universality_configs(n: int):
-    configs = [(1, 0), (0, 1), (1, 1), (0, 2)]
-    if n <= 3:
-        configs += [(2, 0), (2, 1)]
-    return configs
-
-
-def check_cancellation(session: CheckSession, n: int, k: int, j: int, m: int) -> CheckReport:
+def check_cancellation(session: CheckSession, n: int, k: int, j: int, m: int) -> dict | None:
     """Setting q_(k-i) = -u_(j-i), i < m, collapses (k,j) onto (k-m, j-m)."""
-    started = time.perf_counter()
-    params = {"n": n, "k": k, "j": j, "m": m}
     if not 0 <= m <= min(k, j):
         raise ValueError("need 0 <= m <= min(k, j)")
     assignment = {k - 1 - i: (k + j - 1 - i, -1) for i in range(m)}
-    fa = session.frobenius(n, k, j)
-    fb = session.frobenius(n, k - m, j - m)
-    witness = None
+    fa = session.ring(n, k, j).frobenius()
+    fb = session.ring(n, k - m, j - m).frobenius()
     for mu in partitions_of(n):
         got = specialize(fa.mu_polynomial(mu), assignment)
         want = fb.mu_polynomial(mu).reindex(k, j)
         if got != want:
-            witness = {
-                "mu": list(mu),
-                "specialized": got.pretty(),
-                "direct": want.pretty(),
-            }
-            return _report("cancellation", params, witness, started)
-    got_h = specialize(session.hilbert(n, k, j), assignment)
-    want_h = session.hilbert(n, k - m, j - m).reindex(k, j)
+            return {"mu": list(mu), "specialized": got.pretty(), "direct": want.pretty()}
+    got_h = specialize(session.ring(n, k, j).hilbert(), assignment)
+    want_h = session.ring(n, k - m, j - m).hilbert().reindex(k, j)
     if got_h != want_h:
-        witness = {"hilbert": [got_h.pretty(), want_h.pretty()]}
-    return _report("cancellation", params, witness, started)
+        return {"hilbert": [got_h.pretty(), want_h.pretty()]}
+    return None
 
 
-def check_restriction(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
+def check_restriction(session: CheckSession, n: int, k: int, j: int) -> dict | None:
     """Killing the last variable of either alphabet restricts the ring."""
-    started = time.perf_counter()
-    params = {"n": n, "k": k, "j": j}
-    witness = None
     jobs = []
     if k > 0:
         jobs.append(({k - 1: None}, (n, k - 1, j), "q"))
@@ -178,24 +142,18 @@ def check_restriction(session: CheckSession, n: int, k: int, j: int) -> CheckRep
     for assignment, target, label in jobs:
         tn, tk, tj = target
         # the Frobenius series first, so that each Hilbert series is read off it
-        fa = session.frobenius(n, k, j)
-        fb = session.frobenius(tn, tk, tj)
-        got = specialize(session.hilbert(n, k, j), assignment)
-        want = session.hilbert(tn, tk, tj).reindex(k, j)
+        fa = session.ring(n, k, j).frobenius()
+        fb = session.ring(tn, tk, tj).frobenius()
+        got = specialize(session.ring(n, k, j).hilbert(), assignment)
+        want = session.ring(tn, tk, tj).hilbert().reindex(k, j)
         if got != want:
-            witness = {"killed": label, "hilbert": [got.pretty(), want.pretty()]}
-            return _report("restriction", params, witness, started)
+            return {"killed": label, "hilbert": [got.pretty(), want.pretty()]}
         for mu in partitions_of(n):
             gotp = specialize(fa.mu_polynomial(mu), assignment)
             wantp = fb.mu_polynomial(mu).reindex(k, j)
             if gotp != wantp:
-                witness = {
-                    "killed": label,
-                    "mu": list(mu),
-                    "values": [gotp.pretty(), wantp.pretty()],
-                }
-                return _report("restriction", params, witness, started)
-    return _report("restriction", params, witness, started)
+                return {"killed": label, "mu": list(mu), "values": [gotp.pretty(), wantp.pretty()]}
+    return None
 
 
 def _two_column_families(n: int) -> dict:
@@ -244,26 +202,17 @@ def _two_column_families(n: int) -> dict:
     return fam
 
 
-def check_parts_le_two(session: CheckSession, n: int) -> CheckReport:
+def check_parts_le_two(session: CheckSession, n: int) -> dict | None:
     """The (0,2) table is exactly the published parts-at-most-2 classification."""
-    started = time.perf_counter()
-    params = {"n": n}
-    table = session.table(n, 0, 2)
+    table = session.ring(n, 0, 2).table()
     expected = _two_column_families(n)
-    witness = None
     keys = set(table.entries) | set(expected)
     for lam, mu in sorted(keys, key=lambda km: (partition_sort_key(km[0]), km[1])):
         want = expected.get((lam, mu), 0)
         got = table.coeff(lam, mu)
         if want != got:
-            witness = {
-                "lambda": list(lam),
-                "mu": list(mu),
-                "expected": want,
-                "computed": got,
-            }
-            break
-    return _report("parts_le_two", params, witness, started)
+            return {"lambda": list(lam), "mu": list(mu), "expected": want, "computed": got}
+    return None
 
 
 def _sign_formula(n: int) -> QUPoly:
@@ -276,67 +225,39 @@ def _sign_formula(n: int) -> QUPoly:
     return out
 
 
-def _expected_sign_coeff(lam, n: int) -> int:
-    if lam == ():
-        return 1 if n == 1 else 0
-    d = len(lam) - 1
-    if any(p != 1 for p in lam[1:]):
-        return 0
-    i = lam[0] - comb(n - d, 2)
-    if i < 0:
-        return 0
-    return rectangle_coeff(i, d, n)
-
-
-def check_sign_coeffs(session: CheckSession, n: int) -> CheckReport:
+def check_sign_coeffs(session: CheckSession, n: int) -> dict | None:
     """Sign-character slice of the (1,1) ring: three-way agreement.
 
     (a) slice of the computed Frobenius series, (b) the closed form,
     (c) the rectangle-count coefficients against hook super Schurs, plus the
     coefficient table's sign column entry by entry.
     """
-    started = time.perf_counter()
-    params = {"n": n}
     sign_mu = (1,) * n
-    slice_a = session.frobenius(n, 1, 1).mu_polynomial(sign_mu)
+    slice_a = session.ring(n, 1, 1).frobenius().mu_polynomial(sign_mu)
     formula_b = _sign_formula(n)
-    witness = None
     if slice_a != formula_b:
-        witness = {"stage": "series-vs-closed-form", "values": [slice_a.pretty(), formula_b.pretty()]}
-        return _report("sign_coeffs", params, witness, started)
-    hooks_c = QUPoly.zero(1, 1)
-    for d in range(n):
-        base = comb(n - d, 2)
-        for i in range(0, max(comb(n, 2) - base, 0) + 1):
+        return {"stage": "series-vs-closed-form", "values": [slice_a.pretty(), formula_b.pretty()]}
+    # the sign column: the hook (C(n-d, 2) + i, 1^d) -> rectangle_coeff(i, d, n),
+    # nonzero only for d <= n-2 and i <= d(n-2-d), and the empty shape at n = 1
+    expected = {(): 1} if n == 1 else {}
+    for d in range(n - 1):
+        for i in range(d * (n - 2 - d) + 1):
             g = rectangle_coeff(i, d, n)
-            if not g or base + i < 1:
-                continue
-            lam = (base + i,) + (1,) * d
-            hooks_c = hooks_c + super_schur(lam, 1, 1).scale(g)
-    if n == 1:
-        hooks_c = hooks_c + QUPoly.one(1, 1)
+            if g:
+                expected[(comb(n - d, 2) + i,) + (1,) * d] = g
+    hooks_c = QUPoly.zero(1, 1)
+    for lam, g in expected.items():
+        hooks_c = hooks_c + super_schur(lam, 1, 1).scale(g)
     if hooks_c != formula_b:
-        witness = {"stage": "hook-expansion", "values": [hooks_c.pretty(), formula_b.pretty()]}
-        return _report("sign_coeffs", params, witness, started)
-    table = session.table(n, 1, 1)
-    lams = {lam for lam, mu in table.entries if mu == sign_mu}
-    for d in range(n + 1):
-        base = comb(n - d, 2)
-        for i in range(comb(n, 2) + 1):
-            if base + i >= 1 and rectangle_coeff(i, d, n):
-                lams.add((base + i,) + (1,) * d)
+        return {"stage": "hook-expansion", "values": [hooks_c.pretty(), formula_b.pretty()]}
+    table = session.ring(n, 1, 1).table()
+    lams = set(expected) | {lam for lam, mu in table.entries if mu == sign_mu}
     for lam in sorted(lams, key=partition_sort_key):
-        want = _expected_sign_coeff(lam, n)
+        want = expected.get(lam, 0)
         got = table.coeff(lam, sign_mu)
         if want != got:
-            witness = {
-                "stage": "table-column",
-                "lambda": list(lam),
-                "expected": want,
-                "computed": got,
-            }
-            break
-    return _report("sign_coeffs", params, witness, started)
+            return {"stage": "table-column", "lambda": list(lam), "expected": want, "computed": got}
+    return None
 
 
 def hilb11_formula(n: int) -> QUPoly:
@@ -349,22 +270,19 @@ def hilb11_formula(n: int) -> QUPoly:
     return out
 
 
-def check_hilb11(session: CheckSession, n: int) -> CheckReport:
+def check_hilb11(session: CheckSession, n: int) -> dict | None:
     """The (1,1) Hilbert series equals its q-Stirling closed form."""
-    started = time.perf_counter()
-    params = {"n": n}
-    got = session.hilbert(n, 1, 1)
+    got = session.ring(n, 1, 1).hilbert()
     want = hilb11_formula(n)
-    witness = None
     if got != want:
-        witness = {"computed": got.pretty(), "formula": want.pretty()}
-        return _report("hilb11", params, witness, started)
+        return {"computed": got.pretty(), "formula": want.pretty()}
     collapsed = specialize(want, {0: (1, -1)})
-    if collapsed != QUPoly.one(1, 1):
-        witness = {"stage": "cancellation", "value": collapsed.pretty()}
+    # a failing alternating sum is reported over a failing collapse
     if sagan_swanson_sum(n) != QUPoly.one(1, 0):
-        witness = {"stage": "alternating-sum", "n": n}
-    return _report("hilb11", params, witness, started)
+        return {"stage": "alternating-sum", "n": n}
+    if collapsed != QUPoly.one(1, 1):
+        return {"stage": "cancellation", "value": collapsed.pretty()}
+    return None
 
 
 class Polarization(NamedTuple):
@@ -462,7 +380,7 @@ def _closure_witness(shells, n: int, k: int, operators) -> tuple | None:
     return None
 
 
-def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
+def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> dict | None:
     """Restriction-multiplicity bound on the table; closure of I under polarization.
 
     Closure is decided on the quotient shells of total degree <= n, by the
@@ -500,38 +418,25 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> Ch
     ``coinvariant``), and for f = sum v f_v, E(f) = sum E(v) f_v +- v E(f_v)
     lies in I once every E(f_v) does, by induction on the degree.
     """
-    started = time.perf_counter()
-    params = {"n": n, "k": k, "j": j}
-    table = session.table(n, k, j)
-    witness = None
+    table = session.ring(n, k, j).table()
     for (lam, mu), c in table.sorted_entries():
         bound = snchar.gl_restriction_mult(lam, n).get(mu, 0)
         if not 0 <= c <= bound:
-            witness = {
-                "stage": "bound",
-                "lambda": list(lam),
-                "mu": list(mu),
-                "c": c,
-                "d": bound,
-            }
-            return _report("bound_closure", params, witness, started)
+            return {"stage": "bound", "lambda": list(lam), "mu": list(mu), "c": c, "d": bound}
     shells = quotient_shells(session.ring(n, k, j))
     found = _closure_witness(shells, n, k, _polarization_operators(n, k, j))
-    if found is not None:
-        (r, s), op = found
-        witness = {"stage": "closure", "deg": {"r": list(r), "s": list(s)}, "operator": op.label(k)}
-    return _report("bound_closure", params, witness, started)
+    if found is None:
+        return None
+    (r, s), op = found
+    return {"stage": "closure", "deg": {"r": list(r), "s": list(s)}, "operator": op.label(k)}
 
 
-def check_n_le_kj(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
+def check_n_le_kj(session: CheckSession, n: int, k: int, j: int) -> dict | None:
     """For n <= k+j the purely bosonic table reconstructs the mixed series."""
-    started = time.perf_counter()
-    params = {"n": n, "k": k, "j": j}
     if n > k + j:
         raise ValueError("requires n <= k + j")
-    table = session.table(n, k + j, 0)
-    direct = session.frobenius(n, k, j)
-    witness = None
+    table = session.ring(n, k + j, 0).table()
+    direct = session.ring(n, k, j).frobenius()
     for mu in partitions_of(n):
         rebuilt = QUPoly.zero(k, j)
         for (lam, lmu), c in table.entries.items():
@@ -541,82 +446,65 @@ def check_n_le_kj(session: CheckSession, n: int, k: int, j: int) -> CheckReport:
             if not term.is_zero():
                 rebuilt = rebuilt + term.scale(c)
         if rebuilt != direct.mu_polynomial(mu):
-            witness = {
+            return {
                 "mu": list(mu),
                 "rebuilt": rebuilt.pretty(),
                 "direct": direct.mu_polynomial(mu).pretty(),
             }
-            break
-    return _report("n_le_kj", params, witness, started)
+    return None
 
 
-def check_witnesses(session: CheckSession, n: int) -> CheckReport:
+def check_witnesses(session: CheckSession, n: int) -> dict | None:
     """Spot checks of the nonzero coefficients separating small alphabets."""
-    started = time.perf_counter()
-    params = {"n": n}
     claims = []
-    t02 = session.table(n, 0, 2)
+    t02 = session.ring(n, 0, 2).table()
     claims.append((t02, (1,) * (n - 1), (1,) * n, "column"))
     if n >= 5:
         claims.append((t02, (2, 2) + (1,) * (n - 5), (2, 2) + (1,) * (n - 4), "two-row"))
-    t11 = session.table(n, 1, 1)
+    t11 = session.ring(n, 1, 1).table()
     if n >= 2:
         claims.append((t11, (comb(n, 2),), (1,) * n, "top-sign"))
     if n >= 4:
         claims.append((t11, (comb(n - 2, 2), 1, 1), (1,) * n, "hook-sign"))
-    witness = None
     for table, lam, mu, label in claims:
         if table.coeff(lam, mu) != 1:
-            witness = {
+            return {
                 "claim": label,
                 "lambda": list(lam),
                 "mu": list(mu),
                 "computed": table.coeff(lam, mu),
             }
-            break
-    return _report("witnesses", params, witness, started)
+    return None
 
 
-def check_artin(session: CheckSession, n: int) -> CheckReport:
+def check_artin(session: CheckSession, n: int) -> dict | None:
     """Single bosonic alphabet: Hilbert series [n]_q! and dimension n!."""
-    started = time.perf_counter()
-    params = {"n": n}
-    got = session.hilbert(n, 1, 0)
+    got = session.ring(n, 1, 0).hilbert()
     want = q_factorial(n)
-    witness = None
     if got != want:
-        witness = {"computed": got.pretty(), "formula": want.pretty()}
-    elif got.evaluate((1,)) != factorial(n):
-        witness = {"dimension": got.evaluate((1,))}
-    return _report("artin", params, witness, started)
+        return {"computed": got.pretty(), "formula": want.pretty()}
+    if got.evaluate((1,)) != factorial(n):
+        return {"dimension": got.evaluate((1,))}
+    return None
 
 
-def check_exterior(session: CheckSession, n: int) -> CheckReport:
+def check_exterior(session: CheckSession, n: int) -> dict | None:
     """Single fermionic alphabet: hook decomposition, one per degree."""
-    started = time.perf_counter()
-    params = {"n": n}
-    series = session.frobenius(n, 0, 1)
+    series = session.ring(n, 0, 1).frobenius()
     expected = {}
     for d in range(n):
         expected[((), (d,))] = {(n - d,) + (1,) * d: 1}
-    witness = None
     if series.components != expected:
-        witness = {
-            "computed": series.to_json()["components"],
-            "expected degrees": list(range(n)),
-        }
-    return _report("exterior", params, witness, started)
+        return {"computed": series.to_json()["components"], "expected degrees": list(range(n))}
+    return None
 
 
-def check_haiman(session: CheckSession, n: int) -> CheckReport:
+def check_haiman(session: CheckSession, n: int) -> dict | None:
     """Two bosonic alphabets: total dimension (n+1)^(n-1)."""
-    started = time.perf_counter()
-    params = {"n": n}
-    dim = session.hilbert(n, 2, 0).evaluate((1, 1))
-    witness = None
+    dim = session.ring(n, 2, 0).hilbert().evaluate((1, 1))
     if dim != (n + 1) ** (n - 1):
-        witness = {"computed": dim, "expected": (n + 1) ** (n - 1)}
-    return _report("haiman", params, witness, started)
+        return {"computed": dim, "expected": (n + 1) ** (n - 1)}
+    return None
 
 
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
@@ -627,34 +515,26 @@ def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> N
         raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
 
 
-def check_cauchy(session: CheckSession, n: int, kmax: int = 2, jmax: int = 2, degree: int = 6) -> CheckReport:
+def check_cauchy(session: CheckSession, n: int, kmax: int, jmax: int, degree: int) -> dict | None:
     """Truncated super Cauchy identity over a grid of alphabet sizes."""
-    started = time.perf_counter()
-    params = {"n": n, "kmax": kmax, "jmax": jmax, "degree": degree}
     # the bound grows with k, j and n, so the largest call bounds every call
     cauchy_ceiling_guard(kmax, jmax, n, degree, session.ceiling)
-    witness = None
     for k in range(kmax + 1):
         for j in range(jmax + 1):
             for nn in range(1, n + 1):
                 res = super_cauchy_check(k, j, nn, degree)
                 if not res.passed:
-                    witness = {"k": k, "j": j, "n": nn, "first_failure": res.first_failure}
-                    return _report("cauchy", params, witness, started)
-    return _report("cauchy", params, witness, started)
+                    return {"k": k, "j": j, "n": nn, "first_failure": res.first_failure}
+    return None
 
 
-def check_sagan_swanson(session: CheckSession, n: int) -> CheckReport:
+def check_sagan_swanson(session: CheckSession, n: int) -> dict | None:
     """The alternating q-Stirling sum telescopes to 1 for every size up to n."""
-    started = time.perf_counter()
-    params = {"n": n}
-    witness = None
     for m in range(n + 1):
         value = sagan_swanson_sum(m)
         if value != QUPoly.one(1, 0):
-            witness = {"n": m, "value": value.pretty()}
-            break
-    return _report("sagan_swanson", params, witness, started)
+            return {"n": m, "value": value.pretty()}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +564,7 @@ def default_params(check_id: str, n: int, k=None, j=None, m=None, degree_bound=N
         kk = 1 if k is None else k
         jj = 1 if j is None else j
         return {"n": n, "k": kk, "j": jj, "m": min(kk, jj) if m is None else m}
-    if check_id == "restriction":
-        return {"n": n, "k": 1 if k is None else k, "j": 1 if j is None else j}
-    if check_id == "bound_closure":
+    if check_id in ("restriction", "bound_closure"):
         return {"n": n, "k": 1 if k is None else k, "j": 1 if j is None else j}
     if check_id == "n_le_kj":
         nn = min(n, 3)
@@ -694,11 +572,19 @@ def default_params(check_id: str, n: int, k=None, j=None, m=None, degree_bound=N
         jj = (max(nn - kk, 1)) if j is None else j
         return {"n": min(nn, kk + jj), "k": kk, "j": jj}
     if check_id == "cauchy":
-        return {"n": min(n, 3), "degree": 6 if degree_bound is None else degree_bound}
+        degree = 6 if degree_bound is None else degree_bound
+        return {"n": min(n, 3), "kmax": 2, "jmax": 2, "degree": degree}
+    if check_id == "universality":
+        extra = [[2, 0], [2, 1]] if n <= 3 else []
+        return {"n": n, "configs": [[1, 0], [0, 1], [1, 1], [0, 2]] + extra}
     return {"n": n}
 
 
 def run_check(check_id: str, session: CheckSession, params: dict) -> CheckReport:
+    """Run one registry check and report it: it passes when it returns no witness."""
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id: {check_id}")
-    return REGISTRY[check_id](session, **params)
+    started = time.perf_counter()
+    witness = REGISTRY[check_id](session, **params)
+    status = "pass" if witness is None else "fail"
+    return CheckReport(check_id, params, status, witness, time.perf_counter() - started)

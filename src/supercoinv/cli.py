@@ -17,6 +17,7 @@ import sys
 
 from . import checks, coinvariant
 from .coinvariant import CeilingExceeded, CoeffTable, FrobeniusSeries
+from .qcombinat import partition_sort_key
 from .superschur import QUPoly, super_cauchy_check
 
 
@@ -93,10 +94,7 @@ def _frobenius_text(series: FrobeniusSeries) -> str:
     lines = [f"Frobenius series: n={series.n} k={series.k} j={series.j}"]
     for deg in series.sorted_degrees():
         mults = series.components[deg]
-        terms = " ".join(
-            f"{list(mu)}:{mults[mu]}"
-            for mu in sorted(mults, key=lambda m: (sum(m), tuple(-p for p in m)))
-        )
+        terms = " ".join(f"{list(mu)}:{mults[mu]}" for mu in sorted(mults, key=partition_sort_key))
         lines.append(f"  r={list(deg[0])} s={list(deg[1])}  {terms}")
     return "\n".join(lines)
 
@@ -270,9 +268,7 @@ def _run_compute(args) -> int:
 
 
 def _run_expand(args) -> int:
-    series = _store(args).frobenius()
-    table = coinvariant.coeff_table(series, args.ceiling)
-    _emit(_COEFF_TABLE[args.format](table), args)
+    _emit(_COEFF_TABLE[args.format](_store(args).table()), args)
     return 0
 
 

@@ -28,24 +28,24 @@ def _line(num: int, text: str) -> None:
 
 def test_criterion_01_artin_hilbert():
     for n in range(1, 7):
-        got = SESSION.hilbert(n, 1, 0)
+        got = SESSION.ring(n, 1, 0).hilbert()
         want = q_factorial(n)
         assert got == want, n
         assert got.evaluate((1,)) == factorial(n)
-    assert SESSION.hilbert(6, 1, 0).evaluate((1,)) == 720
+    assert SESSION.ring(6, 1, 0).hilbert().evaluate((1,)) == 720
     _line(1, "Hilb(n,1,0) = [n]_q!, dim n!, n <= 6")
 
 
 def test_criterion_02_exterior_frobenius():
     for n in range(1, 7):
-        series = SESSION.frobenius(n, 0, 1)
+        series = SESSION.ring(n, 0, 1).frobenius()
         expected = {((), (d,)): {(n - d,) + (1,) * d: 1} for d in range(n)}
         assert series.components == expected, n
     _line(2, "Frob(n,0,1) = sum_d u^d s_(n-d,1^d), n <= 6")
 
 
 def test_criterion_03_hilb11_and_sign_slice():
-    SESSION.frobenius(5, 1, 1)  # warm the cache; the Hilbert series derives from it
+    SESSION.ring(5, 1, 1).frobenius()  # warm the cache; the Hilbert series derives from it
     for n in range(1, 6):
         rep = run_check("hilb11", SESSION, {"n": n})
         assert rep.passed, rep.witness
@@ -56,7 +56,7 @@ def test_criterion_03_hilb11_and_sign_slice():
 
 def test_criterion_04_two_bosonic_dimensions():
     for n, want in ((2, 3), (3, 16), (4, 125)):
-        assert SESSION.hilbert(n, 2, 0).evaluate((1, 1)) == want
+        assert SESSION.ring(n, 2, 0).hilbert().evaluate((1, 1)) == want
     _line(4, "dim R_n^(2,0) = (n+1)^(n-1), n <= 4")
 
 
@@ -89,7 +89,7 @@ def test_criterion_08_cancellation_and_restriction():
         rep = run_check("cancellation", SESSION, {"n": n, "k": 1, "j": 1, "m": 1})
         assert rep.passed, (n, rep.witness)
         collapsed = specialize(
-            SESSION.frobenius(n, 1, 1).mu_polynomial((n,)), {0: (1, -1)}
+            SESSION.ring(n, 1, 1).frobenius().mu_polynomial((n,)), {0: (1, -1)}
         )
         assert collapsed == QUPoly.one(1, 1), n
     rep = run_check("cancellation", SESSION, {"n": 3, "k": 2, "j": 1, "m": 1})

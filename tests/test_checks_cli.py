@@ -13,6 +13,7 @@ from supercoinv.checks import (
 )
 from supercoinv import coinvariant
 from supercoinv.cli import main
+from supercoinv.qcombinat import QUPoly
 
 
 def test_registry_all_pass_small():
@@ -28,13 +29,137 @@ def test_registry_all_pass_small():
 def test_failing_report_carries_witness():
     session = CheckSession()
     # a deliberately wrong table entry produces a fail with a witness
-    table = session.table(2, 0, 2)
+    table = session.ring(2, 0, 2).table()
     table.entries[((2, 2), (2,))] = 1
     report = run_check("parts_le_two", session, {"n": 2})
     assert not report.passed
     assert report.witness["lambda"] == [2, 2]
     # clean up the shared session table for other assertions
     del table.entries[((2, 2), (2,))]
+
+
+def _bump_table(ring, key):
+    def perturb(session, monkeypatch):
+        session.ring(*ring).table().entries[key] += 1
+
+    return perturb
+
+
+def _bump_frobenius(ring, deg, mu):
+    def perturb(session, monkeypatch):
+        session.ring(*ring).frobenius().components[deg][mu] += 1
+
+    return perturb
+
+
+def _shift_hilbert(ring):
+    def perturb(session, monkeypatch):
+        store = session.ring(*ring)
+        store._held["hilbert"] = store.hilbert() + QUPoly.one(store.k, store.j)
+
+    return perturb
+
+
+def _fail_cauchy_at(k, j, n):
+    def perturb(session, monkeypatch):
+        from supercoinv import checks
+        from supercoinv.superschur import CauchyResult, super_cauchy_check
+
+        def perturbed(kk, jj, nn, degree):
+            if (kk, jj, nn) == (k, j, n):
+                return CauchyResult(False, degree)
+            return super_cauchy_check(kk, jj, nn, degree)
+
+        monkeypatch.setattr(checks, "super_cauchy_check", perturbed)
+
+    return perturb
+
+
+def _break_sagan_swanson_at(m):
+    def perturb(session, monkeypatch):
+        from supercoinv import checks
+        from supercoinv.qcombinat import sagan_swanson_sum
+
+        def perturbed(size):
+            return QUPoly.zero(1, 0) if size == m else sagan_swanson_sum(size)
+
+        monkeypatch.setattr(checks, "sagan_swanson_sum", perturbed)
+
+    return perturb
+
+
+# check id -> (n, one perturbed input, the witness's keys, its stage or None)
+FAILING_CASES = {
+    "universality": (
+        2,
+        _bump_table((2, 1, 0), ((), (2,))),
+        {"configs", "lambda", "mu", "values"},
+        None,
+    ),
+    "cancellation": (
+        2,
+        _bump_frobenius((2, 0, 0), ((), ()), (2,)),
+        {"mu", "specialized", "direct"},
+        None,
+    ),
+    "restriction": (2, _shift_hilbert((2, 0, 1)), {"killed", "hilbert"}, None),
+    "parts_le_two": (
+        2,
+        _bump_table((2, 0, 2), ((), (2,))),
+        {"lambda", "mu", "expected", "computed"},
+        None,
+    ),
+    "sign_coeffs": (
+        3,
+        _bump_table((3, 1, 1), ((3,), (1, 1, 1))),
+        {"stage", "lambda", "expected", "computed"},
+        "table-column",
+    ),
+    "hilb11": (2, _shift_hilbert((2, 1, 1)), {"computed", "formula"}, None),
+    "bound_closure": (
+        2,
+        _bump_table((2, 1, 1), ((), (2,))),
+        {"stage", "lambda", "mu", "c", "d"},
+        "bound",
+    ),
+    "n_le_kj": (2, _bump_table((2, 2, 0), ((), (2,))), {"mu", "rebuilt", "direct"}, None),
+    "witnesses": (
+        2,
+        _bump_table((2, 0, 2), ((1,), (1, 1))),
+        {"claim", "lambda", "mu", "computed"},
+        None,
+    ),
+    "artin": (2, _shift_hilbert((2, 1, 0)), {"computed", "formula"}, None),
+    "exterior": (
+        2,
+        _bump_frobenius((2, 0, 1), ((), (0,)), (2,)),
+        {"computed", "expected degrees"},
+        None,
+    ),
+    "haiman": (2, _shift_hilbert((2, 2, 0)), {"computed", "expected"}, None),
+    "cauchy": (2, _fail_cauchy_at(1, 1, 2), {"k", "j", "n", "first_failure"}, None),
+    "sagan_swanson": (2, _break_sagan_swanson_at(2), {"n", "value"}, None),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(REGISTRY))
+def test_every_check_reports_a_perturbed_input(check_id, monkeypatch):
+    n, perturb, keys, stage = FAILING_CASES[check_id]
+    session = CheckSession()
+    perturb(session, monkeypatch)
+    report = run_check(check_id, session, default_params(check_id, n))
+    assert report.status == "fail"
+    assert set(report.witness) == keys
+    assert report.witness.get("stage") == stage
+
+
+def test_hilb11_reports_the_alternating_sum_over_the_collapse(monkeypatch):
+    from supercoinv import checks
+
+    monkeypatch.setattr(checks, "specialize", lambda poly, assignment: QUPoly.zero(1, 1))
+    monkeypatch.setattr(checks, "sagan_swanson_sum", lambda n: QUPoly.zero(1, 0))
+    report = run_check("hilb11", CheckSession(), {"n": 2})
+    assert report.witness == {"stage": "alternating-sum", "n": 2}
 
 
 def test_hilb11_formula_n2():
@@ -44,7 +169,7 @@ def test_hilb11_formula_n2():
 def test_default_params_shapes():
     assert default_params("cancellation", 3) == {"n": 3, "k": 1, "j": 1, "m": 1}
     assert default_params("n_le_kj", 5)["n"] <= 3
-    assert default_params("cauchy", 5) == {"n": 3, "degree": 6}
+    assert default_params("cauchy", 5) == {"n": 3, "kmax": 2, "jmax": 2, "degree": 6}
 
 
 def test_bad_check_id():
