@@ -10,11 +10,11 @@ recomputes a quotient.
 from __future__ import annotations
 
 import time
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import coinvariant, snchar
-from .coinvariant import CeilingExceeded, IdealComponentCache, quotient_shells
+from .coinvariant import CeilingExceeded, IdealComponentCache, _apply, _combine, quotient_shells
 from .qcombinat import (
     QUPoly,
     in_Pkjn,
@@ -316,24 +316,9 @@ def _polarization_operators(n: int, k: int, j: int) -> list:
     ]
 
 
-def _combine(terms, den: int = 1):
-    """sum of c * x / dx over the terms (c, (x, dx)), over den, as a column in lowest terms."""
-    common = lcm(*(dx for _c, (_x, dx) in terms))
-    out = {}
-    for c, (x, dx) in terms:
-        f = c * (common // dx)
-        for i, v in x.items():
-            out[i] = out.get(i, 0) + f * v
-    out = {i: v for i, v in out.items() if v}
-    den *= common
-    g = gcd(den, *out.values())
-    return {i: v // g for i, v in out.items()}, den // g
-
-
-def _apply(matrix: list, col):
-    """The matrix (a list of columns) times a column, both as (vector, denominator)."""
-    x, dx = col
-    return _combine([(c, matrix[i]) for i, c in x.items()], dx)
+def _column(matrix: list, b):
+    """Column b of the matrix, or the matrix times b when b is itself a column."""
+    return matrix[b] if type(b) is int else _apply(matrix, b)
 
 
 def _closure_witness(shells, n: int, k: int, operators) -> tuple | None:
@@ -348,7 +333,8 @@ def _closure_witness(shells, n: int, k: int, operators) -> tuple | None:
         for deg in sorted(shell):
             comp = shell[deg]
             preds = coinvariant._predecessors(deg, k)
-            standard = set(zip(comp.labels, comp.origins))
+            # an origin that is a column, not a basis index, makes no column standard
+            standard = {(u, b) for u, b in zip(comp.labels, comp.origins) if type(b) is int}
             for op, lower, hat in zip(operators, below, here):
                 flat = list(deg[0] + deg[1])
                 if not flat[op.source]:
@@ -359,16 +345,18 @@ def _closure_witness(shells, n: int, k: int, operators) -> tuple | None:
                 if target is None:
                     continue  # a fermionic degree above n: E maps into Q = 0
 
-                def leibniz(v: int, b: int):
-                    """E(v) b + (-1)^(|E||v|) v E(b), b a basis element of Q_(deg - e_v)."""
+                def leibniz(v: int, b):
+                    """E(v) b + (-1)^(|E||v|) v E(b), b a basis index or column of Q_(deg - e_v)."""
                     terms = []
                     w = op.image.get(v)
                     if w is not None:
-                        terms.append((1, target.mult[w][b]))
+                        terms.append((1, _column(target.mult[w], b)))
                     low = lower.get(preds[v // n])
-                    if low is not None and low[b][0]:
-                        sign = -1 if op.odd and v // n >= k else 1
-                        terms.append((sign, _apply(target.mult[v], low[b])))
+                    if low is not None:
+                        below_b = _column(low, b)
+                        if below_b[0]:
+                            sign = -1 if op.odd and v // n >= k else 1
+                            terms.append((sign, _apply(target.mult[v], below_b)))
                     return _combine(terms)
 
                 cols = hat[deg] = [leibniz(u, b) for u, b in zip(comp.labels, comp.origins)]
@@ -388,7 +376,9 @@ def check_bound_and_closure(session: CheckSession, n: int, k: int, j: int) -> di
     Let E be a superderivation with E(v) in V for each variable v (zero
     outside the source set), pi: R -> Q the projection, and define E^ on Q
     by E^(1) = 0 and E^([u b]) = [E(u) b] + (-1)^(|E||u|) u E^(b) for each
-    basis element s = [u b] (its label u, its origin b).  The rule at a
+    basis element s = [u b] (its label u, its origin b, a basis element or,
+    on a component carried by alphabet symmetry, a column, as both sides are
+    linear in b).  The rule at a
     border column v (x) b of Q_d, b a basis element of Q_(d - e_v), is
 
         E^(v b) = E(v) b + (-1)^(|E||v|) v E^(b),

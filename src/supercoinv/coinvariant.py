@@ -96,12 +96,48 @@ kept span all of them.  Reduced echelon bases are unique, so the quotient
 bases and matrices are the same as with every relation.  This is
 Buchberger's chain criterion, or the neighbour criterion of border bases
 (Kehrein-Kreuzer, Characterizations of border bases, 2005).
+
+Alphabet symmetry.  Let tau permute the bosonic sets among themselves and
+the fermionic sets among themselves, and send x_(g,p) to x_(tau g, p) and
+theta_(c,p) to theta_(tau c, p).  It sends each generator to a generator of
+the same parity, so it preserves the commutation rules and the odd squares
+and extends to an even algebra automorphism of R; it moves sets and S_n moves
+positions, so the two commute.  So tau maps the invariants onto the
+invariants, hence I onto I, and Q_d onto Q_(tau d) as S_n-modules, where
+(tau d)_(tau g) = d_g.  Write D for the dominant representative of d (r and
+s each sorted into decreasing order) and tau_d for the stable sorting
+permutation with tau_d(D) = d.  ``_series_scan`` builds only the dominant
+components and stores every other Q_d as tau_d(Q_D), its basis the image of
+Q_D's: the ``action`` matrices and traces are Q_D's, and a label u = g n + p
+becomes tau_d(u) = tau_d(g) n + p, as tau([u b]) = [tau(u) tau(b)].
+The chain criterion stays exact on these labels, since its proof needs only
+s = [label(s) b] for some b.  No sign enters ``powers``: when every s_c <= 1
+the fermionic sets of degree 1 come first in D, and the stable tau_d keeps
+their order, so tau_d(m_p(D)) = m_p(d) with its factors in set order.  (A
+sign common to every p would only scale the lift of P_d, not its span.)
+
+Frames.  A multiplication matrix must be written in the bases the shell
+below stores.  Q_(d - e_g) is stored as an image of its own dominant F, and
+tau_d carries the stored Q_(D - e_h), h = tau_d^-1 g, onto it by another
+image of F; the two differ by rho in the stabilizer of F, which permutes tied
+sets.  A tie at degree 0 acts trivially, since no variable of those sets
+occurs.  Otherwise rho is a product of transpositions t of adjacent tied
+sets, and ``_koszul_component`` computes the matrix of each t on Q_F (its
+``swaps``) as it computes the ``action``: it reduces t(v) (x) t(b) in the
+relation basis for each standard column v (x) b, with t(b) written over the
+stored basis by the frame change of the shell below.  This is sound because
+the relation span is t-stable: it is the kernel of the map v (x) b -> [v b]
+from the border onto Q_F, which commutes with t.  The transported mult[v] is Q_D's mult[tau^-1 v]
+times the frame change of its source, and origins[s] is the frame image of
+Q_D's origin: a basis index where that image is a unit vector, else a
+column, so that mult[labels[s]] sends origins[s] to the unit vector of s.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from functools import cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -444,18 +480,22 @@ class _QuotientComponent:
     A matrix is a list of columns, one per source basis element, and a column
     is a pair (integer vector, positive denominator).  ``labels`` holds one
     variable u per basis element s with s = [u b] (the chain criterion of the
-    module docstring), ``origins`` the index of that b in the component one
-    lower in u's set, so that column ``origins[s]`` of ``mult[labels[s]]`` is
-    the unit vector of s, and ``source_labels`` maps each set to the labels of
-    the component one lower in that set, the source of its ``mult`` matrices.
-    ``powers`` holds the column of each class [m_p(d)], p = 0..n-1, on a
-    component with |d| <= n and every s_c <= 1, for the lift of P on the
-    shell above; it is empty elsewhere.
+    module docstring), ``origins`` that b in the component one lower in u's
+    set: a basis index, or a column where b is no basis element, so that
+    ``mult[labels[s]]`` sends ``origins[s]`` to the unit vector of s.
+    ``source_labels`` maps each set to the labels of the component one lower
+    in that set, the source of its ``mult`` matrices.  ``powers`` holds the
+    column of each class [m_p(d)], p = 0..n-1, on a component with |d| <= n
+    and every s_c <= 1, for the lift of P on the shell above; it is empty
+    elsewhere.  ``swaps`` maps each i whose sets i and i + 1 have one parity
+    and one positive degree to the matrix of the automorphism exchanging
+    them; frame changes read it on dominant components alone (alphabet
+    symmetry in the module docstring), so other components leave it empty.
     """
 
-    __slots__ = ("dim", "mult", "action", "labels", "origins", "source_labels", "powers")
+    __slots__ = ("dim", "mult", "action", "labels", "origins", "source_labels", "powers", "swaps")
 
-    def __init__(self, dim, mult, action, labels, origins, source_labels, powers):
+    def __init__(self, dim, mult, action, labels, origins, source_labels, powers, swaps):
         self.dim = dim
         self.mult = mult
         self.action = action
@@ -463,6 +503,7 @@ class _QuotientComponent:
         self.origins = origins
         self.source_labels = source_labels
         self.powers = powers
+        self.swaps = swaps
 
 
 def _predecessors(deg: Multidegree, k: int) -> dict:
@@ -477,6 +518,76 @@ def _predecessors(deg: Multidegree, k: int) -> dict:
                 c = g - k
                 out[g] = (r, s[:c] + (d - 1,) + s[c + 1 :])
     return out
+
+
+@cache
+def _sorting(deg: Multidegree, k: int) -> tuple:
+    """(D, tau): D the dominant representative of deg, tau the stable sort with tau(D) = deg.
+
+    tau[g] is the set of deg that set g of D goes to; bosonic and fermionic
+    sets are sorted apart, each into decreasing degree.
+    """
+    r, s = deg
+    flat = r + s
+    tau = tuple(sorted(range(k), key=lambda g: -flat[g]))
+    tau += tuple(sorted(range(k, len(flat)), key=lambda g: -flat[g]))
+    dom = tuple(flat[g] for g in tau)
+    return (dom[:k], dom[k:]), tau
+
+
+def _frame(below: dict, k: int, src: Multidegree, dst: Multidegree, perm) -> tuple:
+    """(swaps, word): the set permutation perm, taking src to dst, on stored bases.
+
+    Both components are stored as images of their dominant F, the basis of
+    Q_c being tau_c of F's.  So perm sends tau_src(b) to tau_dst(rho(b)),
+    rho = tau_dst^-1 perm tau_src in the stabilizer of F, and its matrix is
+    that of rho on Q_F: the product of F's ``swaps``, applied to a column in
+    ``word`` order (``_framed``).  Sets of degree 0 in F act trivially.
+    """
+    dom, to_src = _sorting(src, k)
+    back = {g: i for i, g in enumerate(_sorting(dst, k)[1])}
+    flat = dom[0] + dom[1]
+    rho = [back[perm[to_src[i]]] if flat[i] else i for i in range(len(flat))]
+    # bubble sort: swapping a descent i makes rho <- rho t_i, so at the end
+    # rho = t_(last) ... t_(first), each t_i inside a block of tied sets
+    word = []
+    unsorted = True
+    while unsorted:
+        unsorted = False
+        for i in range(len(rho) - 1):
+            if rho[i] > rho[i + 1]:
+                rho[i], rho[i + 1] = rho[i + 1], rho[i]
+                word.append(i)
+                unsorted = True
+    return below[dom].swaps, word
+
+
+def _framed(swaps: dict, word, b: int):
+    """The swaps of ``word`` applied in turn to basis element b, as a column."""
+    col = ({b: 1}, 1)
+    for i in word:
+        col = _apply(swaps[i], col)
+    return col
+
+
+def _combine(terms, den: int = 1):
+    """sum of c * x / dx over the terms (c, (x, dx)), over den, as a column in lowest terms."""
+    common = lcm(*(dx for _c, (_x, dx) in terms))
+    out = {}
+    for c, (x, dx) in terms:
+        f = c * (common // dx)
+        for i, v in x.items():
+            out[i] = out.get(i, 0) + f * v
+    out = {i: v for i, v in out.items() if v}
+    den *= common
+    g = gcd(den, *out.values())
+    return {i: v // g for i, v in out.items()}, den // g
+
+
+def _apply(matrix: list, col):
+    """The matrix (a list of columns) times a column, both as (vector, denominator)."""
+    x, dx = col
+    return _combine([(c, matrix[i]) for i, c in x.items()], dx)
 
 
 def _standard_coordinates(basis: SubspaceBasis) -> dict:
@@ -514,8 +625,6 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         for pos in reversed(range(n)):
             offset[g * n + pos] = ncols
             ncols += size
-    if ncols > cache.ceiling:
-        raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
     rel = SubspaceBasis(ncols)
     for g, pred_g in preds.items():
         into_g = below[pred_g].mult  # multiplication into Q_(deg - e_g)
@@ -574,36 +683,97 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                 cols.append(({where[i]: -c for i, c in row.items() if i != col}, row[col]))
         mult[v] = cols
     action, traces = {}, {}
-    for rho, sigma in sigmas.items():
-        cols = []
-        # the trace: its diagonal entries summed per denominator
-        by_den: dict = {}
+
+    def represent(move, image_of):
+        """The matrix of an automorphism of Q_deg, and its trace per denominator.
+
+        It sends the standard column v (x) b to move(v) (x) image_of(g, b), g
+        the set of v, as a column over the basis of Q_(deg - e_(set of move(v))).
+        """
+        cols, by_den = [], {}
         for v, off in offset.items():
-            g, pos = divmod(v, n)
-            image = offset[g * n + sigma[pos]]
-            for b, (x, dx) in enumerate(below[preds[g]].action[rho]):
+            image = offset[move(v)]
+            for b in range(below[preds[v // n]].dim):
                 q = where.get(off + b)
                 if q is None:
                     continue
+                x, dx = image_of(v // n, b)
                 col = _class_of(rel, {image + i: c for i, c in x.items()}, where, dx)
                 by_den[col[1]] = by_den.get(col[1], 0) + col[0].get(q, 0)
                 cols.append(col)
-        action[rho] = cols
+        return cols, by_den
+
+    for rho, sigma in sigmas.items():
+        below_action = {g: below[pred].action[rho] for g, pred in preds.items()}
+        action[rho], by_den = represent(
+            lambda v: v - v % n + sigma[v % n], lambda g, b: below_action[g][b]
+        )
+        # the trace: its diagonal entries summed per denominator
         common = lcm(*by_den)
         trace, rest = divmod(sum(c * (common // d) for d, c in by_den.items()), common)
         if rest:
             raise AssertionError(f"non-integral trace of {rho} at multidegree {deg}")
         traces[rho] = trace
+    swaps = {}
+    flat = deg[0] + deg[1]
+    for i in range(len(flat) - 1):
+        if i == k - 1 or not flat[i] or flat[i] != flat[i + 1]:
+            continue
+        t = list(range(len(flat)))
+        t[i], t[i + 1] = i + 1, i
+        frames = {g: _frame(below, k, pred, preds[t[g]], t) for g, pred in preds.items()}
+        swaps[i], _diagonal = represent(
+            lambda v: t[v // n] * n + v % n, lambda g, b: _framed(*frames[g], b)
+        )
     sources = {g: below[pred].labels for g, pred in preds.items()}
     powers = [_class_of(rel, x, where, dx) for x, dx in ones]
-    return _QuotientComponent(len(where), mult, action, own, origins, sources, powers), traces
+    comp = _QuotientComponent(len(where), mult, action, own, origins, sources, powers, swaps)
+    return comp, traces
+
+
+def _transport(cache, comp: _QuotientComponent, deg: Multidegree, below: dict):
+    """Q_deg as the tau-image of its dominant component comp, with no elimination.
+
+    tau is the stable sort of ``_sorting`` and the basis of Q_deg the image
+    of comp's.  The ``action`` matrices, traces and ``powers`` are comp's
+    (no sign: see the module docstring); the labels are moved by tau, each
+    multiplication matrix is comp's times the frame change of its source
+    (``_frame``), and each origin the frame image of comp's.
+    """
+    n, k = cache.n, cache.k
+    dom, tau = _sorting(deg, k)
+    back = sorted(range(len(tau)), key=tau.__getitem__)  # tau^-1
+    lower, preds = _predecessors(dom, k), _predecessors(deg, k)
+    mult, frames = {}, {}
+    for g, pred in preds.items():
+        h = back[g]
+        # tau^-1 from the stored basis of Q_pred to that of Q_(dom - e_h)
+        swaps, word = frames[h] = _frame(below, k, pred, lower[h], back)
+        change = [_framed(swaps, word, b) for b in range(below[pred].dim)] if word else None
+        for p in range(n):
+            src = comp.mult[h * n + p]
+            mult[g * n + p] = src if change is None else [_apply(src, x) for x in change]
+    origins = []
+    for u, b in zip(comp.labels, comp.origins):
+        swaps, word = frames[u // n]
+        if word:
+            # tau on b: the inverse of the frame change above
+            b = _framed(swaps, word[::-1], b)
+            if b[1] == 1 and len(b[0]) == 1 and 1 in b[0].values():
+                b = next(iter(b[0]))
+        origins.append(b)
+    labels = [tau[u // n] * n + u % n for u in comp.labels]
+    sources = {g: below[pred].labels for g, pred in preds.items()}
+    powers = comp.powers
+    return _QuotientComponent(comp.dim, mult, comp.action, labels, origins, sources, powers, {})
 
 
 def _series_scan(cache: IdealComponentCache, types=()):
     """Yield the quotient shells from degree 0 until the first all-zero shell.
 
     Every shell of positive degree comes from the one below it on the
-    quotient side (``_koszul_component``), starting from Q_0 = span{1}, so
+    quotient side, starting from Q_0 = span{1}: ``_koszul_component`` builds
+    its dominant components, ``_transport`` carries them to the others, so
     the scan itself holds only two shells at a time.  Each item is a pair of
     dicts keyed by the shell's multidegrees: the quotient components, and the
     trace of each cycle type of ``types`` on them.  Termination at the first
@@ -624,14 +794,31 @@ def _series_scan(cache: IdealComponentCache, types=()):
         origins=[None],  # 1 is no variable multiple
         source_labels={},
         powers=unit * n,
+        swaps={},
     )
     below = {zero: one}
     yield below, {zero: dict.fromkeys(types, 1)}
     total = 1
     while True:
+        degs = shell_multidegrees(n, k, j, total)
+        # the guard runs on the whole shell, in scan order, before any build
+        for deg in degs:
+            ncols = n * sum(below[pred].dim for pred in _predecessors(deg, k).values())
+            if ncols > cache.ceiling:
+                raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
+        built = {
+            deg: _koszul_component(cache, deg, below, sigmas)
+            for deg in degs
+            if _sorting(deg, k)[0] == deg
+        }
         shell, traces = {}, {}
-        for deg in shell_multidegrees(n, k, j, total):
-            shell[deg], traces[deg] = _koszul_component(cache, deg, below, sigmas)
+        for deg in degs:
+            if deg in built:
+                shell[deg], traces[deg] = built[deg]
+            else:
+                comp, comp_traces = built[_sorting(deg, k)[0]]
+                shell[deg] = _transport(cache, comp, deg, below)
+                traces[deg] = dict(comp_traces)
             if identity in types:
                 traces[deg][identity] = shell[deg].dim
         if not any(comp.dim for comp in shell.values()):

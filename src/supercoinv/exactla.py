@@ -1,9 +1,8 @@
 """Exact sparse linear algebra over the rationals, computed in integers.
 
 Vectors are plain dicts {coordinate: value} with no stored zeros.  Callers
-may pass int or Fraction values; the engine's own callers pass integers.
-The module imports ``fractions`` only to return a non-integral ``reduce``
-result, so the engine runs without it.
+may pass int or Fraction values; the engine's own callers pass integers,
+and the module never imports ``fractions``.
 Bases are held in reduced echelon form, each row stored as the primitive
 integer multiple of its reduced-echelon row over Q: a positive pivot value d
 at its own pivot, value 0 at every other pivot, and entries with gcd 1.
@@ -19,24 +18,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 __all__ = [
-    "DimensionMismatch",
     "SubspaceBasis",
     "span_basis",
 ]
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-def _exact_div(a, b: int):
-    """a / b as int when exact, Fraction otherwise."""
-    q, r = divmod(a, b)
-    if not r:
-        return q
-    from fractions import Fraction  # here: the engine never reads a non-integral residual
-
-    return Fraction(a, b)
 
 
 class SubspaceBasis:
@@ -49,11 +33,10 @@ class SubspaceBasis:
     Elimination is fraction-free (Bareiss-style): a hit pivot with
     coefficient c is cleared as ``w <- (d/g) w - (c/g) row`` with
     ``g = gcd(c, d)``, and a value is divided by d only where it is read as a
-    rational number (``reduce``).  The
-    pivot values other than 1 are also kept in ``_den`` (pivot -> d); it
-    stays empty while every reduced-echelon row is integral, and then
-    elimination never looks a pivot value up.  An occurrence index
-    (coordinate -> set of pivots whose row touches it) makes
+    rational number.  The pivot values other than 1 are also kept in
+    ``_den`` (pivot -> d); it stays empty while every reduced-echelon row is
+    integral, and then elimination never looks a pivot value up.  An
+    occurrence index (coordinate -> set of pivots whose row touches it) makes
     back-substitution linear in the rows actually affected instead of
     scanning the whole basis.  Treat instances as frozen once built:
     ``insert`` is for construction only.
@@ -77,11 +60,6 @@ class SubspaceBasis:
         if self._sorted is None:
             self._sorted = sorted(self._rows)
         return self._sorted
-
-    @property
-    def vectors(self) -> list[dict]:
-        """The stored primitive integer rows, in pivot order."""
-        return [self._rows[p] for p in self.pivots]
 
     def row(self, pivot: int) -> dict:
         return self._rows[pivot]
@@ -122,19 +100,6 @@ class SubspaceBasis:
                 else:
                     del w[i]
         return w, scale
-
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec after eliminating all pivot coordinates."""
-        w, scale = self.scaled_residual(vec)
-        if scale == 1:
-            return w
-        return {i: _exact_div(v, scale) for i, v in w.items()}
-
-    def contains(self, vec: dict) -> bool:
-        for i in vec:
-            if not 0 <= i < self.dim:
-                raise DimensionMismatch(f"coordinate {i} outside ambient dimension {self.dim}")
-        return not self.scaled_residual(vec)[0]
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; returns False when vec was already contained."""

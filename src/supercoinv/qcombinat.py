@@ -21,7 +21,6 @@ __all__ = [
     "Partition",
     "partitions_of",
     "conjugate",
-    "contains",
     "in_Pkjn",
     "partition_sort_key",
     "QUPoly",
@@ -55,13 +54,6 @@ def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-
-
-def contains(lam: Partition, nu: Partition) -> bool:
-    """Young-diagram containment nu ⊆ lam."""
-    if len(nu) > len(lam):
-        return False
-    return all(nu[i] <= lam[i] for i in range(len(nu)))
 
 
 def in_Pkjn(lam: Partition, k: int, j: int, n: int) -> bool:

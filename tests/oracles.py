@@ -54,7 +54,7 @@ from math import comb, factorial, gcd
 from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis, span_basis
-from supercoinv.qcombinat import conjugate, contains, partitions_of
+from supercoinv.qcombinat import conjugate, partitions_of
 from supercoinv.snchar import (
     _mn,
     _power_sum_on_class,
@@ -68,6 +68,47 @@ from supercoinv.superschur import CauchyResult, QUPoly
 
 class SubspaceNotInvariant(ValueError):
     """A map sends a basis vector out of the subspace (``restricted_trace``)."""
+
+
+class DimensionMismatch(ValueError):
+    """A vector has a coordinate outside the ambient space of a basis (``in_span``)."""
+
+
+# --- reading a SubspaceBasis as rationals (the engine reads scaled residuals) --
+
+
+def _exact_div(a, b: int):
+    """a / b as int when exact, Fraction otherwise."""
+    q, r = divmod(a, b)
+    return q if not r else Fraction(a, b)
+
+
+def rows_of(basis) -> list:
+    """The stored primitive integer rows of a basis, in pivot order."""
+    return [basis.row(p) for p in basis.pivots]
+
+
+def reduced(basis, vec: dict) -> dict:
+    """Residual of vec after eliminating every pivot coordinate of the basis."""
+    w, scale = basis.scaled_residual(vec)
+    if scale == 1:
+        return w
+    return {i: _exact_div(v, scale) for i, v in w.items()}
+
+
+def in_span(basis, vec: dict) -> bool:
+    """Whether vec lies in the span of the basis, every coordinate checked against its space."""
+    for i in vec:
+        if not 0 <= i < basis.dim:
+            raise DimensionMismatch(f"coordinate {i} outside ambient dimension {basis.dim}")
+    return not basis.scaled_residual(vec)[0]
+
+
+def contains(lam, nu) -> bool:
+    """Young-diagram containment nu ⊆ lam."""
+    if len(nu) > len(lam):
+        return False
+    return all(nu[i] <= lam[i] for i in range(len(nu)))
 
 
 # --- the monomial model ------------------------------------------------------
@@ -339,7 +380,7 @@ def ideal_component(n: int, k: int, j: int, deg) -> SubspaceBasis:
     if sum(r) + sum(s):
         for g, pred in coinvariant._predecessors(deg, k).items():
             kind, idx = ("b", g) if g < k else ("f", g - k)
-            lower = ideal_component(n, k, j, pred).vectors
+            lower = rows_of(ideal_component(n, k, j, pred))
             for pos in range(n):
                 signs, tgt = shift_map(n, k, j, *pred, kind, idx, pos)
                 for row in lower:
@@ -442,19 +483,19 @@ def ideal_closure_witness(n: int, k: int, j: int, operators):
     for total in range(n + 1):
         for deg in sorted(shell_multidegrees(n, k, j, total)):
             basis = ideal_component(n, k, j, deg)
-            if not basis.vectors:
+            if not rows_of(basis):
                 continue
             for op in operators:
                 mapped = derivation_map(n, k, j, deg, op)
                 if mapped is None:
                     continue
                 img_deg, images = mapped
-                for row in basis.vectors:
+                for row in rows_of(basis):
                     vec: dict = {}
                     for i, v in row.items():
                         for t, c in images[i].items():
                             poly_add_term(vec, t, c * v)
-                    if vec and not ideal_component(n, k, j, img_deg).contains(vec):
+                    if vec and not in_span(ideal_component(n, k, j, img_deg), vec):
                         return deg, op
     return None
 
@@ -665,7 +706,7 @@ def solve_columns(columns, rhs: dict, dim: int):
     for p in basis.pivots:
         if p >= dim:
             raise ValueError("dependent columns detected")
-    resid = basis.reduce(dict(rhs))
+    resid = reduced(basis, dict(rhs))
     if any(i < dim for i in resid):
         return None
     coeffs = [0] * ncols
@@ -684,9 +725,9 @@ def restricted_trace(basis, apply_map, check: bool = True):
     SubspaceNotInvariant otherwise).
     """
     total = 0
-    for p, row in zip(basis.pivots, basis.vectors):
+    for p, row in zip(basis.pivots, rows_of(basis)):
         img = apply_map(row)
-        if check and basis.reduce(img):
+        if check and reduced(basis, img):
             raise SubspaceNotInvariant(f"image of basis vector with pivot {p} leaves the subspace")
         total += Fraction(img.get(p, 0)) / row[p]
     return total
@@ -1120,16 +1161,16 @@ def full_invariant_scan(n: int, k: int, j: int):
                         kind, idx, pred = "f", c, (r, s[:c] + (d - 1,) + s[c + 1 :])
                     for pos in range(n):
                         signs, tgt = shift_map(n, k, j, *pred, kind, idx, pos)
-                        for row in ideal[pred].vectors:
+                        for row in rows_of(ideal[pred]):
                             vec = {tgt[i]: signs[i] * v for i, v in row.items() if signs[i]}
                             if vec:
                                 basis.insert(vec)
                 invariants = invariant_vectors(n, k, j, r, s)[2]
-                shifted = all(basis.contains(vec) for vec in invariants)
+                shifted = all(in_span(basis, vec) for vec in invariants)
                 if max(s, default=0) <= 1:
                     first = (tuple((e,) + (0,) * (n - 1) for e in r), tuple(s))
                     basis.insert({index[m]: c for m, c in reynolds(n, {first: 1}).items()})
-                contained[deg] = (shifted, all(basis.contains(vec) for vec in invariants))
+                contained[deg] = (shifted, all(in_span(basis, vec) for vec in invariants))
                 for vec in invariants:
                     basis.insert(vec)
             ideal[deg] = basis

@@ -349,11 +349,21 @@ def test_cli_ceiling_resource_error():
 
 def test_cli_ceiling_bounds_the_quotient_border():
     # every monomial space up to degree 6 has at most 462 columns; the border
-    # at degree 7 has 6 * 90
-    code, out, err = _run_cli(["compute", "--n", "6", "--k", "1", "--ceiling", "500"])
-    assert code == 2
-    assert out == ""
-    assert "quotient border at multidegree r=[7] s=[] has 540 columns" in err
+    # at degree 7 has 6 * 90.  At n = 3 with two sets of one parity, (0, 2)
+    # comes before (2, 0) in scan order and its border has the same 3 * 2
+    # columns, although the scan builds only (2, 0)
+    cases = [
+        (["--n", "6", "--k", "1", "--ceiling", "500"], "r=[7] s=[] has 540", "500"),
+        (["--n", "3", "--k", "2", "--ceiling", "5"], "r=[0, 2] s=[] has 6", "5"),
+        (["--n", "3", "--j", "2", "--ceiling", "5"], "r=[] s=[0, 2] has 6", "5"),
+    ]
+    for sizes, where, ceiling in cases:
+        code, out, err = _run_cli(["compute", *sizes])
+        assert (code, out) == (2, ""), sizes
+        assert err == (
+            f"resource ceiling exceeded: quotient border at multidegree {where} columns, "
+            f"exceeding the ceiling of {ceiling}\n"
+        )
 
 
 def test_cli_cache_env_var(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from supercoinv.qcombinat import (
     QUPoly,
     conjugate,
-    contains,
     in_Pkjn,
     partition_sort_key,
     partitions_of,
@@ -19,7 +18,7 @@ from supercoinv.qcombinat import (
     sagan_swanson_sum,
 )
 
-from oracles import as_partition
+from oracles import as_partition, contains
 
 
 def _q(coeffs):
