@@ -1,7 +1,7 @@
 """Verification suite: every reproducible structural claim as a named check.
 
 Each check returns its witness, the first discrepancy found, or None when it
-passes; ``run_check`` times it and reports it as a CheckReport, and
+passes; ``run_check`` times it and reports it as a plain dict, and
 ``default_params`` holds every check's defaults.  Checks only share state
 through a CheckSession, which keeps one store per ring so a suite run never
 recomputes a quotient.
@@ -34,35 +34,12 @@ from .superschur import (
 )
 
 __all__ = [
-    "CheckReport",
     "CheckSession",
     "REGISTRY",
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
 ]
-
-
-class CheckReport:
-    def __init__(self, id: str, params: dict, status: str, witness, seconds: float):
-        self.id = id
-        self.params = params
-        self.status = status
-        self.witness = witness
-        self.seconds = seconds
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-            "seconds": round(self.seconds, 6),
-        }
 
 
 class CheckSession:
@@ -512,9 +489,9 @@ def check_cauchy(session: CheckSession, n: int, kmax: int, jmax: int, degree: in
     for k in range(kmax + 1):
         for j in range(jmax + 1):
             for nn in range(1, n + 1):
-                res = super_cauchy_check(k, j, nn, degree)
-                if not res.passed:
-                    return {"k": k, "j": j, "n": nn, "first_failure": res.first_failure}
+                failure = super_cauchy_check(k, j, nn, degree)
+                if failure is not None:
+                    return {"k": k, "j": j, "n": nn, "first_failure": failure}
     return None
 
 
@@ -570,11 +547,20 @@ def default_params(check_id: str, n: int, k=None, j=None, m=None, degree_bound=N
     return {"n": n}
 
 
-def run_check(check_id: str, session: CheckSession, params: dict) -> CheckReport:
-    """Run one registry check and report it: it passes when it returns no witness."""
+def run_check(check_id: str, session: CheckSession, params: dict) -> dict:
+    """Run one registry check and report it: it passes when it returns no witness.
+
+    The report is {"id", "params", "status", "witness", "seconds"}, the
+    seconds rounded to 6 places, as ``verify`` prints it.
+    """
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id: {check_id}")
     started = time.perf_counter()
     witness = REGISTRY[check_id](session, **params)
-    status = "pass" if witness is None else "fail"
-    return CheckReport(check_id, params, status, witness, time.perf_counter() - started)
+    return {
+        "id": check_id,
+        "params": params,
+        "status": "pass" if witness is None else "fail",
+        "witness": witness,
+        "seconds": round(time.perf_counter() - started, 6),
+    }

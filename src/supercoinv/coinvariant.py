@@ -476,7 +476,10 @@ class _QuotientComponent:
 
     ``mult`` maps each variable v = set * n + position to the matrix of
     multiplication by v from the component one degree lower in v's set;
-    ``action`` maps a cycle type to the matrix of its class representative.
+    ``action`` maps a cycle type to the matrix of its class representative,
+    and ``traces`` maps it to that matrix's trace (the identity is in
+    neither: its trace is ``dim``).  Components carried by alphabet symmetry
+    share both dicts with their dominant one, so neither is ever mutated.
     A matrix is a list of columns, one per source basis element, and a column
     is a pair (integer vector, positive denominator).  ``labels`` holds one
     variable u per basis element s with s = [u b] (the chain criterion of the
@@ -493,12 +496,15 @@ class _QuotientComponent:
     symmetry in the module docstring), so other components leave it empty.
     """
 
-    __slots__ = ("dim", "mult", "action", "labels", "origins", "source_labels", "powers", "swaps")
+    __slots__ = (
+        "dim", "mult", "action", "traces", "labels", "origins", "source_labels", "powers", "swaps"
+    )
 
-    def __init__(self, dim, mult, action, labels, origins, source_labels, powers, swaps):
+    def __init__(self, dim, mult, action, traces, labels, origins, source_labels, powers, swaps):
         self.dim = dim
         self.mult = mult
         self.action = action
+        self.traces = traces
         self.labels = labels
         self.origins = origins
         self.source_labels = source_labels
@@ -610,8 +616,8 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
     Q_deg is the border space (the sum over variables v of v (x) Q_(deg-e_v))
     modulo the super-Koszul relations of the module docstring, of which only
     those the chain criterion keeps are offered, and the lift of P_deg; its
-    basis is the non-pivot border columns of that span.  Returns the
-    component and the trace of each class representative in ``sigmas``.
+    basis is the non-pivot border columns of that span.  The component
+    holds the matrix and the trace of each class representative in ``sigmas``.
     """
     n, k = cache.n, cache.k
     preds = _predecessors(deg, k)
@@ -727,8 +733,9 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         )
     sources = {g: below[pred].labels for g, pred in preds.items()}
     powers = [_class_of(rel, x, where, dx) for x, dx in ones]
-    comp = _QuotientComponent(len(where), mult, action, own, origins, sources, powers, swaps)
-    return comp, traces
+    return _QuotientComponent(
+        len(where), mult, action, traces, own, origins, sources, powers, swaps
+    )
 
 
 def _transport(cache, comp: _QuotientComponent, deg: Multidegree, below: dict):
@@ -765,30 +772,34 @@ def _transport(cache, comp: _QuotientComponent, deg: Multidegree, below: dict):
     labels = [tau[u // n] * n + u % n for u in comp.labels]
     sources = {g: below[pred].labels for g, pred in preds.items()}
     powers = comp.powers
-    return _QuotientComponent(comp.dim, mult, comp.action, labels, origins, sources, powers, {})
+    return _QuotientComponent(
+        comp.dim, mult, comp.action, comp.traces, labels, origins, sources, powers, {}
+    )
 
 
 def _series_scan(cache: IdealComponentCache, types=()):
     """Yield the quotient shells from degree 0 until the first all-zero shell.
 
-    Every shell of positive degree comes from the one below it on the
-    quotient side, starting from Q_0 = span{1}: ``_koszul_component`` builds
-    its dominant components, ``_transport`` carries them to the others, so
-    the scan itself holds only two shells at a time.  Each item is a pair of
-    dicts keyed by the shell's multidegrees: the quotient components, and the
-    trace of each cycle type of ``types`` on them.  Termination at the first
-    empty shell is valid because the quotient ring is generated by 1: every
-    higher component is a variable multiple of the previous shell.
+    A shell maps each multidegree of its total degree, in
+    ``shell_multidegrees`` order, to its quotient component, which carries
+    the matrix and trace of each cycle type of ``types`` (the identity not
+    among them).  Every shell of positive degree comes from the one below it
+    on the quotient side, starting from Q_0 = span{1}:
+    ``_koszul_component`` builds its dominant components, ``_transport``
+    carries them to the others, so the scan itself holds only two shells at
+    a time.  Termination at the first empty shell is valid because the
+    quotient ring is generated by 1: every higher component is a variable
+    multiple of the previous shell.
     """
     n, k, j = cache.n, cache.k, cache.j
-    identity = (1,) * n
-    sigmas = {rho: snchar.class_representative(rho) for rho in types if rho != identity}
+    sigmas = {rho: snchar.class_representative(rho) for rho in types}
     zero = ((0,) * k, (0,) * j)
     unit = [({0: 1}, 1)]
     one = _QuotientComponent(
         dim=1,
         mult={},
         action=dict.fromkeys(sigmas, unit),
+        traces=dict.fromkeys(sigmas, 1),
         # above every variable, so no relation on the unit is ever skipped
         labels=[(k + j) * n],
         origins=[None],  # 1 is no variable multiple
@@ -797,7 +808,7 @@ def _series_scan(cache: IdealComponentCache, types=()):
         swaps={},
     )
     below = {zero: one}
-    yield below, {zero: dict.fromkeys(types, 1)}
+    yield below
     total = 1
     while True:
         degs = shell_multidegrees(n, k, j, total)
@@ -811,42 +822,37 @@ def _series_scan(cache: IdealComponentCache, types=()):
             for deg in degs
             if _sorting(deg, k)[0] == deg
         }
-        shell, traces = {}, {}
+        shell = {}
         for deg in degs:
-            if deg in built:
-                shell[deg], traces[deg] = built[deg]
-            else:
-                comp, comp_traces = built[_sorting(deg, k)[0]]
-                shell[deg] = _transport(cache, comp, deg, below)
-                traces[deg] = dict(comp_traces)
-            if identity in types:
-                traces[deg][identity] = shell[deg].dim
+            dom = _sorting(deg, k)[0]
+            shell[deg] = built[deg] if dom == deg else _transport(cache, built[dom], deg, below)
         if not any(comp.dim for comp in shell.values()):
             return
-        yield shell, traces
+        yield shell
         below = shell
         total += 1
 
 
 def quotient_shells(cache: IdealComponentCache):
-    """Yield the quotient shells of total degree 0..n, fewer when Q dies below n.
+    """An iterator over the quotient shells of total degree 0..n, fewer when Q dies below n.
 
-    A shell maps each multidegree of its total degree to its quotient
-    component; the scan holds two at a time, and so does this.
+    The shells of ``_series_scan``, with no character work; the scan holds
+    two at a time, and so does this.
     """
-    for shell, _traces in islice(_series_scan(cache), cache.n + 1):
-        yield shell
+    return islice(_series_scan(cache), cache.n + 1)
 
 
 def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
     """The Frobenius series: each nonzero component's traces, decomposed."""
     n = cache.n
+    identity = (1,) * n
     series = FrobeniusSeries(n, cache.k, cache.j)
-    for shell, traces in _series_scan(cache, partitions_of(n)):
+    types = [rho for rho in partitions_of(n) if rho != identity]
+    for shell in _series_scan(cache, types):
         for deg, comp in shell.items():
             if not comp.dim:
                 continue
-            mults = snchar.frobenius_decompose(traces[deg], n)
+            mults = snchar.frobenius_decompose({**comp.traces, identity: comp.dim}, n)
             mults = {mu: c for mu, c in mults.items() if c}
             for mu, c in mults.items():
                 if c < 0:
@@ -858,7 +864,7 @@ def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
 def _hilbert_scan(cache: IdealComponentCache) -> QUPoly:
     """The Hilbert series: each component's dimension, with no traces."""
     out = {}
-    for shell, _traces in _series_scan(cache):
+    for shell in _series_scan(cache):
         for (r, s), comp in shell.items():
             if comp.dim:
                 out[r + s] = comp.dim

@@ -1,26 +1,23 @@
 """Exact sparse linear algebra over the rationals, computed in integers.
 
-Vectors are plain dicts {coordinate: value} with no stored zeros.  Callers
-may pass int or Fraction values; the engine's own callers pass integers,
-and the module never imports ``fractions``.
+Vectors are plain dicts {coordinate: int} with no stored zeros; a caller
+with rational vectors clears their denominators first, so elimination never
+leaves the integers.
 Bases are held in reduced echelon form, each row stored as the primitive
 integer multiple of its reduced-echelon row over Q: a positive pivot value d
 at its own pivot, value 0 at every other pivot, and entries with gcd 1.
-Elimination never leaves the integers for integer input; a value is divided
-by d only where it is read as a rational number, so the coefficient of a row
-in a vector of the span is still that vector's pivot entry over d.  The
-reduced echelon basis of a subspace and its primitive integer rows are
-unique, which makes all results independent of insertion order.
+A value is divided by d only where it is read as a rational number, so the
+coefficient of a row in a vector of the span is still that vector's pivot
+entry over d.  The reduced echelon basis of a subspace and its primitive
+integer rows are unique, which makes all results independent of insertion
+order.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-__all__ = [
-    "SubspaceBasis",
-    "span_basis",
-]
+__all__ = ["SubspaceBasis"]
 
 
 class SubspaceBasis:
@@ -42,14 +39,13 @@ class SubspaceBasis:
     ``insert`` is for construction only.
     """
 
-    __slots__ = ("dim", "_rows", "_den", "_occ", "_sorted")
+    __slots__ = ("dim", "_rows", "_den", "_occ")
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, dict] = {}
         self._den: dict[int, int] = {}
         self._occ: dict[int, set] = {}
-        self._sorted: list[int] | None = []
 
     @property
     def rank(self) -> int:
@@ -57,18 +53,13 @@ class SubspaceBasis:
 
     @property
     def pivots(self) -> list[int]:
-        if self._sorted is None:
-            self._sorted = sorted(self._rows)
-        return self._sorted
+        return sorted(self._rows)
 
     def row(self, pivot: int) -> dict:
         return self._rows[pivot]
 
     def scaled_residual(self, vec: dict):
-        """(w, scale): scale * (residual of vec), scale a positive integer.
-
-        For integer input w is an integer vector, so a caller that keeps the
-        pair never leaves the integers.
+        """(w, scale): scale * (residual of vec), w an integer vector, scale a positive integer.
 
         Eliminating a pivot only introduces non-pivot coordinates (reduced
         echelon form), so one pass over the pivots in the initial support
@@ -84,10 +75,9 @@ class SubspaceBasis:
                 continue
             if den and p in den:
                 d = den[p]
-                if type(c) is int:
-                    g = gcd(c, d)
-                    d //= g
-                    c //= g
+                g = gcd(c, d)
+                d //= g
+                c //= g
                 if d != 1:
                     scale *= d
                     w = {i: d * v for i, v in w.items()}
@@ -150,18 +140,12 @@ class SubspaceBasis:
         for i in w:
             if i != p:
                 occ.setdefault(i, set()).add(p)
-        self._sorted = None
         return True
 
 
 def _primitive(row: dict, pivot: int) -> dict:
     """The primitive integer multiple of row with a positive value at pivot."""
-    try:
-        g = gcd(*row.values())
-    except TypeError:  # Fraction entries: clear the denominators once
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {i: int(v * den) for i, v in row.items()}
-        g = gcd(*row.values())
+    g = gcd(*row.values())
     if row[pivot] < 0:
         g = -g
     if g == 1:
@@ -169,19 +153,7 @@ def _primitive(row: dict, pivot: int) -> dict:
     return {i: v // g for i, v in row.items()}
 
 
-def span_basis(vectors, dim: int, _unused=None) -> SubspaceBasis:
-    """Reduced-echelon basis of the span of the given sparse vectors.
-
-    The basis is unique, so the order of the vectors does not matter.
-    """
-    # _unused: perfbench/tracer.py still passes a third positional argument
-    basis = SubspaceBasis(dim)
-    for vec in vectors:
-        basis.insert(vec)
-    return basis
-
-
-# A name the benchmark's tracer (perfbench/tracer.py) still looks up.  No
-# code path reaches it since super Schur expansions are read off leading
-# monomials; the linear solve is a test oracle.
-solve_columns = None
+# Names the benchmark's tracer (perfbench/tracer.py) still looks up.  No code
+# path reaches them: building a basis from a list of vectors and the linear
+# solve are test oracles.
+span_basis = solve_columns = None

@@ -184,17 +184,15 @@ class QUPoly:
             total += term
         return total
 
-    def reindex(self, k2: int, j2: int, qshift: int = 0, ushift: int = 0) -> "QUPoly":
-        """Embed into a (k2, j2) alphabet, mapping q_i -> q_(i+qshift) etc."""
-        if self.k + qshift > k2 or self.j + ushift > j2:
+    def reindex(self, k2: int, j2: int) -> "QUPoly":
+        """Embed into a (k2, j2) alphabet, mapping q_i -> q_i and u_i -> u_i."""
+        if self.k > k2 or self.j > j2:
             raise ValueError("target alphabet too small")
         out = {}
         for e, c in self.coeffs.items():
             ne = [0] * (k2 + j2)
-            for i in range(self.k):
-                ne[i + qshift] = e[i]
-            for i in range(self.j):
-                ne[k2 + i + ushift] = e[self.k + i]
+            ne[: self.k] = e[: self.k]
+            ne[k2 : k2 + self.j] = e[self.k :]
             out[tuple(ne)] = c
         return QUPoly(k2, j2, out)
 

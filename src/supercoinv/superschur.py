@@ -37,7 +37,6 @@ __all__ = [
     "super_cauchy_check",
     "cauchy_tableau_bound",
     "expansion_tableau_bound",
-    "CauchyResult",
 ]
 
 
@@ -223,26 +222,8 @@ def expand_super_schur(poly: QUPoly, k: int, j: int, n: int) -> dict[Partition, 
     return result
 
 
-class CauchyResult:
-    """Outcome of the truncated super Cauchy comparison."""
-
-    __slots__ = ("passed", "first_failure")
-
-    def __init__(self, passed: bool, first_failure: int | None):
-        self.passed = passed
-        self.first_failure = first_failure
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def __repr__(self) -> str:
-        if self.passed:
-            return "CauchyResult(pass)"
-        return f"CauchyResult(fail at degree {self.first_failure})"
-
-
-def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
-    """Degree-by-degree check of the truncated super Cauchy identity.
+def super_cauchy_check(k: int, j: int, n: int, degree: int) -> int | None:
+    """The first z-degree at which the truncated super Cauchy identity fails, or None.
 
     Compares prod_i [ prod_a (1 - q_a z_i)^-1 * prod_c (1 + u_c z_i) ], in an
     auxiliary n-letter alphabet z up to the given total z-degree, with the
@@ -264,8 +245,9 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
     symmetric: K_(lam,mu) does not change when the parts of mu are permuted
     (Bender-Knuth), a theorem, not a property checked at run time.  Two symmetric
     polynomials agree at every z-monomial of degree d exactly when they agree
-    at every z^mu with mu a partition of d, so ``passed`` and
-    ``first_failure`` are those of the comparison at every z-monomial.  Only
+    at every z^mu with mu a partition of d, so the degree returned is that
+    of the comparison at every z-monomial.  Degree 0 is a failure like any
+    other, so a caller tests the result against None.  Only
     z is reduced: ``super_schur`` is what the identity checks, so its (q,u)
     side is compared in full.
     """
@@ -304,8 +286,8 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> CauchyResult:
                     for e, c in coeffs.items():
                         rhs[e] = rhs.get(e, 0) + mult * c
             if lhs[mu].coeffs != {e: c for e, c in rhs.items() if c}:
-                return CauchyResult(False, d)
-    return CauchyResult(True, None)
+                return d
+    return None
 
 
 def expansion_tableau_bound(k: int, j: int, n: int, degree: int) -> int:

@@ -4,6 +4,9 @@ Nothing here runs in production.  ``rref`` is a textbook rational
 Gauss–Jordan elimination on ``Fraction`` values that shares no code with
 ``supercoinv.exactla``; ``bareiss_rank`` is a dense fraction-free rank;
 ``restricted_trace`` reads a trace off any reduced-echelon basis object;
+``span_basis`` builds a ``SubspaceBasis`` from rational vectors, each
+inserted with its denominators cleared (``integral``), as ``reduced`` and
+``in_span`` clear those of the vectors they read;
 ``reynolds`` averages a polynomial over all of S_n, and
 ``monomial_space_dim`` counts a component's monomials in closed form.
 Schur polynomials by tableau enumeration: ``schur_poly`` and
@@ -49,11 +52,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
-from supercoinv.exactla import SubspaceBasis, span_basis
+from supercoinv.exactla import SubspaceBasis
 from supercoinv.qcombinat import conjugate, partitions_of
 from supercoinv.snchar import (
     _mn,
@@ -63,7 +66,7 @@ from supercoinv.snchar import (
     z_order,
 )
 from supercoinv.superring import _compositions
-from supercoinv.superschur import CauchyResult, QUPoly
+from supercoinv.superschur import QUPoly
 
 
 class SubspaceNotInvariant(ValueError):
@@ -74,7 +77,7 @@ class DimensionMismatch(ValueError):
     """A vector has a coordinate outside the ambient space of a basis (``in_span``)."""
 
 
-# --- reading a SubspaceBasis as rationals (the engine reads scaled residuals) --
+# --- a SubspaceBasis on rational vectors (the engine takes integers only) ------
 
 
 def _exact_div(a, b: int):
@@ -83,14 +86,34 @@ def _exact_div(a, b: int):
     return q if not r else Fraction(a, b)
 
 
+def integral(vec: dict) -> tuple:
+    """(den * vec, den): a rational vector times its least common denominator."""
+    den = lcm(*(Fraction(v).denominator for v in vec.values()))
+    return {i: int(v * den) for i, v in vec.items()}, den
+
+
+def span_basis(vectors, dim: int) -> SubspaceBasis:
+    """Reduced-echelon basis of the span of the given sparse rational vectors.
+
+    Each vector is inserted with its denominators cleared.  The basis is
+    unique, so the order of the vectors does not matter.
+    """
+    basis = SubspaceBasis(dim)
+    for vec in vectors:
+        basis.insert(integral(vec)[0])
+    return basis
+
+
 def rows_of(basis) -> list:
     """The stored primitive integer rows of a basis, in pivot order."""
     return [basis.row(p) for p in basis.pivots]
 
 
 def reduced(basis, vec: dict) -> dict:
-    """Residual of vec after eliminating every pivot coordinate of the basis."""
-    w, scale = basis.scaled_residual(vec)
+    """Residual of the rational vec after eliminating every pivot coordinate of the basis."""
+    w, den = integral(vec)
+    w, scale = basis.scaled_residual(w)
+    scale *= den
     if scale == 1:
         return w
     return {i: _exact_div(v, scale) for i, v in w.items()}
@@ -101,7 +124,7 @@ def in_span(basis, vec: dict) -> bool:
     for i in vec:
         if not 0 <= i < basis.dim:
             raise DimensionMismatch(f"coordinate {i} outside ambient dimension {basis.dim}")
-    return not basis.scaled_residual(vec)[0]
+    return not basis.scaled_residual(integral(vec)[0])[0]
 
 
 def contains(lam, nu) -> bool:
@@ -701,7 +724,7 @@ def solve_columns(columns, rhs: dict, dim: int):
     for idx, col in enumerate(columns):
         tagged = dict(col)
         tagged[dim + idx] = 1
-        basis.insert(tagged)
+        basis.insert(integral(tagged)[0])
     # a column whose pivot landed in the tag block is a dependency relation
     for p in basis.pivots:
         if p >= dim:
@@ -1071,8 +1094,10 @@ def _unit(nv: int, idx: int, m: int) -> tuple:
     return tuple(e)
 
 
-def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
+def cauchy_oracle(k: int, j: int, n: int, degree: int) -> int | None:
     """Truncated super Cauchy comparison with a ``QUPoly`` per z-exponent.
+
+    Returns the first failing z-degree, or None, as ``super_cauchy_check``.
 
     Reads ``super_schur`` from the engine module at call time, so a test
     that patches it there changes both this and the engine; s_lam(z) comes
@@ -1118,8 +1143,8 @@ def cauchy_oracle(k: int, j: int, n: int, degree: int) -> CauchyResult:
         lhs_d = {e: c for e, c in lhs.items() if sum(e) == d}
         rhs_d = {e: c for e, c in rhs.items() if sum(e) == d and not c.is_zero()}
         if lhs_d != rhs_d:
-            return CauchyResult(False, d)
-    return CauchyResult(True, None)
+            return d
+    return None
 
 
 @cache
@@ -1169,7 +1194,8 @@ def full_invariant_scan(n: int, k: int, j: int):
                 shifted = all(in_span(basis, vec) for vec in invariants)
                 if max(s, default=0) <= 1:
                     first = (tuple((e,) + (0,) * (n - 1) for e in r), tuple(s))
-                    basis.insert({index[m]: c for m, c in reynolds(n, {first: 1}).items()})
+                    power_sum = {index[m]: c for m, c in reynolds(n, {first: 1}).items()}
+                    basis.insert(integral(power_sum)[0])
                 contained[deg] = (shifted, all(in_span(basis, vec) for vec in invariants))
                 for vec in invariants:
                     basis.insert(vec)

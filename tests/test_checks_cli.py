@@ -20,10 +20,9 @@ def test_registry_all_pass_small():
     session = CheckSession()
     for cid in sorted(REGISTRY):
         report = run_check(cid, session, default_params(cid, 2))
-        assert report.passed, (cid, report.witness)
-        assert report.seconds >= 0
-        data = report.to_json()
-        assert json.loads(json.dumps(data)) == data
+        assert report["status"] == "pass", (cid, report["witness"])
+        assert report["seconds"] >= 0
+        assert json.loads(json.dumps(report)) == report
 
 
 def test_failing_report_carries_witness():
@@ -32,8 +31,8 @@ def test_failing_report_carries_witness():
     table = session.ring(2, 0, 2).table()
     table.entries[((2, 2), (2,))] = 1
     report = run_check("parts_le_two", session, {"n": 2})
-    assert not report.passed
-    assert report.witness["lambda"] == [2, 2]
+    assert report["status"] != "pass"
+    assert report["witness"]["lambda"] == [2, 2]
     # clean up the shared session table for other assertions
     del table.entries[((2, 2), (2,))]
 
@@ -63,11 +62,11 @@ def _shift_hilbert(ring):
 def _fail_cauchy_at(k, j, n):
     def perturb(session, monkeypatch):
         from supercoinv import checks
-        from supercoinv.superschur import CauchyResult, super_cauchy_check
+        from supercoinv.superschur import super_cauchy_check
 
         def perturbed(kk, jj, nn, degree):
             if (kk, jj, nn) == (k, j, n):
-                return CauchyResult(False, degree)
+                return degree
             return super_cauchy_check(kk, jj, nn, degree)
 
         monkeypatch.setattr(checks, "super_cauchy_check", perturbed)
@@ -148,9 +147,9 @@ def test_every_check_reports_a_perturbed_input(check_id, monkeypatch):
     session = CheckSession()
     perturb(session, monkeypatch)
     report = run_check(check_id, session, default_params(check_id, n))
-    assert report.status == "fail"
-    assert set(report.witness) == keys
-    assert report.witness.get("stage") == stage
+    assert report["status"] == "fail"
+    assert set(report["witness"]) == keys
+    assert report["witness"].get("stage") == stage
 
 
 def test_hilb11_reports_the_alternating_sum_over_the_collapse(monkeypatch):
@@ -159,7 +158,7 @@ def test_hilb11_reports_the_alternating_sum_over_the_collapse(monkeypatch):
     monkeypatch.setattr(checks, "specialize", lambda poly, assignment: QUPoly.zero(1, 1))
     monkeypatch.setattr(checks, "sagan_swanson_sum", lambda n: QUPoly.zero(1, 0))
     report = run_check("hilb11", CheckSession(), {"n": 2})
-    assert report.witness == {"stage": "alternating-sum", "n": 2}
+    assert report["witness"] == {"stage": "alternating-sum", "n": 2}
 
 
 def test_hilb11_formula_n2():
@@ -281,6 +280,29 @@ def test_cli_cauchy_formats_and_table(tmp_path, fmt):
     code, out, err = _run_cli(["table", str(artifact), "--format", fmt])
     assert code == 0, err
     assert out == direct
+
+
+def test_cli_cauchy_reports_a_failure_at_degree_0(monkeypatch):
+    # s_() = 2 breaks the identity at z-degree 0, which is a failure like any
+    # other: the result is the degree 0, not a pass
+    from supercoinv import superschur
+
+    right = superschur.super_schur
+
+    def wrong(lam, k, j):
+        return right(lam, k, j) if lam else right(lam, k, j).scale(2)
+
+    monkeypatch.setattr(superschur, "super_schur", wrong)
+    argv = ["cauchy", "--n", "2", "--k", "1", "--j", "1", "--degree-bound", "3"]
+    code, out, err = _run_cli(argv)
+    assert code == 1, err
+    parsed = json.loads(out)
+    assert parsed["status"] == "fail" and parsed["first_failure"] == 0
+    code, out, err = _run_cli(["verify", "cauchy", "--n", "2", "--format", "json"])
+    assert code == 1, err
+    (report,) = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["witness"]["first_failure"] == 0
 
 
 @pytest.mark.parametrize("flag", ["--n", "--k", "--j"])
@@ -583,13 +605,13 @@ def test_cli_entrypoint_subprocess():
 def test_universality_mixed_vs_two_bosonic_n4():
     session = CheckSession()
     report = run_check("universality", session, {"n": 4, "configs": [(1, 1), (2, 0)]})
-    assert report.passed, report.witness
+    assert report["status"] == "pass", report["witness"]
 
 
 def test_cancellation_zero_depth_is_identity():
     session = CheckSession()
     report = run_check("cancellation", session, {"n": 3, "k": 1, "j": 1, "m": 0})
-    assert report.passed, report.witness
+    assert report["status"] == "pass", report["witness"]
 
 
 def test_cli_table_renders_reports(tmp_path):
@@ -608,7 +630,7 @@ def test_bound_closure_all_operator_families():
     # including the cross-set fermionic moves with their ordering signs
     session = CheckSession()
     report = run_check("bound_closure", session, {"n": 2, "k": 2, "j": 2})
-    assert report.passed, report.witness
+    assert report["status"] == "pass", report["witness"]
 
 
 def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
@@ -628,8 +650,8 @@ def test_bound_closure_fails_on_a_perturbed_polarization_map(monkeypatch):
 
     monkeypatch.setattr(checks, "_polarization_operators", perturbed)
     report = run_check("bound_closure", CheckSession(), {"n": 3, "k": 1, "j": 1})
-    assert report.status == "fail"
-    assert report.witness == {
+    assert report["status"] == "fail"
+    assert report["witness"] == {
         "stage": "closure",
         "deg": {"r": [1], "s": [0]},
         "operator": [["f", 0], ["b", 0]],
@@ -650,7 +672,7 @@ def test_bound_closure_reuses_the_session_components(monkeypatch):
     monkeypatch.setattr(coinvariant, "_koszul_component", recorded)
     session = CheckSession()
     report = run_check("bound_closure", session, {"n": 3, "k": 1, "j": 1})
-    assert report.passed, report.witness
+    assert report["status"] == "pass", report["witness"]
     assert built and max(sum(r) + sum(s) for r, s in built) == 3
     shells = coinvariant.quotient_shells(session.ring(3, 1, 1))
     assert [max(sum(r) + sum(s) for r, s in shell) for shell in shells] == [0, 1, 2, 3]

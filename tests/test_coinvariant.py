@@ -389,7 +389,7 @@ def _literal_ideal_basis(n, k, j, deg):
     # the construction the recursion must reproduce exactly
     from itertools import product as iproduct
 
-    from supercoinv.exactla import span_basis
+    from oracles import span_basis
 
     r, s = deg
     monos, index = monomial_space(n, k, j, r, s)

@@ -3,10 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercoinv.exactla import (
-    SubspaceBasis,
-    span_basis,
-)
+from supercoinv.exactla import SubspaceBasis
 
 from oracles import (
     DimensionMismatch,
@@ -16,6 +13,7 @@ from oracles import (
     restricted_trace,
     rows_of,
     solve_columns,
+    span_basis,
 )
 
 SEED = 20240817

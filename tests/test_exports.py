@@ -27,22 +27,36 @@ def test_exported_names_resolve(name):
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # the benchmark's tracer patches engine functions by name; a traced run
-    # fails outright when one of them is gone
-    result = tmp_path / "result.json"
-    argv = ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"]
-    argv += ["--cache-dir", str(tmp_path / "cache")]
+    # fails outright when one of them is gone, and a wrapper set where no
+    # caller looks records no span
+    commands = [
+        (
+            ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"]
+            + ["--cache-dir", str(tmp_path / "cache")],
+            None,
+        ),
+        (["verify", "hilb11", "--n", "3"], "checks.run_check"),
+        (
+            ["cauchy", "--n", "2", "--k", "1", "--j", "1", "--degree-bound", "3"],
+            "superschur.super_cauchy_check",
+        ),
+    ]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("SUPERCOINV_CACHE", None)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), "1", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    trace = json.loads(result.read_text())["trace"]
-    assert trace["spans"] and trace["counts"]
+    for i, (argv, span) in enumerate(commands):
+        result = tmp_path / f"result{i}.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), "1", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        trace = json.loads(result.read_text())["trace"]
+        assert trace["spans"] and trace["counts"], argv
+        if span is not None:
+            assert span in {rec[0] for rec in trace["spans"]}, argv
 
 
 def test_cli_import_loads_no_heavy_module():

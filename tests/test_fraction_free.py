@@ -13,10 +13,10 @@ from oracles import (
     rows_of,
     rref,
     solve_columns,
+    span_basis,
 )
 
 from supercoinv.coinvariant import FrobeniusSeries, IdealComponentCache
-from supercoinv.exactla import span_basis
 from supercoinv.qcombinat import QUPoly
 
 _SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)

@@ -306,7 +306,7 @@ def test_permutation_action_matches_act_mono():
 
 def test_invariant_vectors_match_full_reynolds():
     # spanning vectors agree with averaging every monomial separately
-    from supercoinv.exactla import span_basis
+    from oracles import span_basis
 
     shapes = [
         (3, 1, 0, (2,), ()),

@@ -163,7 +163,7 @@ def test_super_schur_restriction():
             for k in range(1, 3):
                 for j in range(0, 3):
                     got = specialize(super_schur(lam, k, j), {k - 1: None})
-                    want = super_schur(lam, k - 1, j).reindex(k, j, qshift=0)
+                    want = super_schur(lam, k - 1, j).reindex(k, j)
                     assert got == want, (lam, k, j, "q")
             for k in range(0, 3):
                 for j in range(1, 3):
@@ -312,7 +312,7 @@ def test_expand_refuses_in_a_bounded_number_of_steps(monkeypatch):
 
 def test_super_schur_linear_independence():
     # monomial-coordinate vectors of a degree slice have full rank
-    from supercoinv.exactla import span_basis
+    from oracles import span_basis
 
     for (k, j, n) in [(1, 1, 3), (2, 1, 3), (0, 2, 4), (2, 2, 2)]:
         for d in range(9):
@@ -335,22 +335,27 @@ def test_expansion_shapes_respect_index_set():
 
 
 def test_super_cauchy_trivial_cases():
-    assert super_cauchy_check(1, 0, 1, 3).passed
-    assert super_cauchy_check(0, 1, 2, 3).passed
-    assert super_cauchy_check(0, 0, 2, 3).passed
+    assert super_cauchy_check(1, 0, 1, 3) is None
+    assert super_cauchy_check(0, 1, 2, 3) is None
+    assert super_cauchy_check(0, 0, 2, 3) is None
 
 
 def test_super_cauchy_mixed():
-    assert super_cauchy_check(1, 1, 2, 5).passed
-    assert super_cauchy_check(2, 1, 2, 4).passed
+    assert super_cauchy_check(1, 1, 2, 5) is None
+    assert super_cauchy_check(2, 1, 2, 4) is None
 
 
-def test_cauchy_result_reports_failure_degree():
-    from supercoinv.superschur import CauchyResult
+def test_cauchy_result_reports_failure_degree(monkeypatch):
+    # the result of a failing comparison is its first failing degree, read
+    # alike by the engine and the oracle
+    real = superschur.super_schur
 
-    res = CauchyResult(False, 4)
-    assert not res
-    assert "4" in repr(res)
+    def doubled_at_4(lam, k, j):
+        return real(lam, k, j).scale(2) if sum(lam) == 4 else real(lam, k, j)
+
+    monkeypatch.setattr(superschur, "super_schur", doubled_at_4)
+    assert super_cauchy_check(1, 1, 2, 6) == 4
+    assert cauchy_oracle(1, 1, 2, 6) == 4
 
 
 def test_jacobi_trudi_matches_permutation_sum():
@@ -362,22 +367,18 @@ def test_jacobi_trudi_matches_permutation_sum():
                 assert oracles._jacobi_trudi(lam, m) == jacobi_trudi_perm(lam, m), (lam, m)
 
 
-def _outcome(result):
-    return result.passed, result.first_failure
-
-
 @pytest.mark.parametrize("k", range(3))
 @pytest.mark.parametrize("j", range(3))
 def test_super_cauchy_matches_oracle(k, j):
     # the dominant-exponent comparison against the one at every z-exponent
     for n in range(5):
         for degree in range(8):
-            got = _outcome(super_cauchy_check(k, j, n, degree))
-            assert got == _outcome(cauchy_oracle(k, j, n, degree)), (k, j, n, degree)
+            got = super_cauchy_check(k, j, n, degree)
+            assert got == cauchy_oracle(k, j, n, degree), (k, j, n, degree)
 
 
 def test_super_cauchy_matches_oracle_at_benchmark_size():
-    assert _outcome(super_cauchy_check(2, 2, 4, 8)) == _outcome(cauchy_oracle(2, 2, 4, 8))
+    assert super_cauchy_check(2, 2, 4, 8) == cauchy_oracle(2, 2, 4, 8)
 
 
 def test_super_cauchy_fails_on_a_wrong_super_schur(monkeypatch):
@@ -390,8 +391,8 @@ def test_super_cauchy_fails_on_a_wrong_super_schur(monkeypatch):
 
     monkeypatch.setattr(superschur, "super_schur", wrong)
     for k, j, n, degree in [(1, 0, 1, 4), (1, 1, 2, 5), (2, 2, 3, 6)]:
-        assert _outcome(super_cauchy_check(k, j, n, degree)) == (False, 3)
-        assert _outcome(cauchy_oracle(k, j, n, degree)) == (False, 3)
+        assert super_cauchy_check(k, j, n, degree) == 3
+        assert cauchy_oracle(k, j, n, degree) == 3
 
 
 def test_super_cauchy_fails_on_a_non_dominant_qu_term(monkeypatch):
@@ -405,8 +406,8 @@ def test_super_cauchy_fails_on_a_non_dominant_qu_term(monkeypatch):
 
     monkeypatch.setattr(superschur, "super_schur", wrong)
     for j, n, degree in [(0, 1, 4), (1, 2, 5), (2, 3, 6), (2, 4, 7)]:
-        assert _outcome(super_cauchy_check(2, j, n, degree)) == (False, 3)
-        assert _outcome(cauchy_oracle(2, j, n, degree)) == (False, 3)
+        assert super_cauchy_check(2, j, n, degree) == 3
+        assert cauchy_oracle(2, j, n, degree) == 3
 
 
 def test_super_cauchy_fails_on_a_wrong_column(monkeypatch):
@@ -420,8 +421,8 @@ def test_super_cauchy_fails_on_a_wrong_column(monkeypatch):
 
     monkeypatch.setattr(superschur, "super_schur", wrong)
     for k, j in [(1, 2), (2, 1)]:
-        assert _outcome(super_cauchy_check(k, j, 3, 5)) == (False, 3)
-        assert _outcome(cauchy_oracle(k, j, 3, 5)) == (False, 3)
+        assert super_cauchy_check(k, j, 3, 5) == 3
+        assert cauchy_oracle(k, j, 3, 5) == 3
 
 
 def test_cauchy_tableau_bound_covers_the_tableaux():
