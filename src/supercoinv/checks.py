@@ -483,11 +483,23 @@ def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> N
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int, jmax: int, degree: int) -> dict | None:
-    """Truncated super Cauchy identity over a grid of alphabet sizes."""
+    """Truncated super Cauchy identity over a grid of alphabet sizes.
+
+    The witness names the first (k, j, nn), nn = 1..n, at which the identity
+    fails, but each (k, j) is checked once, at n; the sizes below n are swept
+    only to name a failure.  That run decides every smaller one: it compares
+    the two sides at z^mu for every partition mu of at most n parts, and the
+    comparison at z^mu is the same at every nn >= len(mu).  Its left side does
+    not depend on nn, and on its right side K_(lam,mu) = 0 when lam has more
+    parts than mu, so only shapes of at most len(mu) <= nn parts contribute,
+    and those lie in P(k,j,nn) exactly when they lie in P(k,j,n).
+    """
     # the bound grows with k, j and n, so the largest call bounds every call
     cauchy_ceiling_guard(kmax, jmax, n, degree, session.ceiling)
     for k in range(kmax + 1):
         for j in range(jmax + 1):
+            if super_cauchy_check(k, j, n, degree) is None:
+                continue
             for nn in range(1, n + 1):
                 failure = super_cauchy_check(k, j, nn, degree)
                 if failure is not None:

@@ -21,7 +21,9 @@ branching, and ``ssyt_count`` counts a shape's tableaux by the hook-content
 formula.  ``solve_columns`` expands a vector in given columns by one
 linear solve, the reference for expansions read off leading monomials.
 ``cauchy_oracle`` runs the truncated super Cauchy comparison on ``QUPoly``
-coefficients indexed by every z-exponent, not only the dominant ones.
+coefficients indexed by every z-exponent, not only the dominant ones, and
+``cauchy_full_sweep`` is the Cauchy check's grid with every alphabet size nn
+compared.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced by the
 polarized power sums and the quotient-side recursion.
@@ -1144,6 +1146,22 @@ def cauchy_oracle(k: int, j: int, n: int, degree: int) -> int | None:
         rhs_d = {e: c for e, c in rhs.items() if sum(e) == d and not c.is_zero()}
         if lhs_d != rhs_d:
             return d
+    return None
+
+
+def cauchy_full_sweep(n: int, kmax: int, jmax: int, degree: int) -> dict | None:
+    """The witness of ``checks.check_cauchy`` from one comparison per (k, j, nn).
+
+    Runs ``superschur.super_cauchy_check`` at every nn = 1..n of every
+    (k, j), as the check did before it learned that the run at n decides the
+    smaller ones; the first failure is the witness {k, j, n, first_failure}.
+    """
+    for k in range(kmax + 1):
+        for j in range(jmax + 1):
+            for nn in range(1, n + 1):
+                failure = superschur.super_cauchy_check(k, j, nn, degree)
+                if failure is not None:
+                    return {"k": k, "j": j, "n": nn, "first_failure": failure}
     return None
 
 

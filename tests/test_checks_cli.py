@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -305,6 +306,27 @@ def test_cli_cauchy_reports_a_failure_at_degree_0(monkeypatch):
     assert report["witness"]["first_failure"] == 0
 
 
+@pytest.mark.parametrize("shape,witness", [((2,), (0, 2, 1, 2)), ((2, 1), (0, 2, 2, 3))])
+def test_check_cauchy_names_the_failure_the_full_sweep_names(shape, witness, monkeypatch):
+    # the check compares each (k, j) once, at n, and sweeps the sizes below
+    # only to name a failure: a wrong s_shape(q/u) must give the witness of
+    # the sweep that compares every size
+    from oracles import cauchy_full_sweep
+
+    from supercoinv import superschur
+
+    right = superschur.super_schur
+
+    def wrong(lam, k, j):
+        return right(lam, k, j) + (QUPoly.one(k, j) if lam == shape else QUPoly.zero(k, j))
+
+    monkeypatch.setattr(superschur, "super_schur", wrong)
+    params = default_params("cauchy", 3)
+    report = run_check("cauchy", CheckSession(), params)
+    assert report["witness"] == cauchy_full_sweep(**params)
+    assert tuple(report["witness"].values()) == witness
+
+
 @pytest.mark.parametrize("flag", ["--n", "--k", "--j"])
 def test_cli_cauchy_negative_size_exit_2(flag):
     argv = ["cauchy", "--n", "2", "--k", "1", "--j", "1"]
@@ -506,7 +528,7 @@ def test_cli_jobs_deterministic_at_envelope_sizes(tmp_path):
     shared = tmp_path / "cache"
     outputs = []
     for cache_args in ([], ["--cache-dir", str(shared)]):
-        # the pooled runs go first, so their workers fill the empty directory at once
+        # the parallel runs go first, so their workers fill the empty directory at once
         for jobs in ("3", "2", "1"):
             code, out, err = _run_cli(["verify", "all", "--jobs", jobs] + cache_args)
             assert code == 0, err
@@ -517,39 +539,107 @@ def test_cli_jobs_deterministic_at_envelope_sizes(tmp_path):
     assert not list(shared.rglob("*.tmp"))
 
 
-def test_cli_verify_pool_has_no_more_workers_than_checks(monkeypatch):
-    # the pool starts all its workers at once, so a --jobs above the number
-    # of checks must start no idle ones; the fake pool runs the jobs here
-    import concurrent.futures
+def test_cli_verify_forks_no_more_workers_than_checks(monkeypatch):
+    # the parent is one of the workers, so --jobs N forks N - 1 children, and
+    # a --jobs above the number of checks starts no idle ones
+    forks = []
+    real_fork = os.fork
 
-    from supercoinv import cli
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli, "_WORKER_SESSION", None)
-    code, pooled, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "20"])
-    assert code == 0, err
-    code, _out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "3"])
-    assert code == 0, err
-    assert sizes == [len(REGISTRY), 3]
+    monkeypatch.setattr(os, "fork", counting_fork)
     code, serial, err = _run_cli(["verify", "all", "--n", "2"])
-    assert code == 0, err
-    assert _reports_without_times(pooled) == _reports_without_times(serial)
+    assert (code, forks) == (0, []), err
+    for jobs, children in (("20", len(REGISTRY) - 1), ("3", 2)):
+        forks.clear()
+        code, pooled, err = _run_cli(["verify", "all", "--n", "2", "--jobs", jobs])
+        assert code == 0, err
+        assert len(forks) == children
+        assert _reports_without_times(pooled) == _reports_without_times(serial)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--m", "5"], ["--ceiling", "5"]], ids=["value-error", "ceiling-exceeded"]
+)
+def test_cli_verify_workers_report_the_error_a_serial_run_stops_at(argv):
+    # several checks raise; every worker stops at its first, and the parent
+    # prints the first in id order, the one a serial run stops at, as main does
+    serial = _run_cli(["verify", "all"] + argv)
+    assert serial[0] == 2 and serial[1] == "" and serial[2].count("\n") == 1
+    for jobs in ("2", "3"):
+        assert _run_cli(["verify", "all", "--jobs", jobs] + argv) == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_worker_stops_at_an_error_and_drains_the_queue(monkeypatch):
+    # every job still queued after a failure comes later in id order, so the
+    # worker takes it off the queue instead of leaving it to another worker
+    from supercoinv import checks, cli
+
+    def broken(session, n):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(checks, "REGISTRY", {"broken": broken, "fine": lambda session, n: None})
+    jobs = [("fine", {"n": 2}), ("broken", {"n": 2}), ("fine", {"n": 2})]
+    queue = iter([0, 1, 2, 2])
+    result = cli._verify_worker(queue, jobs, coinvariant.DEFAULT_CEILING, None)
+    assert [rec["id"] for rec in result["reports"]] == ["fine"]
+    assert result["error"] == [1, "error: broken\n"]
+    assert next(queue, None) is None
+
+
+def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
+    # a child that exits without writing its result: exit 2 and a message,
+    # no traceback, no hang and no child left behind
+    from supercoinv import checks
+
+    parent = os.getpid()
+    child_gone, child_holds = os.pipe()
+
+    def child_only_exit(session, n):
+        if os.getpid() != parent:
+            os._exit(3)
+        # in the parent, wait for the child to exit, so it takes the other check
+        os.close(child_holds)
+        assert os.read(child_gone, 1) == b""
+
+    stubs = {"first": child_only_exit, "second": child_only_exit}
+    monkeypatch.setattr(checks, "REGISTRY", stubs)
+    try:
+        code, out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
+    finally:
+        os.close(child_gone)
+    assert (code, out) == (2, "")
+    assert err == "error: a verify worker ended without a result (exit status 3)\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
+    # an interrupt in the parent's own check kills and reaps the children,
+    # here one that would block for ever, and reaches the caller as in a serial run
+    from supercoinv import checks
+
+    parent = os.getpid()
+    never, held = os.pipe()
+
+    def interrupted(session, n):
+        if os.getpid() != parent:
+            os.read(never, 1)  # every holder of ``held`` is alive: no EOF
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checks, "REGISTRY", {"first": interrupted, "second": interrupted})
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
+    finally:
+        os.close(never)
+        os.close(held)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_verify_writes_every_series_it_computes(tmp_path, monkeypatch):

@@ -60,9 +60,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
 
 
 def test_cli_import_loads_no_heavy_module():
-    # the engine runs on integers and plain classes, and hashlib and the
-    # process pool are imported by the commands that use them: importing the
-    # CLI must load none of these modules a bare interpreter has not
+    # the engine runs on integers and plain classes, and hashlib is imported
+    # by the commands that use it: importing the CLI must load none of these
+    # modules a bare interpreter has not
     heavy = {"fractions", "decimal", "dataclasses", "inspect", "hashlib", "concurrent.futures"}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -75,3 +75,24 @@ def test_cli_import_loads_no_heavy_module():
         return set(proc.stdout.split())
 
     assert heavy & (loaded("import supercoinv.cli; ") - loaded("")) == set()
+
+
+def test_verify_jobs_loads_no_process_pool(tmp_path):
+    # ``verify --jobs`` forks its workers and talks to them through pipes:
+    # a parallel run must not import a process pool or pickle
+    out = tmp_path / "reports.json"
+    code = (
+        "import sys; from supercoinv.cli import main; "
+        f"rc = main(['verify', 'all', '--n', '2', '--jobs', '2', '--out', {str(out)!r}]); "
+        "print('\\n'.join(sys.modules)); sys.exit(rc)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("SUPERCOINV_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all(rec["status"] == "pass" for rec in json.loads(out.read_text()))
+    loaded = set(proc.stdout.split())
+    assert "supercoinv.checks" in loaded
+    assert {"concurrent.futures", "multiprocessing", "pickle"} & loaded == set()
