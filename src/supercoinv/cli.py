@@ -200,115 +200,6 @@ def _error_line(exc: BaseException) -> str | None:
     return None
 
 
-# a queued job index: fixed-size records, all written before any worker
-# reads, so each ``os.read`` of one record takes exactly one job
-_RECORD = 4
-
-
-def _queued(queue: int):
-    """The job indices read one record at a time from the queue pipe, until EOF."""
-    while record := os.read(queue, _RECORD):
-        yield int.from_bytes(record, "big")
-
-
-def _verify_worker(indices, jobs, ceiling, cache_dir) -> dict:
-    """Run the jobs at ``indices`` in order in one session, as a serial run does.
-
-    The result is {"reports": [...], "error": None or [job index, stderr
-    line]}: the worker stops at the first check that raises, so the failing
-    index of each worker is the first it met in queue (id) order.  It then
-    drains ``indices``: every job still queued comes later in id order than
-    the failure, so no worker needs to run it.
-    """
-    session = checks.CheckSession(ceiling=ceiling, cache_dir=cache_dir)
-    reports = []
-    for i in indices:
-        check_id, params = jobs[i]
-        try:
-            reports.append(checks.run_check(check_id, session, params))
-        except Exception as exc:
-            line = _error_line(exc) or f"error: check {check_id} raised {exc!r}\n"
-            for _later in indices:
-                pass
-            return {"reports": reports, "error": [i, line]}
-    return {"reports": reports, "error": None}
-
-
-def _verify_child(queue: int, out: int, inherited: list, jobs, ceiling, cache_dir):
-    """A forked worker: its result as JSON to ``out``, then exit; it never returns."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        result = _verify_worker(_queued(queue), jobs, ceiling, cache_dir)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(result))
-        code = 0
-    finally:
-        # no exit handler, stream flush or traceback of the parent's runs here
-        os._exit(code)
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _lost_worker(status: int) -> dict:
-    code = os.waitstatus_to_exitcode(status)
-    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-    # index -1: a lost worker's checks are unknown, so it outranks every error
-    line = f"error: a verify worker ended without a result ({how})\n"
-    return {"reports": [], "error": [-1, line]}
-
-
-def _run_forked(jobs, workers: int, ceiling, cache_dir) -> list:
-    """Worker results of ``workers`` processes pulling ``jobs`` from one queue.
-
-    The parent queues every job index, forks ``workers - 1`` children and
-    works the queue itself as the last worker; it reads every child's result
-    pipe to EOF and reaps every child on every path.
-    """
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(_RECORD, "big") for i in range(len(jobs))))
-    os.close(feed)
-    children = []  # (pid, read end of its result pipe)
-    finished = False
-    try:
-        for _ in range(workers - 1):
-            result, out = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(result)
-                os.close(out)
-                raise
-            if pid == 0:
-                inherited = [result] + [fd for _pid, fd in children]
-                _verify_child(queue, out, inherited, jobs, ceiling, cache_dir)
-            os.close(out)
-            children.append((pid, result))
-        own = _verify_worker(_queued(queue), jobs, ceiling, cache_dir)
-        outputs = [_read_to_eof(fd) for _pid, fd in children]
-        finished = True
-    finally:
-        os.close(queue)
-        statuses = []
-        for pid, fd in children:
-            os.close(fd)
-            if not finished:
-                import signal  # only an interrupted run stops its workers
-
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    results = [own]
-    for data, status in zip(outputs, statuses):
-        results.append(json.loads(data) if data and status == 0 else _lost_worker(status))
-    return results
-
-
 def _run_verify(args) -> int:
     if args.jobs < 1:
         sys.stderr.write(f"error: --jobs must be at least 1, got {args.jobs}\n")
@@ -325,26 +216,26 @@ def _run_verify(args) -> int:
     else:
         sys.stderr.write(f"unknown check id: {args.check}\n")
         return 2
-    jobs = []
-    for check_id in ids:
-        n = args.n if args.n is not None else envelope.get(check_id, 3)
-        params = checks.default_params(
-            check_id, n, k=args.k, j=args.j, m=args.m, degree_bound=args.degree_bound
-        )
-        jobs.append((check_id, params))
-    if args.jobs > 1 and len(jobs) > 1 and hasattr(os, "fork"):
-        # never more workers than checks
-        results = _run_forked(jobs, min(args.jobs, len(jobs)), args.ceiling, _cache_dir(args))
-        errors = [res["error"] for res in results if res["error"] is not None]
-        if errors:
-            # the first raising check in id order: the one a serial run stops at
-            sys.stderr.write(min(errors)[1])
-            return 2
-        reports = [rec for res in results for rec in res["reports"]]
-    else:
-        session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
-        reports = [checks.run_check(check_id, session, params) for check_id, params in jobs]
-    reports.sort(key=lambda rec: rec["id"])
+    flags = {"k": args.k, "j": args.j, "m": args.m, "degree_bound": args.degree_bound}
+    sizes = {cid: envelope.get(cid, 3) if args.n is None else args.n for cid in ids}
+    jobs = [(cid, checks.default_params(cid, sizes[cid], **flags)) for cid in ids]
+    from . import forked  # only verify runs tasks in workers
+
+    session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
+
+    def describe(i, exc) -> str:
+        if i < 0:
+            return f"error: a verify worker ended without a result ({exc})\n"
+        return _error_line(exc) or f"error: check {jobs[i][0]} raised {exc!r}\n"
+
+    # no more workers than checks; the reports come in job (id) order
+    workers = min(args.jobs, len(jobs)) if hasattr(os, "fork") else 1
+    reports, error = forked.run(
+        len(jobs), workers, lambda i: checks.run_check(jobs[i][0], session, jobs[i][1]), describe
+    )
+    if error is not None:
+        sys.stderr.write(error)
+        return 2
     _emit(_REPORTS[args.format](reports), args)
     return 0 if all(rec["status"] == "pass" for rec in reports) else 1
 
@@ -411,8 +302,6 @@ def _render_artifact(data, fmt: str) -> str | None:
         return _HILBERT[fmt]({**data, "hilbert": poly})
     if isinstance(data, dict) and "first_failure" in data:
         return _CAUCHY[fmt](data)
-    if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True)
     return None
 
 

@@ -33,20 +33,23 @@ __all__ = [
 ]
 
 
+def _partitions_within(d: int, parts: int, max_part: int):
+    """The partitions of d, at most ``parts`` parts of at most ``max_part``, descending."""
+    if not d:
+        yield ()
+    elif parts:
+        # no first part below d / parts, so every branch yields
+        for first in range(min(d, max_part), -(-d // parts) - 1, -1):
+            for rest in _partitions_within(d - first, parts - 1, first):
+                yield (first,) + rest
+
+
 @cache
-def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n (parts bounded by max_part) in descending lex order."""
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in descending lex order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(_partitions_within(n, n, n))
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -6,9 +6,9 @@ coefficients; the u variables track fermionic degrees but commute here.
 Super Schur polynomials, Kostka numbers and tableau counts come from one
 memoized strip-branching kernel: a semistandard filling loses its largest
 letter as a horizontal or a vertical strip, so each is a sum over strips of
-the same object one letter smaller.  The tableau enumeration, the
-Jacobi-Trudi determinant and the hook-content formula they replaced are the
-test side's independent references.
+the same object one letter smaller.  A tableau count with no u left is the
+hook-content product.  The tableau enumeration and the Jacobi-Trudi
+determinant are the test side's independent references.
 
 Each super Schur polynomial has one lex-leading monomial, with coefficient
 1, so an expansion is read off leading monomials with no linear solve.
@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from math import factorial, prod
 
-from .qcombinat import Partition, QUPoly, conjugate, in_Pkjn, partitions_of
+from .qcombinat import Partition, QUPoly, _partitions_within, conjugate, in_Pkjn
+from .snchar import syt_count
 
 __all__ = [
     "QUPoly",
@@ -113,14 +115,15 @@ def _tableau_count(lam: Partition, k: int, j: int) -> int:
     """s_lam(1^k/1^j): the semistandard fillings of lam in k + j letters.
 
     ``_hook_weights``' recursion with the weights summed, so the tableaux of
-    s_lam(q/u) in its alphabet, and those of s_lam(1^n) at (n, 0).
+    s_lam(q/u) in its alphabet, and those of s_lam(1^n) at (n, 0).  With no
+    u left, the hook-content formula counts them.
     """
-    if not lam:
-        return 1
+    if not j:
+        contents = prod(k + c - i for i, part in enumerate(lam) for c in range(part))
+        return contents * syt_count(lam) // factorial(sum(lam))
     if len(lam) > k and lam[k] > j:
         return 0
-    rest = (k, j - 1) if j else (k - 1, 0)
-    return sum(_tableau_count(mu, *rest) for mu, _size in _strips(lam, j > 0))
+    return sum(_tableau_count(mu, k, j - 1) for mu, _size in _strips(lam, True))
 
 
 @cache
@@ -174,7 +177,7 @@ def specialize(poly: QUPoly, assignment: dict) -> QUPoly:
 
 def expansion_shapes(k: int, j: int, n: int, degree: int) -> list[Partition]:
     """Index set of the degree-d super Schur basis: partitions in P(k,j,n)."""
-    return [lam for lam in partitions_of(degree) if in_Pkjn(lam, k, j, n)]
+    return [lam for lam in _partitions_within(degree, n, degree) if in_Pkjn(lam, k, j, n)]
 
 
 def _leading_exponent(lam: Partition, k: int, j: int) -> tuple:
@@ -274,9 +277,7 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> int | None:
             squ = super_schur(lam, k, j)
             if not squ.is_zero():
                 shapes.append((lam, squ.coeffs))
-        for mu in partitions_of(d):
-            if len(mu) > n:
-                continue
+        for mu in _partitions_within(d, n, d):
             if mu:
                 lhs[mu] = lhs[mu[:-1]] * f[mu[-1]]
             rhs: dict[tuple, int] = {}

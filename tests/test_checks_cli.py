@@ -503,6 +503,16 @@ def test_cli_table_refuses_malformed_artifact(tmp_path, content, detail):
     assert str(artifact) in err and detail in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("content", ['"x"', '{"a": 1}'], ids=["string", "unknown_keys"])
+def test_cli_table_refuses_an_unrecognized_shape_in_every_format(tmp_path, content, fmt):
+    artifact = tmp_path / "x.json"
+    artifact.write_text(content)
+    code, out, err = _run_cli(["table", str(artifact), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == f"unrecognized artifact shape in {artifact}\n"
+
+
 def test_cli_verify_refuses_n_zero():
     # the closed forms of exterior, parts_le_two and sign_coeffs hold for n >= 1
     code, out, err = _run_cli(["verify", "all", "--n", "0"])
@@ -577,18 +587,47 @@ def test_cli_verify_workers_report_the_error_a_serial_run_stops_at(argv):
 def test_verify_worker_stops_at_an_error_and_drains_the_queue(monkeypatch):
     # every job still queued after a failure comes later in id order, so the
     # worker takes it off the queue instead of leaving it to another worker
-    from supercoinv import checks, cli
+    from supercoinv import checks, cli, forked
 
     def broken(session, n):
         raise ValueError("broken")
 
     monkeypatch.setattr(checks, "REGISTRY", {"broken": broken, "fine": lambda session, n: None})
     jobs = [("fine", {"n": 2}), ("broken", {"n": 2}), ("fine", {"n": 2})]
-    queue = iter([0, 1, 2, 2])
-    result = cli._verify_worker(queue, jobs, coinvariant.DEFAULT_CEILING, None)
-    assert [rec["id"] for rec in result["reports"]] == ["fine"]
-    assert result["error"] == [1, "error: broken\n"]
-    assert next(queue, None) is None
+    session = CheckSession()
+    read, write = os.pipe()
+    os.write(write, b"".join(i.to_bytes(forked._RECORD, "big") for i in [0, 1, 2, 2]))
+    os.close(write)
+    queue = forked._queued(read)
+    try:
+        done, error = forked._worker(
+            queue,
+            lambda i: checks.run_check(jobs[i][0], session, jobs[i][1]),
+            lambda i, exc: cli._error_line(exc),
+        )
+        assert [rec["id"] for rec in done.values()] == ["fine"]
+        assert error == (1, "error: broken\n")
+        assert next(queue, None) is None
+    finally:
+        os.close(read)
+
+
+def test_cli_verify_check_that_raises_gives_exit_2_at_every_worker_count(monkeypatch):
+    # an unexpected exception is reported as the first raising check in id
+    # order, exit 2 and one line, whether the run is serial or forked
+    from supercoinv import checks
+
+    def raising(session, n):
+        raise RuntimeError("non-integral trace")
+
+    stubs = {"a": lambda session, n: None, "b": raising, "c": raising, "d": lambda session, n: None}
+    monkeypatch.setattr(checks, "REGISTRY", stubs)
+    serial = _run_cli(["verify", "all", "--n", "2"])
+    assert serial == (2, "", "error: check b raised RuntimeError('non-integral trace')\n")
+    for jobs in ("2", "3"):
+        assert _run_cli(["verify", "all", "--n", "2", "--jobs", jobs]) == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):

@@ -60,10 +60,18 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
 
 
 def test_cli_import_loads_no_heavy_module():
-    # the engine runs on integers and plain classes, and hashlib is imported
-    # by the commands that use it: importing the CLI must load none of these
-    # modules a bare interpreter has not
-    heavy = {"fractions", "decimal", "dataclasses", "inspect", "hashlib", "concurrent.futures"}
+    # the engine runs on integers and plain classes, hashlib is imported by
+    # the commands that use it, and signal only by an interrupted forked run:
+    # importing the CLI must load none of these modules a bare interpreter has not
+    heavy = {
+        "fractions",
+        "decimal",
+        "dataclasses",
+        "inspect",
+        "hashlib",
+        "concurrent.futures",
+        "signal",
+    }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def loaded(prelude: str) -> set:

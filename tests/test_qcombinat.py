@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from supercoinv.qcombinat import (
     QUPoly,
+    _partitions_within,
     conjugate,
     in_Pkjn,
     partition_sort_key,
@@ -47,6 +48,18 @@ def test_partitions_of_seven_count():
     assert len(partitions_of(7)) == 15
     for n in range(11):
         assert len(partitions_of(n)) == _count_partitions(n, n)
+
+
+def test_partitions_within_are_the_bounded_partitions_in_order():
+    for d in range(11):
+        for parts in range(d + 2):
+            for max_part in range(d + 2):
+                want = [
+                    lam
+                    for lam in partitions_of(d)
+                    if len(lam) <= parts and all(p <= max_part for p in lam)
+                ]
+                assert list(_partitions_within(d, parts, max_part)) == want, (d, parts, max_part)
 
 
 def test_partitions_descending_lex_and_valid():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import oracles
 import pytest
@@ -326,6 +330,36 @@ def test_super_schur_linear_independence():
                     keys.setdefault(e, len(keys))
             vectors = [{keys[e]: c for e, c in poly.coeffs.items()} for poly in polys]
             assert span_basis(vectors, len(keys)).rank == len(shapes), (k, j, n, d)
+
+
+def test_cauchy_at_degree_60_enumerates_only_partitions_of_at_most_n_parts():
+    # p(60) = 966 467, but the shape and mu loops of n = 3 need the 331
+    # partitions of 60 into at most 3 parts: under a 512 MB address-space
+    # limit the check runs, and the ceiling guard refuses (1, 1) before it
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+        "from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(superschur.__file__).parent.parent)}
+
+    def cauchy(kj):
+        argv = ["cauchy", "--n", "3", "--k", kj, "--j", kj, "--degree-bound", "60"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--format", "text"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert cauchy("0") == (0, "cauchy k=0 j=0 n=3: pass\n", "")
+    assert cauchy("1") == (
+        2,
+        "",
+        "resource ceiling exceeded: the Cauchy check at k=1 j=1 n=3 degree 60 has 148036"
+        " tableaux, exceeding the ceiling of 50000\n",
+    )
 
 
 def test_expansion_shapes_respect_index_set():
