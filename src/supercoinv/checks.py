@@ -18,6 +18,7 @@ from .coinvariant import CeilingExceeded, IdealComponentCache, _apply, _combine,
 from .qcombinat import (
     QUPoly,
     in_Pkjn,
+    partition_counts,
     partition_sort_key,
     partitions_of,
     q_binomial,
@@ -475,11 +476,18 @@ def check_haiman(session: CheckSession, n: int) -> dict | None:
 
 
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
-    """Refuse a Cauchy check whose tableau count exceeds the ceiling, before it starts."""
+    """Refuse a Cauchy check over the ceiling, before it starts.
+
+    It bounds the tableaux, and the z^mu comparisons (one left-side product
+    each), mu a partition of 0..degree with at most n parts.
+    """
+    where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
     tableaux = cauchy_tableau_bound(k, j, n, degree)
     if tableaux > ceiling:
-        where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
         raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
+    comparisons = sum(partition_counts(degree, n))
+    if comparisons > ceiling:
+        raise CeilingExceeded(None, comparisons, ceiling, where, "z^mu comparisons")
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int, jmax: int, degree: int) -> dict | None:

@@ -34,19 +34,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_n=True):
+    def add_common(p, need_n=True, cached=True):
         p.add_argument("--n", type=int, required=need_n, help="number of positions")
         p.add_argument("--k", type=int, default=None, help="bosonic alphabet size")
         p.add_argument("--j", type=int, default=None, help="fermionic alphabet size")
-        p.add_argument("--cache-dir", default=None, help="series cache directory")
+        if cached:
+            p.add_argument("--cache-dir", default=None, help="series cache directory")
         p.add_argument(
             "--ceiling",
             type=int,
             default=coinvariant.DEFAULT_CEILING,
             help=(
                 "max columns per multidegree of its quotient border (sum over variables v"
-                " of dim Q at deg - e_v); for coefficient tables and the Cauchy check, max"
-                " tableaux of the Schur polynomials they may build, counted exactly"
+                " of dim Q at deg - e_v); for Frobenius series, max values p(n)^2 of the"
+                " S_n character table; for coefficient tables and the Cauchy check, max"
+                " tableaux of the Schur polynomials they may build, and for the Cauchy"
+                " check, max z^mu comparisons; all counted exactly"
             ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("cauchy", help="run the truncated Cauchy comparison")
-    add_common(p)
+    add_common(p, cached=False)
     p.add_argument("--degree-bound", type=int, default=6)
 
     p = sub.add_parser("table", help="render a saved JSON artifact")
@@ -142,18 +145,6 @@ def _hilbert_json(artifact) -> str:
     return json.dumps({**artifact, "hilbert": artifact["hilbert"].to_json()}, indent=2)
 
 
-def _cauchy_text(result) -> str:
-    return f"cauchy k={result['k']} j={result['j']} n={result['n']}: {result['status']}"
-
-
-def _cauchy_csv(result) -> str:
-    return _csv_rows([list(result.values())], list(result))
-
-
-def _cauchy_json(result) -> str:
-    return json.dumps(result, indent=2)
-
-
 def _reports_text(reports) -> str:
     lines = []
     for rec in reports:
@@ -188,7 +179,11 @@ _FROBENIUS = {"json": _artifact_json, "csv": _frobenius_csv, "text": _frobenius_
 _HILBERT = {"json": _hilbert_json, "csv": _hilbert_csv, "text": _hilbert_text}
 _COEFF_TABLE = {"json": _artifact_json, "csv": _coeff_table_csv, "text": _coeff_table_text}
 # the cauchy artifact is {"k", "j", "n", "degree", "status", "first_failure"}
-_CAUCHY = {"json": _cauchy_json, "csv": _cauchy_csv, "text": _cauchy_text}
+_CAUCHY = {
+    "json": lambda r: json.dumps(r, indent=2),
+    "csv": lambda r: _csv_rows([list(r.values())], list(r)),
+    "text": lambda r: f"cauchy k={r['k']} j={r['j']} n={r['n']}: {r['status']}",
+}
 
 
 def _error_line(exc: BaseException) -> str | None:
@@ -317,21 +312,18 @@ def main(argv=None) -> int:
             name = flag.replace("_", "-")
             sys.stderr.write(f"error: --{name} must be a nonnegative integer, got {value}\n")
             return 2
+    run = {
+        "compute": _run_compute,
+        "expand": _run_expand,
+        "verify": _run_verify,
+        "cauchy": _run_cauchy,
+        "table": _run_table,
+    }[args.command]
     try:
-        if args.command == "compute":
-            return _run_compute(args)
-        if args.command == "expand":
-            return _run_expand(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "cauchy":
-            return _run_cauchy(args)
-        if args.command == "table":
-            return _run_table(args)
+        return run(args)
     except (CeilingExceeded, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(_error_line(exc))
         return 2
-    return 2
 
 
 if __name__ == "__main__":

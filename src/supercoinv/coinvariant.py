@@ -143,7 +143,7 @@ from math import gcd, lcm
 
 from . import snchar, superring
 from .exactla import SubspaceBasis
-from .qcombinat import Partition, partition_sort_key, partitions_of
+from .qcombinat import Partition, partition_counts, partition_sort_key, partitions_of
 from .superschur import QUPoly, expand_super_schur, expansion_tableau_bound
 
 __all__ = [
@@ -175,12 +175,7 @@ class CeilingExceeded(RuntimeError):
     """
 
     def __init__(
-        self,
-        deg: Multidegree | None,
-        dim: int,
-        limit: int,
-        space: str,
-        unit: str = "columns",
+        self, deg: Multidegree | None, dim: int, limit: int, space: str, unit: str = "columns"
     ):
         self.deg = deg
         self.dim = dim
@@ -631,7 +626,7 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         for pos in reversed(range(n)):
             offset[g * n + pos] = ncols
             ncols += size
-    rel = SubspaceBasis(ncols)
+    pending = []  # every row offered, inserted below
     for g, pred_g in preds.items():
         into_g = below[pred_g].mult  # multiplication into Q_(deg - e_g)
         for h, pred_h in preds.items():
@@ -652,7 +647,7 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         # v (x) [v s] for odd v
                         for (x, _dx), u in zip(into_g[v], labels):
                             if x and u >= v:
-                                rel.insert({offset[v] + i: c for i, c in x.items()})
+                                pending.append({offset[v] + i: c for i, c in x.items()})
                         continue
                     for (x, dx), (y, dy), u in zip(into_g[w], into_h[v], labels):
                         # the chain criterion: rows with label(s) < v are redundant
@@ -662,7 +657,7 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         a, b = dy // d, sign * (dx // d)
                         row = {offset[v] + i: a * c for i, c in x.items()}
                         row.update((offset[w] + i, b * c) for i, c in y.items())
-                        rel.insert(row)
+                        pending.append(row)
     # the one-position monomials m_p(deg) = u_p * m_p(deg - e_g), g the first
     # set of positive degree, as border vectors; their sum is the lift of P
     ones = []
@@ -671,7 +666,13 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         for p, (x, dx) in enumerate(below[preds[g]].powers):
             ones.append(({offset[g * n + p] + i: c for i, c in x.items()}, dx))
         den = lcm(*(dx for _x, dx in ones))
-        rel.insert({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
+        pending.append({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
+    # by descending least column: a new pivot then nearly always lies left of
+    # every stored one, and ``insert`` clears it from no stored row
+    pending.sort(key=min, reverse=True)
+    rel = SubspaceBasis(ncols)
+    for row in pending:
+        rel.insert(row)
     where = _standard_coordinates(rel)
     mult = {}
     # a standard column v (x) b is the basis element [v b]: its label is the
@@ -845,6 +846,11 @@ def quotient_shells(cache: IdealComponentCache):
 def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
     """The Frobenius series: each nonzero component's traces, decomposed."""
     n = cache.n
+    # decomposing reads the p(n)^2 values of the character table of S_n
+    values = partition_counts(n, n)[n] ** 2
+    if values > cache.ceiling:
+        where = f"the character table of S_{n}"
+        raise CeilingExceeded(None, values, cache.ceiling, where, "character values")
     identity = (1,) * n
     series = FrobeniusSeries(n, cache.k, cache.j)
     types = [rho for rho in partitions_of(n) if rho != identity]

@@ -20,6 +20,7 @@ Partition = tuple
 __all__ = [
     "Partition",
     "partitions_of",
+    "partition_counts",
     "conjugate",
     "in_Pkjn",
     "partition_sort_key",
@@ -50,6 +51,15 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return tuple(_partitions_within(n, n, n))
+
+
+def partition_counts(top: int, largest: int) -> list[int]:
+    """Counts of the partitions of 0..top into parts <= largest, or into <= largest parts."""
+    counts = [1] + [0] * top
+    for part in range(1, largest + 1):
+        for d in range(part, top + 1):
+            counts[d] += counts[d - part]
+    return counts
 
 
 def conjugate(lam: Partition) -> Partition:

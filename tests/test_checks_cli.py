@@ -891,6 +891,59 @@ def test_cli_cauchy_obeys_the_ceiling(argv, where):
     assert code == 0
 
 
+def test_cli_cauchy_counts_its_comparisons(monkeypatch):
+    # two tableaux, but 241 502 partitions of 0..60 with at most 6 parts, one
+    # left-side product each: refused before any product is built
+    from supercoinv import cli
+
+    monkeypatch.setattr(cli, "super_cauchy_check", None)
+    code, out, err = _run_cli(["cauchy", "--n", "6", "--k", "0", "--j", "0", "--degree-bound", "60"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "resource ceiling exceeded: the Cauchy check at k=0 j=0 n=6 degree 60 has 241502"
+        " z^mu comparisons, exceeding the ceiling of 50000\n"
+    )
+
+
+def test_cli_cauchy_takes_no_cache_dir():
+    # it reads and writes no series
+    code, out, _err = _run_cli(["cauchy", "--n", "2", "--cache-dir", "unused"])
+    assert (code, out) == (2, "")
+
+
+def test_cli_frobenius_refuses_a_character_table_over_the_ceiling():
+    # p(30)^2 = 31 404 816 character values: refused before any is computed,
+    # in a child whose address space is capped at 512 MB
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+        "from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coinvariant.__file__))}
+    env.pop("SUPERCOINV_CACHE", None)
+    argv = ["compute", "--n", "30", "--k", "0", "--j", "0", "--series", "frobenius"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "resource ceiling exceeded: the character table of S_30 has 31404816 character"
+        " values, exceeding the ceiling of 50000\n"
+    )
+
+
+def test_cli_stored_frobenius_series_loads_over_the_character_ceiling(tmp_path, monkeypatch):
+    # (4,1,0) has borders of at most 24 columns and p(4)^2 = 25 character values
+    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+    argv = ["compute", "--n", "4", "--k", "1", "--series", "frobenius", "--ceiling", "24"]
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "the character table of S_4 has 25 character values" in err
+    cache = ["--cache-dir", str(tmp_path)]
+    code, stored, _err = _run_cli(argv[:-2] + cache)
+    assert code == 0
+    assert _run_cli(argv + cache) == (0, stored, "")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_cli_table_renders_hilbert(tmp_path, fmt):
     # the Hilbert JSON that compute writes by default is a recognized

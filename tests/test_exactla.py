@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercoinv.exactla import SubspaceBasis
 
@@ -100,6 +102,50 @@ def test_basis_canonical_under_column_order():
     b = span_basis(shuffled, 10)
     assert a.pivots == b.pivots
     assert rows_of(a) == rows_of(b)
+
+
+def _inserted(vectors, dim):
+    basis = SubspaceBasis(dim)
+    for vec in vectors:
+        basis.insert(vec)
+    return basis
+
+
+@st.composite
+def _integer_vectors(draw):
+    """(dim, vectors, probes): sparse integer vectors whose pivots need not be units."""
+    dim = draw(st.integers(1, 8))
+    entries = st.dictionaries(st.integers(0, dim - 1), st.integers(-6, 6).filter(bool), max_size=dim)
+    return dim, draw(st.lists(entries, max_size=10)), draw(st.lists(entries, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_integer_vectors(), st.data())
+def test_insertion_order_changes_nothing(matrix, data):
+    # any order gives the same stored rows; the ascending order of least
+    # coordinates puts nearly every new pivot right of a stored one, so it
+    # back-substitutes the most
+    dim, vectors, probes = matrix
+    by_least = sorted(vectors, key=lambda vec: min(vec, default=dim))
+    orders = [by_least, by_least[::-1], data.draw(st.permutations(vectors))]
+    bases = [_inserted(order, dim) for order in orders]
+    first = bases[0]
+    for basis in bases[1:]:
+        assert basis._rows == first._rows
+        assert basis.pivots == first.pivots
+        assert basis.rank == first.rank
+        for probe in probes:
+            assert basis.scaled_residual(probe) == first.scaled_residual(probe)
+
+
+def test_late_pivot_with_a_non_unit_value_is_cleared():
+    # pivot 1 arrives after pivot 0 and has value 3: row 0 is scaled by 3,
+    # cleared at 1 and made primitive again
+    vectors = [{0: 2, 1: 1}, {1: 3, 2: 1}]
+    for order in (vectors, vectors[::-1]):
+        basis = _inserted(order, 3)
+        assert basis._rows == {0: {0: 6, 2: -1}, 1: {1: 3, 2: 1}}
+        assert basis.scaled_residual({0: 1}) == ({2: 1}, 6)
 
 
 def test_contains():

@@ -121,7 +121,12 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
     class Recording(SubspaceBasis):
         def __init__(self, dim):
             super().__init__(dim)
+            self.least_columns = []  # of the rows offered, in order
             spans.append(self)
+
+        def insert(self, vec):
+            self.least_columns.append(min(vec))
+            return super().insert(vec)
 
     koszul = coinvariant._koszul_component
     built = {}
@@ -171,6 +176,17 @@ def test_koszul_presentation_at_every_degree(n, k, j, monkeypatch):
             assert trace == Fraction(quotient_character(n, k, j, deg, rho)), (deg, rho)
         checked += len(traces)
     assert checked
+
+
+@pytest.mark.parametrize("n,k,j", [(3, 1, 1), (3, 0, 2), (4, 1, 0), (3, 2, 1)])
+def test_relation_rows_are_offered_by_descending_least_column(n, k, j, monkeypatch):
+    # chain-criterion rows, odd squares and the lift of P_d alike, so that a
+    # new pivot nearly always lies left of every stored row
+    offered = 0
+    for *_built, rel in _koszul_shells(monkeypatch, n, k, j):
+        assert rel.least_columns == sorted(rel.least_columns, reverse=True)
+        offered += len(rel.least_columns)
+    assert offered
 
 
 # every ring with a symmetric alphabet (k >= 2 or j >= 2) and n + k + j <= 7
