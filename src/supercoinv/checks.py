@@ -37,6 +37,7 @@ from .superschur import (
 __all__ = [
     "CheckSession",
     "REGISTRY",
+    "ENVELOPE",
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
@@ -545,8 +546,29 @@ REGISTRY = {
 }
 
 
-def default_params(check_id: str, n: int, k=None, j=None, m=None, degree_bound=None) -> dict:
-    """Parameter dict for a registry check at the requested size."""
+# the size ``verify`` runs each check at without --n
+ENVELOPE = {
+    "universality": 4,
+    "cancellation": 4,
+    "restriction": 4,
+    "parts_le_two": 5,
+    "sign_coeffs": 4,
+    "hilb11": 4,
+    "bound_closure": 3,
+    "n_le_kj": 3,
+    "witnesses": 4,
+    "artin": 5,
+    "exterior": 5,
+    "haiman": 3,
+    "cauchy": 3,
+    "sagan_swanson": 15,
+}
+
+
+def default_params(check_id: str, n=None, k=None, j=None, m=None, degree_bound=None) -> dict:
+    """Parameter dict for a registry check at size n, by default its envelope size."""
+    if n is None:
+        n = ENVELOPE[check_id]
     if check_id == "cancellation":
         kk = 1 if k is None else k
         jj = 1 if j is None else j

@@ -18,13 +18,7 @@ import sys
 from . import checks, coinvariant
 from .coinvariant import CeilingExceeded, CoeffTable, FrobeniusSeries
 from .qcombinat import partition_sort_key
-from .superschur import QUPoly, super_cauchy_check
-
-
-def _load_envelope() -> dict:
-    # package data beside this file; importlib.resources would cost start-up
-    with open(os.path.join(os.path.dirname(__file__), "envelope.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+from .superschur import super_cauchy_check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default=None)
     return parser
-
-
-def _cache_dir(args) -> str | None:
-    return os.environ.get("SUPERCOINV_CACHE") or getattr(args, "cache_dir", None)
 
 
 def _emit(text: str, args) -> None:
@@ -203,7 +193,6 @@ def _run_verify(args) -> int:
         # the closed forms the checks compare with hold for n >= 1 only
         sys.stderr.write("error: verify needs --n of at least 1, got 0\n")
         return 2
-    envelope = _load_envelope()
     if args.check == "all":
         ids = sorted(checks.REGISTRY)
     elif args.check in checks.REGISTRY:
@@ -212,11 +201,10 @@ def _run_verify(args) -> int:
         sys.stderr.write(f"unknown check id: {args.check}\n")
         return 2
     flags = {"k": args.k, "j": args.j, "m": args.m, "degree_bound": args.degree_bound}
-    sizes = {cid: envelope.get(cid, 3) if args.n is None else args.n for cid in ids}
-    jobs = [(cid, checks.default_params(cid, sizes[cid], **flags)) for cid in ids]
+    jobs = [(cid, checks.default_params(cid, args.n, **flags)) for cid in ids]
     from . import forked  # only verify runs tasks in workers
 
-    session = checks.CheckSession(ceiling=args.ceiling, cache_dir=_cache_dir(args))
+    session = checks.CheckSession(ceiling=args.ceiling, cache_dir=args.cache_dir)
 
     def describe(i, exc) -> str:
         if i < 0:
@@ -238,7 +226,7 @@ def _run_verify(args) -> int:
 def _store(args) -> coinvariant.IdealComponentCache:
     """The store of the ring the arguments name."""
     n, k, j = args.n, args.k or 0, args.j or 0
-    return coinvariant.IdealComponentCache(n, k, j, args.ceiling, _cache_dir(args))
+    return coinvariant.IdealComponentCache(n, k, j, args.ceiling, args.cache_dir)
 
 
 def _run_compute(args) -> int:
@@ -293,8 +281,7 @@ def _render_artifact(data, fmt: str) -> str | None:
     if isinstance(data, dict) and "entries" in data:
         return _COEFF_TABLE[fmt](CoeffTable.from_json(data))
     if isinstance(data, dict) and "hilbert" in data:
-        poly = QUPoly.from_json(data["k"], data["j"], data["hilbert"])
-        return _HILBERT[fmt]({**data, "hilbert": poly})
+        return _HILBERT[fmt]({**data, "hilbert": coinvariant.hilbert_from_json(data)})
     if isinstance(data, dict) and "first_failure" in data:
         return _CAUCHY[fmt](data)
     return None

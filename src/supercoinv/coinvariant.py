@@ -154,6 +154,7 @@ __all__ = [
     "IdealComponentCache",
     "frobenius_series",
     "hilbert_series",
+    "hilbert_from_json",
     "coeff_table",
     "quotient_shells",
     "shell_multidegrees",
@@ -189,8 +190,14 @@ def _mu_key(mu: Partition) -> str:
     return json.dumps(list(mu), separators=(",", ":"))
 
 
-def _mu_from_key(key: str) -> Partition:
-    return tuple(json.loads(key))
+def _mu_from_key(key: str, n: int) -> Partition:
+    """The shape a multiplicity key names, when it is a partition of n."""
+    # checked part by part: listing the partitions of a large n costs memory
+    mu = tuple(json.loads(key))
+    positive = all(type(p) is int and p > 0 for p in mu)
+    if not positive or sum(mu) != n or list(mu) != sorted(mu, reverse=True):
+        raise ValueError(f"{key} is not a partition of {n}")
+    return mu
 
 
 class FrobeniusSeries:
@@ -241,13 +248,30 @@ class FrobeniusSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusSeries":
+        """The series of an artifact, once every degree and count is checked against its ring."""
         series = cls(data["n"], data["k"], data["j"])
         for rec in data["components"]:
-            deg = (tuple(rec["deg"]["r"]), tuple(rec["deg"]["s"]))
-            series.components[deg] = {
-                _mu_from_key(key): int(v) for key, v in rec["mults"].items()
-            }
+            r, s = rec["deg"]["r"], rec["deg"]["s"]
+            _check_degree(r, series.k)
+            _check_degree(s, series.j)
+            mults = {}
+            for key, c in rec["mults"].items():
+                mu = _mu_from_key(key, series.n)
+                _check_count(c)
+                mults[mu] = c
+            series.components[(tuple(r), tuple(s))] = mults
         return series
+
+
+def hilbert_from_json(data: dict) -> QUPoly:
+    """The Hilbert series of an artifact {"n", "k", "j", "hilbert"}, every dimension positive."""
+    k, j = data["k"], data["j"]
+    for rec in data["hilbert"]:
+        # written as a decimal string; int() would truncate a float
+        c = rec["c"]
+        _check_count(int(c) if type(c) is str else c)
+    # QUPoly refuses an exponent that is not k + j nonnegative integers
+    return QUPoly.from_json(k, j, data["hilbert"])
 
 
 class CoeffTable:
@@ -403,28 +427,11 @@ class IdealComponentCache:
         if payload.pop("sha256", None) != _digest(payload):
             raise ValueError(f"corrupt cache file {path}: content does not match its SHA-256")
         # and it must be a series of this ring, even under a recomputed digest
+        read = FrobeniusSeries.from_json if kind == "frobenius" else hilbert_from_json
         try:
-            return self._series_of(kind, payload)
+            return read(payload)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt cache file {path}: {exc!r}") from exc
-
-    def _series_of(self, kind: str, payload: dict):
-        """The series a file holds, once every degree and count is checked against the ring."""
-        n, k, j = self.n, self.k, self.j
-        if kind == "hilbert":
-            for rec in payload["hilbert"]:
-                _check_count(int(rec["c"]))
-            # QUPoly refuses an exponent that is not k + j nonnegative integers
-            return QUPoly.from_json(k, j, payload["hilbert"])
-        shapes = set(partitions_of(n))
-        for rec in payload["components"]:
-            _check_degree(rec["deg"]["r"], k)
-            _check_degree(rec["deg"]["s"], j)
-            for key, c in rec["mults"].items():
-                if _mu_from_key(key) not in shapes:
-                    raise ValueError(f"{key} is not a partition of {n}")
-                _check_count(c)
-        return FrobeniusSeries.from_json(payload)
 
 
 def _check_degree(exps, arity: int) -> None:
@@ -692,35 +699,32 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
     action, traces = {}, {}
 
     def represent(move, image_of):
-        """The matrix of an automorphism of Q_deg, and its trace per denominator.
+        """The matrix of an automorphism of Q_deg, column q the image of basis element q.
 
         It sends the standard column v (x) b to move(v) (x) image_of(g, b), g
         the set of v, as a column over the basis of Q_(deg - e_(set of move(v))).
         """
-        cols, by_den = [], {}
+        cols = []
         for v, off in offset.items():
             image = offset[move(v)]
             for b in range(below[preds[v // n]].dim):
-                q = where.get(off + b)
-                if q is None:
-                    continue
-                x, dx = image_of(v // n, b)
-                col = _class_of(rel, {image + i: c for i, c in x.items()}, where, dx)
-                by_den[col[1]] = by_den.get(col[1], 0) + col[0].get(q, 0)
-                cols.append(col)
-        return cols, by_den
+                if off + b in where:
+                    x, dx = image_of(v // n, b)
+                    cols.append(_class_of(rel, {image + i: c for i, c in x.items()}, where, dx))
+        return cols
 
+    one = {0: 1}
     for rho, sigma in sigmas.items():
         below_action = {g: below[pred].action[rho] for g, pred in preds.items()}
-        action[rho], by_den = represent(
+        action[rho] = represent(
             lambda v: v - v % n + sigma[v % n], lambda g, b: below_action[g][b]
         )
-        # the trace: its diagonal entries summed per denominator
-        common = lcm(*by_den)
-        trace, rest = divmod(sum(c * (common // d) for d, c in by_den.items()), common)
-        if rest:
+        # the trace: the nonzero diagonal entries summed as one-entry columns, in lowest terms
+        diagonal = [(x[q], (one, dx)) for q, (x, dx) in enumerate(action[rho]) if q in x]
+        trace, den = _combine(diagonal)
+        if den != 1:
             raise AssertionError(f"non-integral trace of {rho} at multidegree {deg}")
-        traces[rho] = trace
+        traces[rho] = trace.get(0, 0)
     swaps = {}
     flat = deg[0] + deg[1]
     for i in range(len(flat) - 1):
@@ -729,7 +733,7 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         t = list(range(len(flat)))
         t[i], t[i + 1] = i + 1, i
         frames = {g: _frame(below, k, pred, preds[t[g]], t) for g, pred in preds.items()}
-        swaps[i], _diagonal = represent(
+        swaps[i] = represent(
             lambda v: t[v // n] * n + v % n, lambda g, b: _framed(*frames[g], b)
         )
     sources = {g: below[pred].labels for g, pred in preds.items()}

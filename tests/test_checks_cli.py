@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from supercoinv.checks import (
+    ENVELOPE,
     REGISTRY,
     CheckSession,
     default_params,
@@ -170,6 +171,10 @@ def test_default_params_shapes():
     assert default_params("cancellation", 3) == {"n": 3, "k": 1, "j": 1, "m": 1}
     assert default_params("n_le_kj", 5)["n"] <= 3
     assert default_params("cauchy", 5) == {"n": 3, "kmax": 2, "jmax": 2, "degree": 6}
+    # without a size, each check runs at its envelope size
+    assert default_params("sagan_swanson") == {"n": 15}
+    assert default_params("cauchy")["n"] == ENVELOPE["cauchy"] == 3
+    assert set(ENVELOPE) == set(REGISTRY)
 
 
 def test_bad_check_id():
@@ -410,14 +415,18 @@ def test_cli_ceiling_bounds_the_quotient_border():
         )
 
 
-def test_cli_cache_env_var(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("SUPERCOINV_CACHE", str(cache))
-    code, _out, _ = _run_cli(["compute", "--n", "2", "--k", "1", "--j", "1"])
+def test_cli_cache_dir_alone_decides_where_series_land(tmp_path, monkeypatch):
+    # the environment names no cache: a set SUPERCOINV_CACHE is ignored
+    env_cache, flag_cache = tmp_path / "env", tmp_path / "flag"
+    env_cache.mkdir()
+    monkeypatch.setenv("SUPERCOINV_CACHE", str(env_cache))
+    argv = ["compute", "--n", "2", "--k", "1", "--j", "1"]
+    code, expected, _ = _run_cli(argv)
     assert code == 0
-    files = list(cache.rglob("*.json"))
-    assert files, "env cache directory was not used"
+    assert list(env_cache.iterdir()) == []
+    assert _run_cli(argv + ["--cache-dir", str(flag_cache)]) == (0, expected, "")
+    assert list(env_cache.iterdir()) == []
+    assert [p.name for p in flag_cache.iterdir()] == ["hilbert_n2_k1_j1.json"]
 
 
 def _reports_without_times(text):
@@ -501,6 +510,39 @@ def test_cli_table_refuses_malformed_artifact(tmp_path, content, detail):
     assert code == 2
     assert out == ""
     assert str(artifact) in err and detail in err
+
+
+def _frobenius_artifact(deg_r=(1,), shape="[2,1]", count=1):
+    component = {"deg": {"r": list(deg_r), "s": []}, "mults": {shape: count}}
+    return {"n": 3, "k": 1, "j": 0, "components": [component]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "artifact,detail",
+    [
+        (_frobenius_artifact(deg_r=(1, 2)), "degree [1, 2] is not 1 nonnegative integers"),
+        (_frobenius_artifact(shape="[5]"), "[5] is not a partition of 3"),
+        (_frobenius_artifact(count=0), "multiplicity 0 is not a positive integer"),
+        (_frobenius_artifact(count=-4), "multiplicity -4 is not a positive integer"),
+        (
+            {"n": 3, "k": 1, "j": 0, "hilbert": [{"e": [0], "c": "1"}, {"e": [1], "c": "0"}]},
+            "multiplicity 0 is not a positive integer",
+        ),
+        (
+            {"n": 3, "k": 1, "j": 0, "hilbert": [{"e": [0], "c": 2.7}]},
+            "multiplicity 2.7 is not a positive integer",
+        ),
+    ],
+    ids=["arity", "shape", "zero_count", "negative_count", "hilbert_zero_dim", "hilbert_float_dim"],
+)
+def test_cli_table_refuses_what_the_store_refuses(tmp_path, artifact, detail, fmt):
+    # table reads a series through the reader the store loads its files with
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(artifact))
+    code, out, err = _run_cli(["table", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed artifact {path}: ") and detail in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -684,7 +726,6 @@ def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
 def test_cli_verify_writes_every_series_it_computes(tmp_path, monkeypatch):
     # a Hilbert series served by a held Frobenius series is written too, so a
     # second run on the directory reads every series and scans none
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
     argv = ["verify", "cancellation", "--n", "3", "--cache-dir", str(tmp_path)]
     code, first, err = _run_cli(argv)
     assert code == 0, err
@@ -708,7 +749,6 @@ def test_cli_verify_all_scans_each_ring_once(monkeypatch):
     # a ring's Hilbert series is read off its Frobenius series when a check
     # needs both, so no ring is scanned twice (``quotient_shells`` of the
     # closure check is a scan of its own and not counted here)
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
     scans = []
     for name in ("_frobenius_scan", "_hilbert_scan"):
 
@@ -834,7 +874,6 @@ def test_cli_coefficient_tables_obey_the_ceiling(
     # refused before the expansion starts
     from supercoinv import coinvariant
 
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
     if stored:
         argv = argv + ["--cache-dir", str(tmp_path)]
         code, _out, _err = _run_cli(["compute", *stored, "--series", "frobenius", *argv[-2:]])
@@ -919,7 +958,6 @@ def test_cli_frobenius_refuses_a_character_table_over_the_ceiling():
         "from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coinvariant.__file__))}
-    env.pop("SUPERCOINV_CACHE", None)
     argv = ["compute", "--n", "30", "--k", "0", "--j", "0", "--series", "frobenius"]
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
@@ -931,9 +969,8 @@ def test_cli_frobenius_refuses_a_character_table_over_the_ceiling():
     )
 
 
-def test_cli_stored_frobenius_series_loads_over_the_character_ceiling(tmp_path, monkeypatch):
+def test_cli_stored_frobenius_series_loads_over_the_character_ceiling(tmp_path):
     # (4,1,0) has borders of at most 24 columns and p(4)^2 = 25 character values
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
     argv = ["compute", "--n", "4", "--k", "1", "--series", "frobenius", "--ceiling", "24"]
     code, out, err = _run_cli(argv)
     assert (code, out) == (2, "")

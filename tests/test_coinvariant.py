@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -191,6 +192,18 @@ def test_frobenius_json_roundtrip():
     assert FrobeniusSeries.from_json(data).components == series.components
 
 
+@pytest.mark.parametrize("key", ["[29,31]", "[60,0]", "[59]", "[true,59]"])
+def test_frobenius_reader_checks_a_shape_without_listing_partitions(key, monkeypatch):
+    # listing the partitions of 60 would hold about a million tuples
+    monkeypatch.setattr(coinvariant, "partitions_of", lambda n: pytest.fail("listed"))
+    component = {"deg": {"r": [0], "s": []}, "mults": {"[31,29]": 2}}
+    data = {"n": 60, "k": 1, "j": 0, "components": [component]}
+    assert FrobeniusSeries.from_json(data).components == {((0,), ()): {(31, 29): 2}}
+    component["mults"] = {key: 1}
+    with pytest.raises(ValueError, match=re.escape(f"{key} is not a partition of 60")):
+        FrobeniusSeries.from_json(data)
+
+
 def test_coeff_table_json_roundtrip():
     table = coeff_table(frobenius_series(3, 1, 1))
     data = json.loads(json.dumps(table.to_json()))
@@ -322,8 +335,12 @@ def test_disk_cache_refuses_altered_entry_and_other_format(tmp_path):
 
 @pytest.mark.parametrize(
     "term,detail",
-    [({"e": [1, 0, 0], "c": "2"}, "2 nonnegative integers"), ({"e": [1, 0], "c": "0"}, "0 is not")],
-    ids=["arity", "zero"],
+    [
+        ({"e": [1, 0, 0], "c": "2"}, "2 nonnegative integers"),
+        ({"e": [1, 0], "c": "0"}, "0 is not"),
+        ({"e": [1, 0], "c": 2.7}, "2.7 is not"),
+    ],
+    ids=["arity", "zero", "float"],
 )
 def test_disk_cache_refuses_a_damaged_hilbert_file(tmp_path, term, detail):
     # a content change under a recomputed digest: the header and digest pass

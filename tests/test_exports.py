@@ -42,7 +42,6 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         ),
     ]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("SUPERCOINV_CACHE", None)
     for i, (argv, span) in enumerate(commands):
         result = tmp_path / f"result{i}.json"
         proc = subprocess.run(
@@ -95,7 +94,6 @@ def test_verify_jobs_loads_no_process_pool(tmp_path):
         "print('\\n'.join(sys.modules)); sys.exit(rc)"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("SUPERCOINV_CACHE", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )

@@ -86,8 +86,7 @@ def _digest(argv: list) -> str:
     return hashlib.sha256(_canonical(argv, out.getvalue())).hexdigest()
 
 
-def test_benchmark_outputs_match_their_golden_hashes(tmp_path, monkeypatch):
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+def test_benchmark_outputs_match_their_golden_hashes(tmp_path):
     golden = json.loads(BASELINE.read_text())["golden_sha256"]
     digests = {}
     for op in golden:
@@ -99,7 +98,6 @@ def test_benchmark_outputs_match_their_golden_hashes(tmp_path, monkeypatch):
     assert digests == golden
 
 
-def test_symmetric_alphabet_outputs_match_their_golden_hashes(monkeypatch):
-    monkeypatch.delenv("SUPERCOINV_CACHE", raising=False)
+def test_symmetric_alphabet_outputs_match_their_golden_hashes():
     digests = {op: _digest(op.split()) for op in SYMMETRIC_GOLDEN}
     assert digests == SYMMETRIC_GOLDEN

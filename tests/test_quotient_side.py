@@ -23,7 +23,7 @@ from oracles import (
     rows_of,
     span_basis,
 )
-from supercoinv import checks, cli, coinvariant
+from supercoinv import checks, coinvariant
 from supercoinv.coinvariant import (
     IdealComponentCache,
     frobenius_series,
@@ -50,9 +50,8 @@ def _envelope_rings() -> set:
             return super().ring(n, k, j)
 
     session = Recording()
-    envelope = cli._load_envelope()
     for check_id in sorted(checks.REGISTRY):
-        params = checks.default_params(check_id, envelope.get(check_id, 3))
+        params = checks.default_params(check_id)
         assert checks.run_check(check_id, session, params)["status"] == "pass", check_id
     return rings
 
