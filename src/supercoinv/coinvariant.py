@@ -131,6 +131,25 @@ from the border onto Q_F, which commutes with t.  The transported mult[v] is Q_D
 times the frame change of its source, and origins[s] is the frame image of
 Q_D's origin: a basis index where that image is a unit vector, else a
 column, so that mult[labels[s]] sends origins[s] to the unit vector of s.
+
+Characters.  The Frobenius series needs the character of each component:
+the trace of every cycle type.  S_n acts on Q_d by automorphisms, so over
+the stored basis the matrices satisfy A_a A_b = A_(a b), and a character is
+a class function, so tr(A_a A_b) is the character at the cycle type of the
+composition a b (J.-P. Serre, Linear Representations of Finite Groups,
+1977, section 2).  ``snchar.trace_plan`` names a set G of cycle types and,
+for every other non-identity type, a pair (a, b) from G whose class
+representatives compose to a permutation of that type; it finds each pair
+by composing the two representatives, and adds a type to G until every
+type is named, so G covers every class by construction.  The scan keeps
+the matrices of G's representatives alone, for the shell above to read and
+for alphabet symmetry to share; a component reads their traces off their
+diagonals, and each other type's trace off the product: the sum over q and
+r of A_a[q][r] A_b[r][q].  Every entry is a rational number with its
+denominator and the sum is exact (``_combine``).  The value is the trace of
+a rational matrix of finite order, a sum of roots of unity, so it is a
+rational algebraic integer, an integer: a sum with a denominator left is a
+bug and is refused, never rounded.
 """
 
 from __future__ import annotations
@@ -192,12 +211,17 @@ def _mu_key(mu: Partition) -> str:
 
 def _mu_from_key(key: str, n: int) -> Partition:
     """The shape a multiplicity key names, when it is a partition of n."""
+    return _shape(json.loads(key), n, key)
+
+
+def _shape(parts, n: int | None, name: str) -> Partition:
+    """The list parts as a partition, when it is one (of n, unless n is None)."""
     # checked part by part: listing the partitions of a large n costs memory
-    mu = tuple(json.loads(key))
-    positive = all(type(p) is int and p > 0 for p in mu)
-    if not positive or sum(mu) != n or list(mu) != sorted(mu, reverse=True):
-        raise ValueError(f"{key} is not a partition of {n}")
-    return mu
+    positive = type(parts) is list and all(type(p) is int and p > 0 for p in parts)
+    if not positive or parts != sorted(parts, reverse=True) or (n is not None and sum(parts) != n):
+        size = "" if n is None else f" of {n}"
+        raise ValueError(f"{name} is not a partition{size}")
+    return tuple(parts)
 
 
 class FrobeniusSeries:
@@ -235,12 +259,11 @@ class FrobeniusSeries:
         comps = []
         for r, s in self.sorted_degrees():
             mults = self.components[(r, s)]
+            # descending, as partitions of one n are listed (``partitions_of``)
             rec = {
                 "deg": {"r": list(r), "s": list(s)},
                 "mults": {
-                    _mu_key(mu): mults[mu]
-                    for mu in partitions_of(self.n)
-                    if mults.get(mu)
+                    _mu_key(mu): mults[mu] for mu in sorted(mults, reverse=True) if mults[mu]
                 },
             }
             comps.append(rec)
@@ -307,9 +330,15 @@ class CoeffTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoeffTable":
-        table = cls(data["n"], tuple(data["source"]))
+        """The table of an artifact, once its source and every entry are checked."""
+        n, source = data["n"], data["source"]
+        _check_degree(source, 2, "source")
+        table = cls(n, tuple(source))
         for rec in data["entries"]:
-            table.entries[(tuple(rec["lambda"]), tuple(rec["mu"]))] = int(rec["c"])
+            lam = _shape(rec["lambda"], None, f"lambda {rec['lambda']!r}")
+            mu = _shape(rec["mu"], n, f"mu {rec['mu']!r}")
+            _check_count(rec["c"], "coefficient")
+            table.entries[(lam, mu)] = rec["c"]
         return table
 
 
@@ -434,16 +463,16 @@ class IdealComponentCache:
             raise ValueError(f"corrupt cache file {path}: {exc!r}") from exc
 
 
-def _check_degree(exps, arity: int) -> None:
+def _check_degree(exps, arity: int, what: str = "degree") -> None:
     if type(exps) is not list or len(exps) != arity or not all(
         type(e) is int and e >= 0 for e in exps
     ):
-        raise ValueError(f"degree {exps!r} is not {arity} nonnegative integers")
+        raise ValueError(f"{what} {exps!r} is not {arity} nonnegative integers")
 
 
-def _check_count(c) -> None:
+def _check_count(c, what: str = "multiplicity") -> None:
     if type(c) is not int or c < 1:
-        raise ValueError(f"multiplicity {c!r} is not a positive integer")
+        raise ValueError(f"{what} {c!r} is not a positive integer")
 
 
 def _digest(payload: dict) -> str:
@@ -478,9 +507,10 @@ class _QuotientComponent:
 
     ``mult`` maps each variable v = set * n + position to the matrix of
     multiplication by v from the component one degree lower in v's set;
-    ``action`` maps a cycle type to the matrix of its class representative,
-    and ``traces`` maps it to that matrix's trace (the identity is in
-    neither: its trace is ``dim``).  Components carried by alphabet symmetry
+    ``action`` maps each cycle type the trace plan keeps to the matrix of its
+    class representative, and ``traces`` maps every cycle type the plan
+    names to its trace (Characters in the module docstring; the identity is
+    in neither: its trace is ``dim``).  Components carried by alphabet symmetry
     share both dicts with their dominant one, so neither is ever mutated.
     A matrix is a list of columns, one per source basis element, and a column
     is a pair (integer vector, positive denominator).  ``labels`` holds one
@@ -612,14 +642,26 @@ def _class_of(basis: SubspaceBasis, vec: dict, where: dict, den: int = 1):
     return {where[i]: v // g for i, v in w.items()}, den // g
 
 
-def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
+def _trace(terms, rho: Partition, deg: Multidegree) -> int:
+    """The sum of c / den over the terms (c, den), which must be an integer."""
+    one = {0: 1}
+    total, den = _combine([(c, (one, den)) for c, den in terms])
+    if den != 1:
+        raise AssertionError(f"non-integral trace of {rho} at multidegree {deg}")
+    return total.get(0, 0)
+
+
+def _koszul_component(cache, deg: Multidegree, below: dict, plan):
     """A quotient component of positive degree, from the quotient shell below it.
 
     Q_deg is the border space (the sum over variables v of v (x) Q_(deg-e_v))
     modulo the super-Koszul relations of the module docstring, of which only
     those the chain criterion keeps are offered, and the lift of P_deg; its
-    basis is the non-pivot border columns of that span.  The component
-    holds the matrix and the trace of each class representative in ``sigmas``.
+    basis is the non-pivot border columns of that span.  With a ``plan``
+    (sigmas, pairs) of ``snchar.trace_plan``, the component holds the matrix
+    and the trace of each class representative in sigmas, and the trace of
+    each cycle type of pairs, read off the product of two of those matrices
+    (Characters in the module docstring); None asks for no character work.
     """
     n, k = cache.n, cache.k
     preds = _predecessors(deg, k)
@@ -646,6 +688,7 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
             sign = 1 if g >= k and h >= k else -1
             for p in range(n):
                 v = g * n + p
+                at_v = offset[v]
                 for q in range(p if h == g else 0, n):
                     w = h * n + q
                     if v == w:
@@ -654,16 +697,21 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
                         # v (x) [v s] for odd v
                         for (x, _dx), u in zip(into_g[v], labels):
                             if x and u >= v:
-                                pending.append({offset[v] + i: c for i, c in x.items()})
+                                pending.append({at_v + i: c for i, c in x.items()})
                         continue
+                    at_w = offset[w]
                     for (x, dx), (y, dy), u in zip(into_g[w], into_h[v], labels):
                         # the chain criterion: rows with label(s) < v are redundant
                         if u < v or not (x or y):
                             continue
-                        d = gcd(dx, dy)
-                        a, b = dy // d, sign * (dx // d)
-                        row = {offset[v] + i: a * c for i, c in x.items()}
-                        row.update((offset[w] + i, b * c) for i, c in y.items())
+                        if dx == dy:
+                            row = {at_v + i: c for i, c in x.items()}
+                            row.update({at_w + i: sign * c for i, c in y.items()})
+                        else:
+                            d = gcd(dx, dy)
+                            a, b = dy // d, sign * (dx // d)
+                            row = {at_v + i: a * c for i, c in x.items()}
+                            row.update({at_w + i: b * c for i, c in y.items()})
                         pending.append(row)
     # the one-position monomials m_p(deg) = u_p * m_p(deg - e_g), g the first
     # set of positive degree, as border vectors; their sum is the lift of P
@@ -675,11 +723,10 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         den = lcm(*(dx for _x, dx in ones))
         pending.append({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
     # by descending least column: a new pivot then nearly always lies left of
-    # every stored one, and ``insert`` clears it from no stored row
+    # every stored one, and storing it clears it from no stored row
     pending.sort(key=min, reverse=True)
     rel = SubspaceBasis(ncols)
-    for row in pending:
-        rel.insert(row)
+    rel.extend(pending)
     where = _standard_coordinates(rel)
     mult = {}
     # a standard column v (x) b is the basis element [v b]: its label is the
@@ -705,26 +752,31 @@ def _koszul_component(cache, deg: Multidegree, below: dict, sigmas: dict):
         the set of v, as a column over the basis of Q_(deg - e_(set of move(v))).
         """
         cols = []
-        for v, off in offset.items():
+        for v, b in zip(own, origins):  # the standard columns v (x) b, in basis order
             image = offset[move(v)]
-            for b in range(below[preds[v // n]].dim):
-                if off + b in where:
-                    x, dx = image_of(v // n, b)
-                    cols.append(_class_of(rel, {image + i: c for i, c in x.items()}, where, dx))
+            x, dx = image_of(v // n, b)
+            cols.append(_class_of(rel, {image + i: c for i, c in x.items()}, where, dx))
         return cols
 
-    one = {0: 1}
+    sigmas, pairs = plan or ({}, {})
     for rho, sigma in sigmas.items():
         below_action = {g: below[pred].action[rho] for g, pred in preds.items()}
         action[rho] = represent(
             lambda v: v - v % n + sigma[v % n], lambda g, b: below_action[g][b]
         )
-        # the trace: the nonzero diagonal entries summed as one-entry columns, in lowest terms
-        diagonal = [(x[q], (one, dx)) for q, (x, dx) in enumerate(action[rho]) if q in x]
-        trace, den = _combine(diagonal)
-        if den != 1:
-            raise AssertionError(f"non-integral trace of {rho} at multidegree {deg}")
-        traces[rho] = trace.get(0, 0)
+        diagonal = [(x[q], dx) for q, (x, dx) in enumerate(action[rho]) if q in x]
+        traces[rho] = _trace(diagonal, rho, deg)
+    for rho, (a, b) in pairs.items():
+        # tr(A B) = sum over q, r of A[q][r] B[r][q], with A[q][r] = x_r[q] / dx_r
+        # read off A's column r and B[r][q] = y_q[r] / dy_q off B's column q
+        first = action[a]
+        products = []
+        for q, (y, dy) in enumerate(action[b]):
+            for r, c in y.items():
+                x, dx = first[r]
+                if q in x:
+                    products.append((c * x[q], dx * dy))
+        traces[rho] = _trace(products, rho, deg)
     swaps = {}
     flat = deg[0] + deg[1]
     for i in range(len(flat) - 1):
@@ -782,13 +834,14 @@ def _transport(cache, comp: _QuotientComponent, deg: Multidegree, below: dict):
     )
 
 
-def _series_scan(cache: IdealComponentCache, types=()):
+def _series_scan(cache: IdealComponentCache, plan=None):
     """Yield the quotient shells from degree 0 until the first all-zero shell.
 
     A shell maps each multidegree of its total degree, in
     ``shell_multidegrees`` order, to its quotient component, which carries
-    the matrix and trace of each cycle type of ``types`` (the identity not
-    among them).  Every shell of positive degree comes from the one below it
+    the matrices and traces a ``plan`` (sigmas, pairs) of
+    ``snchar.trace_plan`` names (see ``_koszul_component``), or none without
+    one.  Every shell of positive degree comes from the one below it
     on the quotient side, starting from Q_0 = span{1}:
     ``_koszul_component`` builds its dominant components, ``_transport``
     carries them to the others, so the scan itself holds only two shells at
@@ -797,14 +850,14 @@ def _series_scan(cache: IdealComponentCache, types=()):
     multiple of the previous shell.
     """
     n, k, j = cache.n, cache.k, cache.j
-    sigmas = {rho: snchar.class_representative(rho) for rho in types}
+    sigmas, pairs = plan or ({}, {})
     zero = ((0,) * k, (0,) * j)
     unit = [({0: 1}, 1)]
     one = _QuotientComponent(
         dim=1,
         mult={},
         action=dict.fromkeys(sigmas, unit),
-        traces=dict.fromkeys(sigmas, 1),
+        traces=dict.fromkeys([*sigmas, *pairs], 1),
         # above every variable, so no relation on the unit is ever skipped
         labels=[(k + j) * n],
         origins=[None],  # 1 is no variable multiple
@@ -823,7 +876,7 @@ def _series_scan(cache: IdealComponentCache, types=()):
             if ncols > cache.ceiling:
                 raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
         built = {
-            deg: _koszul_component(cache, deg, below, sigmas)
+            deg: _koszul_component(cache, deg, below, plan)
             for deg in degs
             if _sorting(deg, k)[0] == deg
         }
@@ -857,8 +910,7 @@ def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
         raise CeilingExceeded(None, values, cache.ceiling, where, "character values")
     identity = (1,) * n
     series = FrobeniusSeries(n, cache.k, cache.j)
-    types = [rho for rho in partitions_of(n) if rho != identity]
-    for shell in _series_scan(cache, types):
+    for shell in _series_scan(cache, snchar.trace_plan(n)):
         for deg, comp in shell.items():
             if not comp.dim:
                 continue

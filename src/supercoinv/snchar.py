@@ -21,6 +21,7 @@ __all__ = [
     "frobenius_decompose",
     "gl_restriction_mult",
     "class_representative",
+    "trace_plan",
     "syt_count",
 ]
 
@@ -144,6 +145,62 @@ def class_representative(rho: Partition) -> tuple[int, ...]:
         base = len(perm)
         perm.extend(base + (i + 1) % length for i in range(length))
     return tuple(perm)
+
+
+def _cycle_type(perm) -> Partition:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        while not seen[start]:
+            seen[start] = True
+            start = perm[start]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def trace_plan(n: int) -> tuple[dict, dict]:
+    """(sigmas, pairs): the classes whose matrices a character scan keeps, and the rest.
+
+    ``sigmas`` maps each cycle type of a set G to its ``class_representative``;
+    ``pairs`` maps every other non-identity type to a pair (a, b) of G whose
+    representatives compose to that type, so its character value is the
+    trace of the product of a's and b's matrices.  G is chosen greedily: each
+    step adds the type that names the most types not yet named (itself and
+    its products with G and with itself), the first in ``partitions_of``
+    order among ties.
+    """
+    identity = (1,) * n
+    types = [rho for rho in partitions_of(n) if rho != identity]
+    reps = {rho: class_representative(rho) for rho in types}
+
+    @cache
+    def product(a: Partition, b: Partition) -> Partition:
+        ra, rb = reps[a], reps[b]
+        return _cycle_type([ra[i] for i in rb])
+
+    gens: list = []
+    named = set()
+    while len(named) < len(types):
+        best, gain = None, set()
+        for rho in types:
+            if rho in gens:
+                continue
+            new = {rho, *(product(a, rho) for a in gens + [rho])} - named - {identity}
+            if len(new) > len(gain):
+                best, gain = rho, new
+        gens.append(best)
+        named |= gain
+    pairs = {}
+    for i, b in enumerate(gens):
+        for a in gens[: i + 1]:
+            rho = product(a, b)
+            if rho != identity and rho not in gens:
+                pairs.setdefault(rho, (a, b))
+    return {rho: reps[rho] for rho in gens}, pairs
 
 
 @cache

@@ -29,6 +29,9 @@ every degree among the generators, which the engine replaced by the
 polarized power sums and the quotient-side recursion.
 ``koszul_relations`` offers every super-Koszul relation of a quotient
 component, with none of the engine's chain-criterion pruning.
+``class_matrices`` writes the matrix of every non-identity class on every
+stored quotient component, where the engine keeps the matrices of a few
+classes and reads the other traces off products of two.
 
 The ring itself has two representations here, which the engine no longer
 has.  The monomial model: a ring element of one multidegree component is an
@@ -1276,6 +1279,55 @@ def koszul_relations(cache, deg, below) -> SubspaceBasis:
                 row.update((offset[w] + i, -eps * dx * c) for i, c in y.items())
                 rel.insert(row)
     return rel
+
+
+def _fraction_columns(matrix) -> list:
+    """Engine columns (integer vector, denominator) as columns {row: Fraction}."""
+    return [{i: Fraction(v, dx) for i, v in x.items()} for x, dx in matrix]
+
+
+def _times(matrix, col: dict) -> dict:
+    """A matrix (a list of columns {row: value}) times a column {row: value}."""
+    out: dict = {}
+    for i, c in col.items():
+        for r, v in matrix[i].items():
+            out[r] = out.get(r, 0) + c * v
+    return {r: v for r, v in out.items() if v}
+
+
+def class_matrices(n: int, k: int, j: int) -> dict:
+    """deg -> {rho: matrix} on every component the scan stores, every non-identity class in full.
+
+    The all-classes reference for ``snchar.trace_plan``: the matrix of each
+    non-identity class representative sigma, written over each stored basis
+    as a list of columns {row: Fraction}.  It is read off the quotient's own
+    multiplication, with no elimination: basis element s is [u b], u its
+    label and b its origin (a basis index, or a column where alphabet
+    symmetry moved it) in the component one lower in u's set, and sigma is
+    an algebra automorphism, so sigma(s) = [sigma(u) sigma(b)], the matrix
+    of multiplication by sigma(u) times sigma's column of b one shell down.
+    """
+    identity = (1,) * n
+    sigmas = {rho: class_representative(rho) for rho in partitions_of(n) if rho != identity}
+    out: dict = {}
+    below = None
+    for shell in coinvariant._series_scan(coinvariant.IdealComponentCache(n, k, j)):
+        for deg, comp in shell.items():
+            if below is None:  # the unit of Q_0
+                out[deg] = {rho: [{0: Fraction(1)}] for rho in sigmas}
+                continue
+            preds = coinvariant._predecessors(deg, k)
+            mult = {v: _fraction_columns(m) for v, m in comp.mult.items()}
+            out[deg] = {}
+            for rho, sigma in sigmas.items():
+                cols = []
+                for u, b in zip(comp.labels, comp.origins):
+                    lower = out[preds[u // n]][rho]
+                    col = lower[b] if type(b) is int else _times(lower, _fraction_columns([b])[0])
+                    cols.append(_times(mult[u - u % n + sigma[u % n]], col))
+                out[deg][rho] = cols
+        below = shell
+    return out
 
 
 # --- S_n character inner products in Fraction arithmetic ----------------------

@@ -545,6 +545,48 @@ def test_cli_table_refuses_what_the_store_refuses(tmp_path, artifact, detail, fm
     assert err.startswith(f"error: malformed artifact {path}: ") and detail in err
 
 
+def _table_artifact(source=(1, 0), **entry):
+    rec = {"lambda": [1], "mu": [2, 1], "c": 1}
+    rec.update((key.rstrip("_"), value) for key, value in entry.items())
+    return {"n": 3, "source": list(source), "entries": [rec]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "artifact,detail",
+    [
+        (_table_artifact(source=(1,)), "source [1] is not 2 nonnegative integers"),
+        (_table_artifact(source=(1, -1)), "source [1, -1] is not 2 nonnegative integers"),
+        (_table_artifact(lambda_=[1, 2]), "lambda [1, 2] is not a partition"),
+        (_table_artifact(lambda_=[2, 0]), "lambda [2, 0] is not a partition"),
+        (_table_artifact(mu=[5]), "mu [5] is not a partition of 3"),
+        (_table_artifact(mu=[2, 1.0]), "mu [2, 1.0] is not a partition of 3"),
+        (_table_artifact(lambda_=[5], mu=[-1], c=2.7), "mu [-1] is not a partition of 3"),
+        (_table_artifact(c=2.7), "coefficient 2.7 is not a positive integer"),
+        (_table_artifact(c=0), "coefficient 0 is not a positive integer"),
+        (_table_artifact(c="2"), "coefficient '2' is not a positive integer"),
+    ],
+    ids=[
+        "source_arity",
+        "source_negative",
+        "lambda_increasing",
+        "lambda_zero_part",
+        "mu_of_another_n",
+        "mu_float_part",
+        "lambda5_mu_negative_float_c",
+        "float_c",
+        "zero_c",
+        "string_c",
+    ],
+)
+def test_cli_table_refuses_a_damaged_coefficient_table(tmp_path, artifact, detail, fmt):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(artifact))
+    code, out, err = _run_cli(["table", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed artifact {path}: ") and detail in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("content", ['"x"', '{"a": 1}'], ids=["string", "unknown_keys"])
 def test_cli_table_refuses_an_unrecognized_shape_in_every_format(tmp_path, content, fmt):
@@ -833,10 +875,10 @@ def test_bound_closure_reuses_the_session_components(monkeypatch):
     built = []
     koszul = coinvariant._koszul_component
 
-    def recorded(cache, deg, below, sigmas):
-        if not sigmas:  # the closure check's scan: no character work
+    def recorded(cache, deg, below, plan):
+        if plan is None:  # the closure check's scan: no character work
             built.append(deg)
-        return koszul(cache, deg, below, sigmas)
+        return koszul(cache, deg, below, plan)
 
     monkeypatch.setattr(coinvariant, "_koszul_component", recorded)
     session = CheckSession()

@@ -204,12 +204,28 @@ def test_frobenius_reader_checks_a_shape_without_listing_partitions(key, monkeyp
         FrobeniusSeries.from_json(data)
 
 
+def test_frobenius_writer_lists_no_partitions(monkeypatch):
+    # the shapes written are the component's own, in the descending order
+    # partitions_of lists them in
+    component = {(1, 1, 1, 1): 1, (3, 1): 2, (4,): 1, (2, 1, 1): 3}
+    ordered = {"[4]": 1, "[3,1]": 2, "[2,1,1]": 3, "[1,1,1,1]": 1}
+    assert list(ordered) == [coinvariant._mu_key(mu) for mu in partitions_of(4) if mu in component]
+    monkeypatch.setattr(coinvariant, "partitions_of", lambda n: pytest.fail("listed"))
+    series = FrobeniusSeries(4, 1, 0, {((2,), ()): component})
+    assert series.to_json()["components"] == [{"deg": {"r": [2], "s": []}, "mults": ordered}]
+    # listing the partitions of 60 would hold about a million tuples
+    series = FrobeniusSeries(60, 1, 0, {((0,), ()): {(31, 29): 2}})
+    assert series.to_json()["components"] == [{"deg": {"r": [0], "s": []}, "mults": {"[31,29]": 2}}]
+
+
 def test_coeff_table_json_roundtrip():
-    table = coeff_table(frobenius_series(3, 1, 1))
-    data = json.loads(json.dumps(table.to_json()))
-    rebuilt = CoeffTable.from_json(data)
-    assert rebuilt.entries == table.entries
-    assert rebuilt.n == table.n and rebuilt.source == table.source
+    # the reader refuses nothing a table holds: every coefficient is positive
+    for n, k, j in [(3, 1, 1), (4, 0, 2), (3, 2, 0), (4, 2, 1)]:
+        table = coeff_table(frobenius_series(n, k, j))
+        data = json.loads(json.dumps(table.to_json()))
+        rebuilt = CoeffTable.from_json(data)
+        assert rebuilt.entries == table.entries
+        assert rebuilt.n == table.n and rebuilt.source == table.source
 
 
 def test_disk_cache_roundtrip(tmp_path):

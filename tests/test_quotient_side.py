@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    class_matrices,
     full_invariant_scan,
     ideal_closure_witness,
     ideal_component,
@@ -32,7 +33,7 @@ from supercoinv.coinvariant import (
 )
 from supercoinv.exactla import SubspaceBasis
 from supercoinv.qcombinat import partitions_of, q_factorial
-from supercoinv.snchar import class_representative
+from supercoinv.snchar import trace_plan
 from supercoinv.superschur import QUPoly
 
 EXTRA_RINGS = [(4, 2, 1), (3, 2, 2), (4, 0, 3), (5, 0, 2)]
@@ -110,7 +111,7 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
     Every component of positive degree the scan stores, with the shell below
     it, and the components it builds on the all-zero shell where it stops.
     The scan is the Hilbert one, or with ``frobenius`` the Frobenius
-    one, which also builds the matrices and traces of every cycle type.  A
+    one, which also builds the matrices and traces of its trace plan.  A
     component ``_koszul_component`` built comes with the span it eliminated;
     one carried by alphabet symmetry, with the span of a direct build at its
     multidegree from the same stored shell below.
@@ -123,16 +124,16 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
             self.least_columns = []  # of the rows offered, in order
             spans.append(self)
 
-        def insert(self, vec):
-            self.least_columns.append(min(vec))
-            return super().insert(vec)
+        def extend(self, rows):
+            self.least_columns.extend(min(row) for row in rows)
+            return super().extend(rows)
 
     koszul = coinvariant._koszul_component
     built = {}
 
-    def recorded(cache, deg, below, sigmas):
+    def recorded(cache, deg, below, plan):
         spans.clear()
-        comp = koszul(cache, deg, below, sigmas)
+        comp = koszul(cache, deg, below, plan)
         (rel,) = spans
         built[deg] = (cache, deg, below, comp, comp.traces, rel)
         return comp
@@ -144,8 +145,8 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
         cache = IdealComponentCache(n, k, j)
         below = None
         identity = (1,) * n
-        types = [rho for rho in partitions_of(n) if rho != identity] if frobenius else ()
-        for shell in coinvariant._series_scan(cache, types):
+        plan = trace_plan(n) if frobenius else None
+        for shell in coinvariant._series_scan(cache, plan):
             for deg, comp in shell.items():
                 if below is None:
                     continue  # the unit of Q_0
@@ -153,7 +154,7 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
                     rel = built.pop(deg)[-1]
                 else:
                     spans.clear()
-                    koszul(cache, deg, below, {})
+                    koszul(cache, deg, below, None)
                     (rel,) = spans
                 traces = {**comp.traces, identity: comp.dim} if frobenius else comp.traces
                 out.append((cache, deg, below, comp, traces, rel))
@@ -201,20 +202,21 @@ SYMMETRIC_RINGS = [
 def test_transported_components_match_a_direct_build():
     # each component carried by alphabet symmetry from its dominant one has
     # the dimension and the characters of a direct build at its multidegree
-    # from the same stored shell below
+    # from the same stored shell below, at every non-identity cycle type
     checked = 0
     for n, k, j in SYMMETRIC_RINGS:
         identity = (1,) * n
-        types = [rho for rho in partitions_of(n) if rho != identity]
-        sigmas = {rho: class_representative(rho) for rho in types}
+        types = {rho for rho in partitions_of(n) if rho != identity}
+        plan = trace_plan(n)
         cache = IdealComponentCache(n, k, j)
         below = None
-        for shell in coinvariant._series_scan(cache, types):
+        for shell in coinvariant._series_scan(cache, plan):
             for deg, comp in shell.items():
                 if coinvariant._sorting(deg, k)[0] == deg:
                     continue
-                direct = coinvariant._koszul_component(cache, deg, below, sigmas)
+                direct = coinvariant._koszul_component(cache, deg, below, plan)
                 assert comp.dim == direct.dim, ((n, k, j), deg)
+                assert set(comp.traces) == types, ((n, k, j), deg)
                 assert comp.traces == direct.traces, ((n, k, j), deg)
                 checked += comp.dim > 0
             below = shell
@@ -222,16 +224,41 @@ def test_transported_components_match_a_direct_build():
     assert checked > 300
 
 
+def test_every_trace_matches_the_all_classes_oracle(rings):
+    # on every stored component, the trace of each class of the trace plan,
+    # off its diagonal, and of every other class, off the product of two of
+    # those matrices, is the trace of the oracle's matrix of that class; the
+    # component keeps the plan's matrices only, and they are the oracle's
+    checked = 0
+    for n, k, j in sorted(set(rings) | set(SYMMETRIC_RINGS)):
+        sigmas = trace_plan(n)[0]
+        full = class_matrices(n, k, j)
+        stored = {}
+        for shell in coinvariant._series_scan(IdealComponentCache(n, k, j), trace_plan(n)):
+            stored.update(shell)
+        assert stored.keys() == full.keys(), (n, k, j)
+        for deg, comp in stored.items():
+            assert comp.action.keys() == sigmas.keys(), ((n, k, j), deg)
+            for rho, matrix in full[deg].items():
+                trace = sum(col.get(q, 0) for q, col in enumerate(matrix))
+                assert comp.traces[rho] == trace, ((n, k, j), deg, rho)
+                if rho in sigmas:
+                    kept = comp.action[rho]
+                    assert [{i: Fraction(v, dx) for i, v in x.items()} for x, dx in kept] == matrix, (
+                        (n, k, j), deg, rho
+                    )
+                checked += comp.dim > 0
+    assert checked > 2000
+
+
 def test_every_transposition_matrix_is_an_involution_commuting_with_s_n():
     # each swap t exchanges two tied sets of one parity on a dominant
     # component: t t = 1 on every basis element, and t commutes with the
-    # class representative of every cycle type (t is an automorphism that
-    # commutes with S_n)
+    # class representatives of the trace plan, which generate S_n
+    # (test_snchar), so t is an automorphism that commutes with S_n
     checked = 0
     for n, k, j in SYMMETRIC_RINGS:
-        identity = (1,) * n
-        types = [rho for rho in partitions_of(n) if rho != identity]
-        for shell in coinvariant._series_scan(IdealComponentCache(n, k, j), types):
+        for shell in coinvariant._series_scan(IdealComponentCache(n, k, j), trace_plan(n)):
             for deg, comp in shell.items():
                 for i, swap in comp.swaps.items():
                     for b in range(comp.dim):

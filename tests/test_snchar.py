@@ -14,6 +14,7 @@ from supercoinv.snchar import (
     gl_restriction_mult,
     irreducible_character,
     syt_count,
+    trace_plan,
     z_order,
 )
 from oracles import class_size, ssyt_count
@@ -207,6 +208,47 @@ def test_class_representative():
     for n in range(1, 7):
         for rho in partitions_of(n):
             assert _cycle_type(class_representative(rho)) == rho
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_trace_plan_names_every_class(n):
+    # every non-identity cycle type is one of the plan's classes, or named by
+    # one pair of them whose representatives compose to that type
+    identity = (1,) * n
+    sigmas, pairs = trace_plan(n)
+    assert set(sigmas).isdisjoint(pairs)
+    assert set(sigmas) | set(pairs) == {rho for rho in partitions_of(n) if rho != identity}
+    assert all(sigma == class_representative(rho) for rho, sigma in sigmas.items())
+    for rho, (a, b) in pairs.items():
+        assert a in sigmas and b in sigmas, rho
+        assert _cycle_type([sigmas[a][i] for i in sigmas[b]]) == rho, (rho, a, b)
+
+
+def test_trace_plan_keeps_few_classes():
+    assert [len(trace_plan(n)[0]) for n in range(4, 9)] == [2, 3, 4, 6, 7]
+    assert [len(partitions_of(n)) - 1 for n in range(4, 9)] == [4, 6, 10, 14, 21]
+    # the 4-cycle names the double transposition, and with the transposition the 3-cycle
+    assert list(trace_plan(4)[0]) == [(4,), (2, 1, 1)]
+    assert trace_plan(4)[1] == {(2, 2): ((4,), (4,)), (3, 1): ((4,), (2, 1, 1))}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_trace_plan_classes_generate_s_n(n):
+    # so a matrix that commutes with the plan's class representatives
+    # commutes with all of S_n
+    gens = list(trace_plan(n)[0].values())
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for perm in frontier:
+            for g in gens:
+                product = tuple(perm[i] for i in g)
+                if product not in group:
+                    group.add(product)
+                    fresh.append(product)
+        frontier = fresh
+    assert len(group) == factorial(n)
 
 
 def test_hook_formulas():
