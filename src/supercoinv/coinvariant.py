@@ -704,14 +704,10 @@ def _koszul_component(cache, deg: Multidegree, below: dict, plan):
                         # the chain criterion: rows with label(s) < v are redundant
                         if u < v or not (x or y):
                             continue
-                        if dx == dy:
-                            row = {at_v + i: c for i, c in x.items()}
-                            row.update({at_w + i: sign * c for i, c in y.items()})
-                        else:
-                            d = gcd(dx, dy)
-                            a, b = dy // d, sign * (dx // d)
-                            row = {at_v + i: a * c for i, c in x.items()}
-                            row.update({at_w + i: b * c for i, c in y.items()})
+                        d = gcd(dx, dy)
+                        a, b = dy // d, sign * (dx // d)
+                        row = {at_v + i: a * c for i, c in x.items()}
+                        row.update({at_w + i: b * c for i, c in y.items()})
                         pending.append(row)
     # the one-position monomials m_p(deg) = u_p * m_p(deg - e_g), g the first
     # set of positive degree, as border vectors; their sum is the lift of P
@@ -723,10 +719,11 @@ def _koszul_component(cache, deg: Multidegree, below: dict, plan):
         den = lcm(*(dx for _x, dx in ones))
         pending.append({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
     # by descending least column: a new pivot then nearly always lies left of
-    # every stored one, and storing it clears it from no stored row
+    # every stored one, and ``insert`` clears it from no stored row
     pending.sort(key=min, reverse=True)
     rel = SubspaceBasis(ncols)
-    rel.extend(pending)
+    for row in pending:
+        rel.insert(row)
     where = _standard_coordinates(rel)
     mult = {}
     # a standard column v (x) b is the basis element [v b]: its label is the

@@ -28,12 +28,11 @@ class SubspaceBasis:
     Beside the rows only the least pivot is kept.  A row carries no
     coordinate left of its own pivot, so a new pivot p occurs only in rows
     whose pivot lies left of it, and in none when p is left of the least.
-    Vectors added in descending order of their least coordinate nearly
-    always give such a p, and then storing it touches no stored row; any
+    Vectors inserted in descending order of their least coordinate nearly
+    always give such a p, and then ``insert`` touches no stored row; any
     other order gives the same rows, at the cost of a scan of the rows for
-    each new pivot right of the least.  ``extend`` is the one elimination
-    loop that stores rows, and ``insert`` adds one vector through it.  Treat
-    instances as frozen once built: both are for construction only.
+    each new pivot right of the least.  Treat instances as frozen once
+    built: ``insert`` is for construction only.
     """
 
     __slots__ = ("dim", "_rows", "_least")
@@ -89,77 +88,52 @@ class SubspaceBasis:
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; returns False when vec was already contained."""
-        return self.extend([dict(vec)]) == 1
-
-    def extend(self, rows) -> int:
-        """Add each row in turn to the span; returns how many were not already in it.
-
-        The rows are consumed: each is reduced where it stands, and stored
-        when its residual is not zero.
-        """
-        stored = self._rows
-        kept = 0
-        for w in rows:
-            # the loop of ``scaled_residual``, with the scale dropped
-            for p in w.keys() & stored.keys():
-                c = w.pop(p)
-                row = stored[p]
-                d = row[p]
+        w, _scale = self.scaled_residual(vec)
+        if not w:
+            return False
+        p = min(w)
+        w = _primitive(w, p)
+        d = w.pop(p)
+        rows = self._rows
+        if p < self._least:
+            self._least = p  # no stored row reaches left of its own pivot
+        else:
+            # keep reduced form: clear the new pivot from the rows left of it
+            for q, other in rows.items():
+                if q > p or p not in other:
+                    continue
+                cv = other.pop(p)
                 if d != 1:
-                    g = gcd(c, d)
-                    d //= g
-                    c //= g
-                    if d != 1:
-                        for i in w:
-                            w[i] *= d
-                for i, v in row.items():
-                    if i == p:
-                        continue
-                    nv = w.get(i, 0) - c * v
+                    g = gcd(cv, d)
+                    cv //= g
+                    a = d // g
+                    if a != 1:
+                        for i in other:
+                            other[i] *= a
+                for i, v in w.items():
+                    nv = other.get(i, 0) - cv * v
                     if nv:
-                        w[i] = nv
+                        other[i] = nv
                     else:
-                        del w[i]
-            if not w:
-                continue
-            kept += 1
-            p = min(w)
-            g = gcd(*w.values())
-            if w[p] < 0:
-                g = -g
-            if g != 1:
-                for i in w:
-                    w[i] //= g
-            d = w.pop(p)
-            if p < self._least:
-                self._least = p  # no stored row reaches left of its own pivot
-            else:
-                # keep reduced form: clear the new pivot from the rows left of it
-                for q, other in stored.items():
-                    if q > p or p not in other:
-                        continue
-                    cv = other.pop(p)
-                    if d != 1:
-                        g = gcd(cv, d)
-                        cv //= g
-                        a = d // g
-                        if a != 1:
-                            for i in other:
-                                other[i] *= a
-                    for i, v in w.items():
-                        nv = other.get(i, 0) - cv * v
-                        if nv:
-                            other[i] = nv
-                        else:
-                            del other[i]
-                    if other[q] != 1:
-                        g = gcd(*other.values())
-                        if g != 1:
-                            for i in other:
-                                other[i] //= g
-            w[p] = d
-            stored[p] = w
-        return kept
+                        del other[i]
+                if other[q] != 1:
+                    g = gcd(*other.values())
+                    if g != 1:
+                        for i in other:
+                            other[i] //= g
+        w[p] = d
+        rows[p] = w
+        return True
+
+
+def _primitive(row: dict, pivot: int) -> dict:
+    """The primitive integer multiple of row with a positive value at pivot."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {i: v // g for i, v in row.items()}
 
 
 # Names the benchmark's tracer (perfbench/tracer.py) still looks up.  No code

@@ -122,17 +122,13 @@ def _integer_vectors(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_integer_vectors(), st.data())
 def test_insertion_order_changes_nothing(matrix, data):
-    # any order gives the same stored rows, one by one or in one batch; the
-    # ascending order of least coordinates puts nearly every new pivot right
-    # of a stored one, so it back-substitutes the most
+    # any order gives the same stored rows; the ascending order of least
+    # coordinates puts nearly every new pivot right of a stored one, so it
+    # back-substitutes the most
     dim, vectors, probes = matrix
     by_least = sorted(vectors, key=lambda vec: min(vec, default=dim))
     orders = [by_least, by_least[::-1], data.draw(st.permutations(vectors))]
     bases = [_inserted(order, dim) for order in orders]
-    for order in orders:
-        batch = SubspaceBasis(dim)
-        assert batch.extend([dict(vec) for vec in order]) == bases[0].rank
-        bases.append(batch)
     first = bases[0]
     for basis in bases[1:]:
         assert basis._rows == first._rows

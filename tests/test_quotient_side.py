@@ -124,9 +124,9 @@ def _koszul_shells(monkeypatch, n, k, j, frobenius=False) -> list:
             self.least_columns = []  # of the rows offered, in order
             spans.append(self)
 
-        def extend(self, rows):
-            self.least_columns.extend(min(row) for row in rows)
-            return super().extend(rows)
+        def insert(self, vec):
+            self.least_columns.append(min(vec))
+            return super().insert(vec)
 
     koszul = coinvariant._koszul_component
     built = {}
