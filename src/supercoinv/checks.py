@@ -1,10 +1,11 @@
 """Verification suite: every reproducible structural claim as a named check.
 
 Each check returns its witness, the first discrepancy found, or None when it
-passes; ``run_check`` times it and reports it as a plain dict, and
-``default_params`` holds every check's defaults.  Checks only share state
-through a CheckSession, which keeps one store per ring so a suite run never
-recomputes a quotient.
+passes.  ``REGISTRY`` holds each check with the size ``verify`` runs it at;
+``run_check`` times a check and reports it as a plain dict, which
+``read_report`` reads back, and ``default_params`` holds every check's
+defaults.  Checks only share state through a CheckSession, which keeps one
+store per ring so a suite run never recomputes a quotient.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .superschur import (
 __all__ = [
     "CheckSession",
     "REGISTRY",
-    "ENVELOPE",
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
@@ -526,60 +526,40 @@ def check_sagan_swanson(session: CheckSession, n: int) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: each check with the size ``verify`` runs it at without --n
 
 REGISTRY = {
-    "universality": check_universality,
-    "cancellation": check_cancellation,
-    "restriction": check_restriction,
-    "parts_le_two": check_parts_le_two,
-    "sign_coeffs": check_sign_coeffs,
-    "hilb11": check_hilb11,
-    "bound_closure": check_bound_and_closure,
-    "n_le_kj": check_n_le_kj,
-    "witnesses": check_witnesses,
-    "artin": check_artin,
-    "exterior": check_exterior,
-    "haiman": check_haiman,
-    "cauchy": check_cauchy,
-    "sagan_swanson": check_sagan_swanson,
-}
-
-
-# the size ``verify`` runs each check at without --n
-ENVELOPE = {
-    "universality": 4,
-    "cancellation": 4,
-    "restriction": 4,
-    "parts_le_two": 5,
-    "sign_coeffs": 4,
-    "hilb11": 4,
-    "bound_closure": 3,
-    "n_le_kj": 3,
-    "witnesses": 4,
-    "artin": 5,
-    "exterior": 5,
-    "haiman": 3,
-    "cauchy": 3,
-    "sagan_swanson": 15,
+    "universality": (check_universality, 4),
+    "cancellation": (check_cancellation, 4),
+    "restriction": (check_restriction, 4),
+    "parts_le_two": (check_parts_le_two, 5),
+    "sign_coeffs": (check_sign_coeffs, 4),
+    "hilb11": (check_hilb11, 4),
+    "bound_closure": (check_bound_and_closure, 3),
+    "n_le_kj": (check_n_le_kj, 3),
+    "witnesses": (check_witnesses, 4),
+    "artin": (check_artin, 5),
+    "exterior": (check_exterior, 5),
+    "haiman": (check_haiman, 3),
+    "cauchy": (check_cauchy, 3),
+    "sagan_swanson": (check_sagan_swanson, 15),
 }
 
 
 def default_params(check_id: str, n=None, k=None, j=None, m=None, degree_bound=None) -> dict:
-    """Parameter dict for a registry check at size n, by default its envelope size."""
+    """Parameter dict for a registry check at size n, by default its registered size."""
     if n is None:
-        n = ENVELOPE[check_id]
+        n = REGISTRY[check_id][1]
+    k = 1 if k is None else k
     if check_id == "cancellation":
-        kk = 1 if k is None else k
-        jj = 1 if j is None else j
-        return {"n": n, "k": kk, "j": jj, "m": min(kk, jj) if m is None else m}
+        j = 1 if j is None else j
+        return {"n": n, "k": k, "j": j, "m": min(k, j) if m is None else m}
     if check_id in ("restriction", "bound_closure"):
-        return {"n": n, "k": 1 if k is None else k, "j": 1 if j is None else j}
+        return {"n": n, "k": k, "j": 1 if j is None else j}
     if check_id == "n_le_kj":
         nn = min(n, 3)
-        kk = 1 if k is None else k
-        jj = (max(nn - kk, 1)) if j is None else j
-        return {"n": min(nn, kk + jj), "k": kk, "j": jj}
+        j = max(nn - k, 1) if j is None else j
+        return {"n": min(nn, k + j), "k": k, "j": j}
     if check_id == "cauchy":
         degree = 6 if degree_bound is None else degree_bound
         return {"n": min(n, 3), "kmax": 2, "jmax": 2, "degree": degree}
@@ -598,7 +578,7 @@ def run_check(check_id: str, session: CheckSession, params: dict) -> dict:
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id: {check_id}")
     started = time.perf_counter()
-    witness = REGISTRY[check_id](session, **params)
+    witness = REGISTRY[check_id][0](session, **params)
     return {
         "id": check_id,
         "params": params,
@@ -606,3 +586,21 @@ def run_check(check_id: str, session: CheckSession, params: dict) -> dict:
         "witness": witness,
         "seconds": round(time.perf_counter() - started, 6),
     }
+
+
+def read_report(rec) -> dict:
+    """A saved report record, once each of its fields is checked as ``run_check`` writes it."""
+    if type(rec) is not dict or sorted(rec) != ["id", "params", "seconds", "status", "witness"]:
+        raise ValueError(f"report {rec!r} does not have exactly the fields of a report")
+    status, witness, seconds = rec["status"], rec["witness"], rec["seconds"]
+    if type(rec["id"]) is not str:
+        raise ValueError(f"report id {rec['id']!r} is not a string")
+    if type(rec["params"]) is not dict:
+        raise ValueError(f"report params {rec['params']!r} is not an object")
+    if status not in ("pass", "fail"):
+        raise ValueError(f"report status {status!r} is neither pass nor fail")
+    if not (witness is None if status == "pass" else type(witness) is dict):
+        raise ValueError(f"report witness {witness!r} does not fit status {status}")
+    if type(seconds) not in (int, float) or not seconds >= 0:
+        raise ValueError(f"report seconds {seconds!r} is not a nonnegative number")
+    return rec

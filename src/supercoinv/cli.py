@@ -259,6 +259,20 @@ def _run_cauchy(args) -> int:
     return 0 if failure is None else 1
 
 
+def _read_cauchy(data: dict) -> dict:
+    """A saved Cauchy result, once each of its fields is checked as ``_run_cauchy`` writes it."""
+    if sorted(data) != ["degree", "first_failure", "j", "k", "n", "status"]:
+        raise ValueError(f"Cauchy result {data!r} does not have exactly the fields of one")
+    degree = coinvariant._check_sizes(data, "k", "j", "n", "degree")[-1]
+    status, failure = data["status"], data["first_failure"]
+    if status not in ("pass", "fail"):
+        raise ValueError(f"Cauchy status {status!r} is neither pass nor fail")
+    failed_at = type(failure) is int and 0 <= failure <= degree
+    if not (failure is None if status == "pass" else failed_at):
+        raise ValueError(f"first_failure {failure!r} does not fit {status} at degree {degree}")
+    return data
+
+
 def _run_table(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         try:
@@ -275,7 +289,7 @@ def _run_table(args) -> int:
 def _render_artifact(data, fmt: str) -> str | None:
     """The artifact rendered as ``fmt``, or None for an unrecognized shape."""
     if isinstance(data, list) and data and "status" in data[0]:
-        return _REPORTS[fmt](data)
+        return _REPORTS[fmt]([checks.read_report(rec) for rec in data])
     if isinstance(data, dict) and "components" in data:
         return _FROBENIUS[fmt](FrobeniusSeries.from_json(data))
     if isinstance(data, dict) and "entries" in data:
@@ -283,7 +297,7 @@ def _render_artifact(data, fmt: str) -> str | None:
     if isinstance(data, dict) and "hilbert" in data:
         return _HILBERT[fmt]({**data, "hilbert": coinvariant.hilbert_from_json(data)})
     if isinstance(data, dict) and "first_failure" in data:
-        return _CAUCHY[fmt](data)
+        return _CAUCHY[fmt](_read_cauchy(data))
     return None
 
 

@@ -272,15 +272,19 @@ class FrobeniusSeries:
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusSeries":
         """The series of an artifact, once every degree and count is checked against its ring."""
-        series = cls(data["n"], data["k"], data["j"])
+        series = cls(*_check_sizes(data, "n", "k", "j"))
         for rec in data["components"]:
             r, s = rec["deg"]["r"], rec["deg"]["s"]
             _check_degree(r, series.k)
             _check_degree(s, series.j)
+            if (tuple(r), tuple(s)) in series.components:
+                raise ValueError(f"degree r={r} s={s} is listed twice")
             mults = {}
             for key, c in rec["mults"].items():
                 mu = _mu_from_key(key, series.n)
                 _check_count(c)
+                if mu in mults:
+                    raise ValueError(f"shape {list(mu)} is listed twice at r={r} s={s}")
                 mults[mu] = c
             series.components[(tuple(r), tuple(s))] = mults
         return series
@@ -288,12 +292,16 @@ class FrobeniusSeries:
 
 def hilbert_from_json(data: dict) -> QUPoly:
     """The Hilbert series of an artifact {"n", "k", "j", "hilbert"}, every dimension positive."""
-    k, j = data["k"], data["j"]
+    k, j, _n = _check_sizes(data, "k", "j", "n")
+    seen = set()
     for rec in data["hilbert"]:
         # written as a decimal string; int() would truncate a float
         c = rec["c"]
         _check_count(int(c) if type(c) is str else c)
-    # QUPoly refuses an exponent that is not k + j nonnegative integers
+        _check_degree(rec["e"], k + j, "exponent")
+        if tuple(rec["e"]) in seen:
+            raise ValueError(f"exponent {rec['e']} is listed twice")
+        seen.add(tuple(rec["e"]))
     return QUPoly.from_json(k, j, data["hilbert"])
 
 
@@ -331,13 +339,16 @@ class CoeffTable:
     @classmethod
     def from_json(cls, data: dict) -> "CoeffTable":
         """The table of an artifact, once its source and every entry are checked."""
-        n, source = data["n"], data["source"]
+        (n,) = _check_sizes(data, "n")
+        source = data["source"]
         _check_degree(source, 2, "source")
         table = cls(n, tuple(source))
         for rec in data["entries"]:
             lam = _shape(rec["lambda"], None, f"lambda {rec['lambda']!r}")
             mu = _shape(rec["mu"], n, f"mu {rec['mu']!r}")
             _check_count(rec["c"], "coefficient")
+            if (lam, mu) in table.entries:
+                raise ValueError(f"lambda {list(lam)} mu {list(mu)} is listed twice")
             table.entries[(lam, mu)] = rec["c"]
         return table
 
@@ -461,6 +472,15 @@ class IdealComponentCache:
             return read(payload)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt cache file {path}: {exc!r}") from exc
+
+
+def _check_sizes(data: dict, *names) -> list:
+    """The named sizes of an artifact, in order, once each is a nonnegative integer."""
+    sizes = [data[name] for name in names]
+    for name, value in zip(names, sizes):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} {value!r} is not a nonnegative integer")
+    return sizes
 
 
 def _check_degree(exps, arity: int, what: str = "degree") -> None:

@@ -78,7 +78,7 @@ def irreducible_character(lam: Partition, rho: Partition) -> int:
 def frobenius_decompose(class_fn, n: int) -> dict[Partition, int]:
     """Multiplicities <f, chi^mu> of a class function over all mu of n.
 
-    ``class_fn`` maps every cycle type (partition of n) to an int or a Fraction.
+    ``class_fn`` maps every cycle type (partition of n) to an int.
     Raises ValueError when some multiplicity fails to be an integer, which
     always signals an upstream bug.
     """

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from supercoinv.checks import (
-    ENVELOPE,
     REGISTRY,
     CheckSession,
     default_params,
@@ -171,10 +170,11 @@ def test_default_params_shapes():
     assert default_params("cancellation", 3) == {"n": 3, "k": 1, "j": 1, "m": 1}
     assert default_params("n_le_kj", 5)["n"] <= 3
     assert default_params("cauchy", 5) == {"n": 3, "kmax": 2, "jmax": 2, "degree": 6}
-    # without a size, each check runs at its envelope size
+    # without a size, each check runs at its registered size
     assert default_params("sagan_swanson") == {"n": 15}
-    assert default_params("cauchy")["n"] == ENVELOPE["cauchy"] == 3
-    assert set(ENVELOPE) == set(REGISTRY)
+    assert default_params("cauchy")["n"] == REGISTRY["cauchy"][1] == 3
+    for cid in REGISTRY:
+        assert default_params(cid)["n"] == REGISTRY[cid][1], cid
 
 
 def test_bad_check_id():
@@ -517,6 +517,11 @@ def _frobenius_artifact(deg_r=(1,), shape="[2,1]", count=1):
     return {"n": 3, "k": 1, "j": 0, "components": [component]}
 
 
+def _frobenius_components(*mults):
+    components = [{"deg": {"r": [1], "s": []}, "mults": m} for m in mults]
+    return {"n": 3, "k": 1, "j": 0, "components": components}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize(
     "artifact,detail",
@@ -533,8 +538,44 @@ def _frobenius_artifact(deg_r=(1,), shape="[2,1]", count=1):
             {"n": 3, "k": 1, "j": 0, "hilbert": [{"e": [0], "c": 2.7}]},
             "multiplicity 2.7 is not a positive integer",
         ),
+        (
+            _frobenius_components({"[2,1]": 1}, {"[2,1]": 2}),
+            "degree r=[1] s=[] is listed twice",
+        ),
+        (
+            # one shape under two keys that name it
+            _frobenius_components({"[2,1]": 1, "[2, 1]": 2}),
+            "shape [2, 1] is listed twice at r=[1] s=[]",
+        ),
+        (
+            {"n": 3, "k": 1, "j": 0, "hilbert": [{"e": [0], "c": "1"}, {"e": [0], "c": "3"}]},
+            "exponent [0] is listed twice",
+        ),
+        (
+            {"n": 3, "k": 1, "j": 0, "hilbert": [{"e": [1.0], "c": "1"}]},
+            "exponent [1.0] is not 1 nonnegative integers",
+        ),
+        ({"n": "x", "k": 0, "j": 0, "components": []}, "n 'x' is not a nonnegative integer"),
+        ({"n": 3, "k": True, "j": 0, "components": []}, "k True is not a nonnegative integer"),
+        ({"n": -3, "k": 1, "j": 0, "hilbert": []}, "n -3 is not a nonnegative integer"),
+        ({"n": 3, "k": 1, "j": -1, "hilbert": []}, "j -1 is not a nonnegative integer"),
     ],
-    ids=["arity", "shape", "zero_count", "negative_count", "hilbert_zero_dim", "hilbert_float_dim"],
+    ids=[
+        "arity",
+        "shape",
+        "zero_count",
+        "negative_count",
+        "hilbert_zero_dim",
+        "hilbert_float_dim",
+        "degree_twice",
+        "shape_twice",
+        "hilbert_exponent_twice",
+        "hilbert_float_exponent",
+        "string_n",
+        "bool_k",
+        "hilbert_negative_n",
+        "hilbert_negative_j",
+    ],
 )
 def test_cli_table_refuses_what_the_store_refuses(tmp_path, artifact, detail, fmt):
     # table reads a series through the reader the store loads its files with
@@ -565,6 +606,11 @@ def _table_artifact(source=(1, 0), **entry):
         (_table_artifact(c=2.7), "coefficient 2.7 is not a positive integer"),
         (_table_artifact(c=0), "coefficient 0 is not a positive integer"),
         (_table_artifact(c="2"), "coefficient '2' is not a positive integer"),
+        (
+            {"n": 3, "source": [1, 0], "entries": _table_artifact()["entries"] * 2},
+            "lambda [1] mu [2, 1] is listed twice",
+        ),
+        ({"n": "x", "source": [1, 0], "entries": []}, "n 'x' is not a nonnegative integer"),
     ],
     ids=[
         "source_arity",
@@ -577,6 +623,8 @@ def _table_artifact(source=(1, 0), **entry):
         "float_c",
         "zero_c",
         "string_c",
+        "entry_twice",
+        "string_n",
     ],
 )
 def test_cli_table_refuses_a_damaged_coefficient_table(tmp_path, artifact, detail, fmt):
@@ -585,6 +633,104 @@ def test_cli_table_refuses_a_damaged_coefficient_table(tmp_path, artifact, detai
     code, out, err = _run_cli(["table", str(path), "--format", fmt])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: malformed artifact {path}: ") and detail in err
+
+
+def _report(**fields):
+    rec = {"id": "artin", "params": {"n": 3}, "status": "pass", "witness": None, "seconds": 0.5}
+    rec.update(fields)
+    return rec
+
+
+def _cauchy_result(**fields):
+    rec = {"k": 1, "j": 1, "n": 3, "degree": 6, "status": "fail", "first_failure": 2}
+    rec.update(fields)
+    return rec
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "artifact,detail",
+    [
+        ([{"status": "pass"}], "does not have exactly the fields of a report"),
+        ([_report(note="x")], "does not have exactly the fields of a report"),
+        ([_report(), {"status": "pass"}], "does not have exactly the fields of a report"),
+        ([_report(id=5)], "report id 5 is not a string"),
+        ([_report(params=[3])], "report params [3] is not an object"),
+        ([_report(status="maybe")], "report status 'maybe' is neither pass nor fail"),
+        ([_report(witness={"x": 1})], "report witness {'x': 1} does not fit status pass"),
+        ([_report(status="fail")], "report witness None does not fit status fail"),
+        ([_report(status="fail", witness=[1])], "report witness [1] does not fit status fail"),
+        ([_report(seconds=-1)], "report seconds -1 is not a nonnegative number"),
+        ([_report(seconds=True)], "report seconds True is not a nonnegative number"),
+        ([_report(seconds="0.5")], "report seconds '0.5' is not a nonnegative number"),
+        ({"first_failure": "x"}, "does not have exactly the fields of one"),
+        (_cauchy_result(note="x"), "does not have exactly the fields of one"),
+        (
+            {"k": 1, "j": 1, "n": 3, "status": "fail", "first_failure": 2},
+            "does not have exactly the fields of one",
+        ),
+        (_cauchy_result(k=-1), "k -1 is not a nonnegative integer"),
+        (_cauchy_result(j=True), "j True is not a nonnegative integer"),
+        (_cauchy_result(n="3"), "n '3' is not a nonnegative integer"),
+        (_cauchy_result(degree=6.0), "degree 6.0 is not a nonnegative integer"),
+        (_cauchy_result(status="maybe"), "Cauchy status 'maybe' is neither pass nor fail"),
+        (_cauchy_result(status="pass"), "first_failure 2 does not fit pass at degree 6"),
+        (_cauchy_result(first_failure=None), "first_failure None does not fit fail at degree 6"),
+        (_cauchy_result(first_failure=7), "first_failure 7 does not fit fail at degree 6"),
+        (_cauchy_result(first_failure=-1), "first_failure -1 does not fit fail at degree 6"),
+        (_cauchy_result(first_failure=True), "first_failure True does not fit fail at degree 6"),
+    ],
+    ids=[
+        "report_status_only",
+        "report_extra_field",
+        "second_report_status_only",
+        "report_int_id",
+        "report_list_params",
+        "report_unknown_status",
+        "report_pass_with_witness",
+        "report_fail_without_witness",
+        "report_list_witness",
+        "report_negative_seconds",
+        "report_bool_seconds",
+        "report_string_seconds",
+        "cauchy_failure_only",
+        "cauchy_extra_field",
+        "cauchy_without_degree",
+        "cauchy_negative_k",
+        "cauchy_bool_j",
+        "cauchy_string_n",
+        "cauchy_float_degree",
+        "cauchy_unknown_status",
+        "cauchy_pass_with_failure",
+        "cauchy_fail_without_failure",
+        "cauchy_failure_above_degree",
+        "cauchy_negative_failure",
+        "cauchy_bool_failure",
+    ],
+)
+def test_cli_table_refuses_a_damaged_report_or_cauchy_result(tmp_path, artifact, detail, fmt):
+    # every format reads a report or a Cauchy result through one reader, so
+    # none prints what another refuses
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(artifact))
+    code, out, err = _run_cli(["table", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed artifact {path}: ") and detail in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cli_table_reprints_a_failed_cauchy_result(tmp_path, fmt):
+    # the reader takes a fail with its degree, as cauchy writes one
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_cauchy_result(), indent=2) + "\n")
+    code, out, err = _run_cli(["table", str(path), "--format", fmt])
+    assert code == 0, err
+    expected = {
+        "json": path.read_text(),
+        "csv": "k,j,n,degree,status,first_failure\r\n1,1,3,6,fail,2\r\n",
+        "text": "cauchy k=1 j=1 n=3: fail\n",
+    }
+    assert out == expected[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -676,7 +822,8 @@ def test_verify_worker_stops_at_an_error_and_drains_the_queue(monkeypatch):
     def broken(session, n):
         raise ValueError("broken")
 
-    monkeypatch.setattr(checks, "REGISTRY", {"broken": broken, "fine": lambda session, n: None})
+    stubs = {"broken": (broken, 2), "fine": (lambda session, n: None, 2)}
+    monkeypatch.setattr(checks, "REGISTRY", stubs)
     jobs = [("fine", {"n": 2}), ("broken", {"n": 2}), ("fine", {"n": 2})]
     session = CheckSession()
     read, write = os.pipe()
@@ -704,7 +851,8 @@ def test_cli_verify_check_that_raises_gives_exit_2_at_every_worker_count(monkeyp
     def raising(session, n):
         raise RuntimeError("non-integral trace")
 
-    stubs = {"a": lambda session, n: None, "b": raising, "c": raising, "d": lambda session, n: None}
+    fine = (lambda session, n: None, 2)
+    stubs = {"a": fine, "b": (raising, 2), "c": (raising, 2), "d": fine}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     serial = _run_cli(["verify", "all", "--n", "2"])
     assert serial == (2, "", "error: check b raised RuntimeError('non-integral trace')\n")
@@ -729,7 +877,7 @@ def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
         os.close(child_holds)
         assert os.read(child_gone, 1) == b""
 
-    stubs = {"first": child_only_exit, "second": child_only_exit}
+    stubs = {"first": (child_only_exit, 2), "second": (child_only_exit, 2)}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     try:
         code, out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
@@ -754,7 +902,8 @@ def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
             os.read(never, 1)  # every holder of ``held`` is alive: no EOF
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(checks, "REGISTRY", {"first": interrupted, "second": interrupted})
+    stubs = {"first": (interrupted, 2), "second": (interrupted, 2)}
+    monkeypatch.setattr(checks, "REGISTRY", stubs)
     try:
         with pytest.raises(KeyboardInterrupt):
             _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
