@@ -1,11 +1,12 @@
 """Verification suite: every reproducible structural claim as a named check.
 
 Each check returns its witness, the first discrepancy found, or None when it
-passes.  ``REGISTRY`` holds each check with the size ``verify`` runs it at;
-``run_check`` times a check and reports it as a plain dict, which
-``read_report`` reads back, and ``default_params`` holds every check's
-defaults.  Checks only share state through a CheckSession, which keeps one
-store per ring so a suite run never recomputes a quotient.
+passes.  ``REGISTRY`` holds each check with the size ``verify`` runs it at
+and the rings it reads; ``run_check`` times a check and reports it as a
+plain dict, which ``read_report`` reads back, and ``default_params`` holds
+every check's defaults.  Checks only share state through a CheckSession,
+which keeps one store per ring so a suite run never recomputes a quotient,
+and builds the rings that several checks read before any of them runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .superschur import (
 __all__ = [
     "CheckSession",
     "REGISTRY",
+    "ring_reads",
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
@@ -63,6 +65,25 @@ class CheckSession:
         if key not in self._rings:
             self._rings[key] = IdealComponentCache(n, k, j, self.ceiling, self.cache_dir)
         return self._rings[key]
+
+    def build_shared(self, jobs) -> None:
+        """Build each ring that two or more of the (check id, params) jobs read.
+
+        A ring is built to the most any of those checks reads of it, so a
+        worker forked after this inherits it and scans none of it again.  A
+        build that raises leaves its ring unbuilt: the first check that reads
+        it raises the same error in its turn.
+        """
+        readers: dict = {}  # ring -> the kind each check reads of it
+        for check_id, params in jobs:
+            for ring, kind in ring_reads(check_id, params).items():
+                readers.setdefault(ring, []).append(kind)
+        for ring, kinds in sorted(readers.items()):
+            if len(kinds) > 1:
+                try:
+                    getattr(self.ring(*ring), max(kinds, key=_KINDS.index))()
+                except Exception:
+                    pass  # reported by the check that reads the ring first
 
 
 # ---------------------------------------------------------------------------
@@ -526,24 +547,61 @@ def check_sagan_swanson(session: CheckSession, n: int) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# registry: each check with the size ``verify`` runs it at without --n
+# registry: each check with the size ``verify`` runs it at without --n, and
+# a function of its parameters listing the (ring, kind) pairs it reads, the
+# kind being the store method it calls on the ring
+
+# building a ring's table holds its Frobenius series, which serves its Hilbert series
+_KINDS = ("hilbert", "frobenius", "table")
+
+
+def _restriction_reads(n: int, k: int, j: int) -> list:
+    """The ring and each ring with one alphabet killed, when there is one."""
+    smaller = [(n, k - 1, j)] * (k > 0) + [(n, k, j - 1)] * (j > 0)
+    rings = [(n, k, j)] + smaller if smaller else []
+    return [(ring, "frobenius") for ring in rings]
+
+
+def _reads_nothing(**params) -> list:
+    return []
+
 
 REGISTRY = {
-    "universality": (check_universality, 4),
-    "cancellation": (check_cancellation, 4),
-    "restriction": (check_restriction, 4),
-    "parts_le_two": (check_parts_le_two, 5),
-    "sign_coeffs": (check_sign_coeffs, 4),
-    "hilb11": (check_hilb11, 4),
-    "bound_closure": (check_bound_and_closure, 3),
-    "n_le_kj": (check_n_le_kj, 3),
-    "witnesses": (check_witnesses, 4),
-    "artin": (check_artin, 5),
-    "exterior": (check_exterior, 5),
-    "haiman": (check_haiman, 3),
-    "cauchy": (check_cauchy, 3),
-    "sagan_swanson": (check_sagan_swanson, 15),
+    "universality": (
+        check_universality,
+        4,
+        lambda n, configs: [((n, *c), "table") for c in configs],
+    ),
+    "cancellation": (
+        check_cancellation,
+        4,
+        lambda n, k, j, m: [((n, k, j), "frobenius"), ((n, k - m, j - m), "frobenius")],
+    ),
+    "restriction": (check_restriction, 4, _restriction_reads),
+    "parts_le_two": (check_parts_le_two, 5, lambda n: [((n, 0, 2), "table")]),
+    "sign_coeffs": (check_sign_coeffs, 4, lambda n: [((n, 1, 1), "table")]),
+    "hilb11": (check_hilb11, 4, lambda n: [((n, 1, 1), "hilbert")]),
+    "bound_closure": (check_bound_and_closure, 3, lambda n, k, j: [((n, k, j), "table")]),
+    "n_le_kj": (
+        check_n_le_kj,
+        3,
+        lambda n, k, j: [((n, k + j, 0), "table"), ((n, k, j), "frobenius")],
+    ),
+    "witnesses": (check_witnesses, 4, lambda n: [((n, 0, 2), "table"), ((n, 1, 1), "table")]),
+    "artin": (check_artin, 5, lambda n: [((n, 1, 0), "hilbert")]),
+    "exterior": (check_exterior, 5, lambda n: [((n, 0, 1), "frobenius")]),
+    "haiman": (check_haiman, 3, lambda n: [((n, 2, 0), "hilbert")]),
+    "cauchy": (check_cauchy, 3, _reads_nothing),
+    "sagan_swanson": (check_sagan_swanson, 15, _reads_nothing),
 }
+
+
+def ring_reads(check_id: str, params: dict) -> dict:
+    """{(n, k, j): kind} of every ring the check reads at ``params``, the most it reads of each."""
+    reads: dict = {}
+    for ring, kind in REGISTRY[check_id][2](**params):
+        reads[ring] = max(reads.get(ring, kind), kind, key=_KINDS.index)
+    return reads
 
 
 def default_params(check_id: str, n=None, k=None, j=None, m=None, degree_bound=None) -> dict:

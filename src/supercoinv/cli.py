@@ -205,6 +205,8 @@ def _run_verify(args) -> int:
     from . import forked  # only verify runs tasks in workers
 
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=args.cache_dir)
+    # before the fork, so no two workers scan one ring
+    session.build_shared(jobs)
 
     def describe(i, exc) -> str:
         if i < 0:
@@ -295,7 +297,8 @@ def _render_artifact(data, fmt: str) -> str | None:
     if isinstance(data, dict) and "entries" in data:
         return _COEFF_TABLE[fmt](CoeffTable.from_json(data))
     if isinstance(data, dict) and "hilbert" in data:
-        return _HILBERT[fmt]({**data, "hilbert": coinvariant.hilbert_from_json(data)})
+        hilbert = coinvariant.hilbert_from_json(data)
+        return _HILBERT[fmt]({"n": data["n"], "k": data["k"], "j": data["j"], "hilbert": hilbert})
     if isinstance(data, dict) and "first_failure" in data:
         return _CAUCHY[fmt](_read_cauchy(data))
     return None

@@ -423,14 +423,15 @@ class IdealComponentCache:
             body = value.to_json()
         else:
             body = {"n": self.n, "k": self.k, "j": self.j, "hilbert": value.to_json()}
-        payload = {"format": CACHE_FORMAT, "kind": kind, **body}
-        payload["sha256"] = _digest(payload)
+        text = json.dumps({"format": CACHE_FORMAT, "kind": kind, **body})
+        # the digest goes last, so the text of every other field is written as hashed
+        text = f'{text[:-1]}, "sha256": "{_digest(text)}"}}'
         os.makedirs(self.cache_dir, exist_ok=True)
         # one temporary file per process: the workers of ``verify --jobs`` may
         # write the same series into a shared directory at once
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(text)
         os.replace(tmp, path)
 
     def _write(self, kind: str, value) -> None:
@@ -464,7 +465,7 @@ class IdealComponentCache:
                     f"{key} is {payload.get(key)!r}, expected {want!r}"
                 )
         # the header matches: now the content must be what was written
-        if payload.pop("sha256", None) != _digest(payload):
+        if payload.pop("sha256", None) != _digest(json.dumps(payload)):
             raise ValueError(f"corrupt cache file {path}: content does not match its SHA-256")
         # and it must be a series of this ring, even under a recomputed digest
         read = FrobeniusSeries.from_json if kind == "frobenius" else hilbert_from_json
@@ -495,13 +496,18 @@ def _check_count(c, what: str = "multiplicity") -> None:
         raise ValueError(f"{what} {c!r} is not a positive integer")
 
 
-def _digest(payload: dict) -> str:
-    """SHA-256 of a cache file's content: the JSON text of every other field."""
-    # imported here: only cache files need it, and loading OpenSSL's hashes
-    # costs every process several milliseconds of start-up
-    import hashlib
-
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+def _digest(text: str) -> str:
+    """SHA-256 of a cache file's content, ``text`` the JSON text of every other field."""
+    # the interpreter's own SHA-256, imported here: only cache files need it,
+    # and ``hashlib`` loads OpenSSL, several milliseconds of every start-up
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 # Names the benchmark's tracer (perfbench/tracer.py) still looks up.  No code
@@ -739,11 +745,12 @@ def _koszul_component(cache, deg: Multidegree, below: dict, plan):
         den = lcm(*(dx for _x, dx in ones))
         pending.append({i: c * (den // dx) for x, dx in ones for i, c in x.items()})
     # by descending least column: a new pivot then nearly always lies left of
-    # every stored one, and ``insert`` clears it from no stored row
-    pending.sort(key=min, reverse=True)
+    # every stored one, and ``insert`` clears it from no stored row; taken off
+    # the end of an ascending sort, each row is freed once inserted
+    pending.sort(key=min)
     rel = SubspaceBasis(ncols)
-    for row in pending:
-        rel.insert(row)
+    while pending:
+        rel.insert(pending.pop())
     where = _standard_coordinates(rel)
     mult = {}
     # a standard column v (x) b is the basis element [v b]: its label is the

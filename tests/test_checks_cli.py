@@ -12,7 +12,7 @@ from supercoinv.checks import (
     hilb11_formula,
     run_check,
 )
-from supercoinv import coinvariant
+from supercoinv import checks, coinvariant
 from supercoinv.cli import main
 from supercoinv.qcombinat import QUPoly
 
@@ -378,6 +378,16 @@ def test_cli_table_json_reprints_artifact(tmp_path, make):
     assert out == artifact.read_text()
 
 
+@pytest.mark.parametrize("series", ["hilbert", "frobenius"])
+def test_cli_table_reprints_a_cache_file_as_compute_prints_it(tmp_path, series):
+    # a cache file's format, kind and digest are the store's, not the artifact's
+    argv = ["compute", "--n", "3", "--k", "1", "--series", series, "--format", "json"]
+    code, printed, err = _run_cli(argv + ["--cache-dir", str(tmp_path)])
+    assert code == 0, err
+    cached = tmp_path / f"{series}_n3_k1_j0.json"
+    assert _run_cli(["table", str(cached), "--format", "json"]) == (0, printed, "")
+
+
 @pytest.mark.parametrize("flag", ["--n", "--k", "--j"])
 def test_cli_negative_size_exit_2(flag):
     argv = ["compute", "--n", "3", "--k", "1", "--j", "1"]
@@ -427,6 +437,11 @@ def test_cli_cache_dir_alone_decides_where_series_land(tmp_path, monkeypatch):
     assert _run_cli(argv + ["--cache-dir", str(flag_cache)]) == (0, expected, "")
     assert list(env_cache.iterdir()) == []
     assert [p.name for p in flag_cache.iterdir()] == ["hilbert_n2_k1_j1.json"]
+
+
+def _NO_RINGS(**params):
+    """The ring reads of a stub check in a stubbed ``REGISTRY``: none."""
+    return []
 
 
 def _reports_without_times(text):
@@ -822,7 +837,7 @@ def test_verify_worker_stops_at_an_error_and_drains_the_queue(monkeypatch):
     def broken(session, n):
         raise ValueError("broken")
 
-    stubs = {"broken": (broken, 2), "fine": (lambda session, n: None, 2)}
+    stubs = {"broken": (broken, 2, _NO_RINGS), "fine": (lambda session, n: None, 2, _NO_RINGS)}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     jobs = [("fine", {"n": 2}), ("broken", {"n": 2}), ("fine", {"n": 2})]
     session = CheckSession()
@@ -851,8 +866,8 @@ def test_cli_verify_check_that_raises_gives_exit_2_at_every_worker_count(monkeyp
     def raising(session, n):
         raise RuntimeError("non-integral trace")
 
-    fine = (lambda session, n: None, 2)
-    stubs = {"a": fine, "b": (raising, 2), "c": (raising, 2), "d": fine}
+    fine = (lambda session, n: None, 2, _NO_RINGS)
+    stubs = {"a": fine, "b": (raising, 2, _NO_RINGS), "c": (raising, 2, _NO_RINGS), "d": fine}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     serial = _run_cli(["verify", "all", "--n", "2"])
     assert serial == (2, "", "error: check b raised RuntimeError('non-integral trace')\n")
@@ -877,7 +892,7 @@ def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
         os.close(child_holds)
         assert os.read(child_gone, 1) == b""
 
-    stubs = {"first": (child_only_exit, 2), "second": (child_only_exit, 2)}
+    stubs = {"first": (child_only_exit, 2, _NO_RINGS), "second": (child_only_exit, 2, _NO_RINGS)}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     try:
         code, out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
@@ -902,7 +917,7 @@ def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
             os.read(never, 1)  # every holder of ``held`` is alive: no EOF
         raise KeyboardInterrupt
 
-    stubs = {"first": (interrupted, 2), "second": (interrupted, 2)}
+    stubs = {"first": (interrupted, 2, _NO_RINGS), "second": (interrupted, 2, _NO_RINGS)}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -951,6 +966,97 @@ def test_cli_verify_all_scans_each_ring_once(monkeypatch):
     code, _out, err = _run_cli(["verify", "all"])
     assert code == 0, err
     assert scans and len(scans) == len(set(scans)), sorted(scans)
+
+
+def test_cli_verify_jobs_scans_no_ring_in_two_processes(tmp_path, monkeypatch):
+    # the rings several checks read are built before the fork, so with two
+    # workers each (ring, kind) is still scanned by one process, and the same
+    # ones as in a serial run
+    log = tmp_path / "scans"
+    for kind in ("frobenius", "hilbert"):
+
+        def logged(cache, scan=getattr(coinvariant, f"_{kind}_scan"), kind=kind):
+            line = f"{os.getpid()} {cache.n} {cache.k} {cache.j} {kind}\n"
+            with open(log, "a") as fh:
+                fh.write(line)
+            return scan(cache)
+
+        monkeypatch.setattr(coinvariant, f"_{kind}_scan", logged)
+    scanned = {}
+    for jobs in ("2", "1"):
+        log.write_text("")
+        code, _out, err = _run_cli(["verify", "all", "--jobs", jobs])
+        assert code == 0, err
+        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        scans = [scan for _pid, scan in lines]
+        assert len(scans) == len(set(scans)), sorted(lines)
+        scanned[jobs] = sorted(scans)
+        # the rings that several checks read are scanned by the parent
+        shared = {f"4 {k} {j} frobenius" for k, j in [(0, 1), (0, 2), (1, 0), (1, 1)]}
+        assert {scan for pid, scan in lines if pid == str(os.getpid())} >= shared
+    assert scanned["2"] == scanned["1"]
+
+
+def _strongest(kinds) -> str:
+    order = ["hilbert", "frobenius", "table"]
+    return max(kinds, key=order.index)
+
+
+@pytest.mark.parametrize("size", ["registered", 5])
+@pytest.mark.parametrize("check_id", sorted(REGISTRY))
+def test_registry_names_the_rings_each_check_reads(check_id, size, monkeypatch):
+    # each store method a check calls is recorded, on a fresh session, and
+    # the most it calls of each ring is what its registry entry declares
+    calls = []
+
+    class Recording(coinvariant.IdealComponentCache):
+        def hilbert(self):
+            calls.append(((self.n, self.k, self.j), "hilbert"))
+            return super().hilbert()
+
+        def frobenius(self):
+            calls.append(((self.n, self.k, self.j), "frobenius"))
+            return super().frobenius()
+
+        def table(self):
+            calls.append(((self.n, self.k, self.j), "table"))
+            return super().table()
+
+    monkeypatch.setattr(checks, "IdealComponentCache", Recording)
+    params = default_params(check_id, None if size == "registered" else size)
+    report = run_check(check_id, CheckSession(), params)
+    assert report["status"] == "pass", report
+    read = {ring: _strongest(k for r, k in calls if r == ring) for ring, _kind in calls}
+    assert checks.ring_reads(check_id, params) == read
+
+
+def test_shared_ring_that_raises_is_left_for_its_first_check():
+    # the prebuild swallows the error and holds nothing, and the first check
+    # that reads the ring raises what it raises on a fresh session
+    ids = ["hilb11", "sign_coeffs"]
+    jobs = [(cid, default_params(cid)) for cid in ids]
+    assert all((4, 1, 1) in checks.ring_reads(cid, params) for cid, params in jobs)
+    session = CheckSession(ceiling=5)
+    session.build_shared(jobs)
+    assert session.ring(4, 1, 1)._held == {}
+    for cid, params in jobs:
+        with pytest.raises(coinvariant.CeilingExceeded) as built:
+            run_check(cid, session, params)
+        with pytest.raises(coinvariant.CeilingExceeded) as fresh:
+            run_check(cid, CheckSession(ceiling=5), params)
+        assert str(built.value) == str(fresh.value)
+
+
+def test_shared_rings_are_built_once_to_the_most_any_check_reads():
+    jobs = [(cid, default_params(cid)) for cid in sorted(REGISTRY)]
+    session = CheckSession()
+    session.build_shared(jobs)
+    held = {ring: sorted(store._held) for ring, store in session._rings.items()}
+    shared = [(4, 0, 1), (4, 0, 2), (4, 1, 0), (4, 1, 1)]
+    assert held == {ring: ["frobenius", "table"] for ring in shared}
+    session = CheckSession()
+    session.build_shared([jobs[0]])  # one check shares nothing
+    assert session._rings == {}
 
 
 def test_cli_entrypoint_subprocess():
@@ -1190,7 +1296,7 @@ def _redigest(payload):
     # a file whose digest is recomputed after the change: only the content
     # check can tell
     del payload["sha256"]
-    payload["sha256"] = coinvariant._digest(payload)
+    payload["sha256"] = coinvariant._digest(json.dumps(payload))
 
 
 def _tamper_dim(payload):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -365,7 +367,7 @@ def test_disk_cache_refuses_a_damaged_hilbert_file(tmp_path, term, detail):
     payload = json.loads(path.read_text())
     del payload["sha256"]
     payload["hilbert"][1] = term
-    payload["sha256"] = coinvariant._digest(payload)
+    payload["sha256"] = coinvariant._digest(json.dumps(payload))
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=detail) as err:
         IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))._load("hilbert")
@@ -384,11 +386,70 @@ def test_cache_file_roundtrip_by_coordinate(tmp_path):
     assert coinvariant.CACHE_FORMAT == 4
     for kind, artifact in artifacts.items():
         payload = json.loads((tmp_path / f"{kind}_n3_k2_j1.json").read_text())
-        assert payload.pop("sha256") == coinvariant._digest(payload)
+        assert payload.pop("sha256") == coinvariant._digest(json.dumps(payload))
         assert (payload.pop("format"), payload.pop("kind")) == (4, kind)
         assert payload == artifact
         read = IdealComponentCache(3, 2, 1, cache_dir=str(tmp_path))._load(kind)
         assert read.to_json() == (artifact if kind == "frobenius" else artifact["hilbert"])
+
+
+_DIGEST_PAYLOADS = [
+    {},
+    {"format": 4, "kind": "hilbert", "n": 3, "k": 1, "j": 0, "hilbert": [{"e": [0], "c": "1"}]},
+    {"text": "\u00e9\u03b8", "deep": [[1, 2], {"a": None, "b": 2.5}]},
+]
+
+
+@pytest.mark.parametrize("payload", _DIGEST_PAYLOADS, ids=["empty", "hilbert", "escaped"])
+def test_digest_is_the_sha256_of_the_json_text(payload, monkeypatch):
+    # hashlib is the oracle; the fallback, with no built-in constructor, agrees
+    text = json.dumps(payload)
+    want = hashlib.sha256(text.encode()).hexdigest()
+    assert coinvariant._digest(text) == want
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert coinvariant._digest(text) == want
+
+
+# SHA-256 of the bytes of each cache file of (3,1,1) as format 4 writes it
+_CACHE_FILE_SHA256 = {
+    "frobenius_n3_k1_j1.json": "687e11cb6f3cfcfe5bc3479f1629e0820cf7bf347d653bf35202373984b0bf8d",
+    "hilbert_n3_k1_j1.json": "8b8b6199ca218119f158f775166e500cf1986c7c3d5c1acce4ad8fdaa96e0907",
+}
+
+
+def test_cache_files_keep_their_bytes(tmp_path):
+    # the digest is spliced into the text it hashes: the bytes are those of
+    # dumping the payload with its digest as the last field
+    cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
+    cache.frobenius()
+    cache.hilbert()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CACHE_FILE_SHA256)
+    for name, want in _CACHE_FILE_SHA256.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, name
+        payload = json.loads(data)
+        digest = payload.pop("sha256")
+        assert digest == hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert json.dumps({**payload, "sha256": digest}).encode() == data
+
+
+def test_cache_directory_written_by_hashlib_is_read(tmp_path):
+    # files digested through hashlib, as format 4 has always been, are read
+    # back with no scan, and give the series they hold
+    want = IdealComponentCache(3, 1, 1).frobenius().to_json()
+    hilbert = IdealComponentCache(3, 1, 1).hilbert().to_json()
+    artifacts = {
+        "frobenius": want,
+        "hilbert": {"n": 3, "k": 1, "j": 1, "hilbert": hilbert},
+    }
+    for kind, artifact in artifacts.items():
+        payload = {"format": 4, "kind": kind, **artifact}
+        payload["sha256"] = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        (tmp_path / f"{kind}_n3_k1_j1.json").write_text(json.dumps(payload))
+    cache = IdealComponentCache(3, 1, 1, cache_dir=str(tmp_path))
+    assert cache._load("frobenius").to_json() == want
+    assert cache._load("hilbert").to_json() == hilbert
 
 
 def test_quotient_character_rejects_bad_type():

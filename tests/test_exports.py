@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -59,9 +60,10 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
 
 
 def test_cli_import_loads_no_heavy_module():
-    # the engine runs on integers and plain classes, hashlib is imported by
-    # the commands that use it, and signal only by an interrupted forked run:
-    # importing the CLI must load none of these modules a bare interpreter has not
+    # the engine runs on integers and plain classes, cache digests use the
+    # interpreter's own SHA-256, and signal is imported only by an interrupted
+    # forked run: importing the CLI must load none of these modules a bare
+    # interpreter has not
     heavy = {
         "fractions",
         "decimal",
@@ -102,3 +104,29 @@ def test_verify_jobs_loads_no_process_pool(tmp_path):
     loaded = set(proc.stdout.split())
     assert "supercoinv.checks" in loaded
     assert {"concurrent.futures", "multiprocessing", "pickle"} & loaded == set()
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="the interpreter has no built-in SHA-256 constructor",
+)
+def test_cached_commands_load_no_openssl_hashes(tmp_path):
+    # a cold compute hashes the file it writes, a warm expand the file it
+    # reads: neither loads hashlib, whose import loads OpenSSL
+    cache = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in (
+        ["compute", "--n", "3", "--k", "1", "--j", "1", "--series", "frobenius"],
+        ["expand", "--n", "3", "--k", "1", "--j", "1"],
+    ):
+        argv += ["--cache-dir", str(cache), "--out", str(tmp_path / "out")]
+        code = (
+            "import sys; from supercoinv.cli import main; "
+            f"rc = main({argv!r}); print('\\n'.join(sys.modules)); sys.exit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert {"hashlib", "_hashlib"} & set(proc.stdout.split()) == set(), argv
+        assert [p.name for p in cache.iterdir()] == ["frobenius_n3_k1_j1.json"]
