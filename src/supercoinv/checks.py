@@ -19,13 +19,15 @@ from . import coinvariant, snchar
 from .coinvariant import CeilingExceeded, IdealComponentCache, _apply, _combine, quotient_shells
 from .qcombinat import (
     QUPoly,
+    _factorial,
+    _kronecker,
+    _stirling,
     in_Pkjn,
     partition_counts,
     partition_sort_key,
     partitions_of,
     q_binomial,
     q_factorial,
-    q_stirling,
     rectangle_coeff,
     sagan_swanson_sum,
 )
@@ -134,18 +136,14 @@ def check_cancellation(session: CheckSession, n: int, k: int, j: int, m: int) ->
 
 def check_restriction(session: CheckSession, n: int, k: int, j: int) -> dict | None:
     """Killing the last variable of either alphabet restricts the ring."""
-    jobs = []
-    if k > 0:
-        jobs.append(({k - 1: None}, (n, k - 1, j), "q"))
-    if j > 0:
-        jobs.append(({k + j - 1: None}, (n, k, j - 1), "u"))
+    jobs = [({k - 1: None}, (n, k - 1, j), "q")] * (k > 0)
+    jobs += [({k + j - 1: None}, (n, k, j - 1), "u")] * (j > 0)
     for assignment, target, label in jobs:
-        tn, tk, tj = target
         # the Frobenius series first, so that each Hilbert series is read off it
         fa = session.ring(n, k, j).frobenius()
-        fb = session.ring(tn, tk, tj).frobenius()
+        fb = session.ring(*target).frobenius()
         got = specialize(session.ring(n, k, j).hilbert(), assignment)
-        want = session.ring(tn, tk, tj).hilbert().reindex(k, j)
+        want = session.ring(*target).hilbert().reindex(k, j)
         if got != want:
             return {"killed": label, "hilbert": [got.pretty(), want.pretty()]}
         for mu in partitions_of(n):
@@ -217,12 +215,10 @@ def check_parts_le_two(session: CheckSession, n: int) -> dict | None:
 
 def _sign_formula(n: int) -> QUPoly:
     """Closed form of the sign-isotypic slice of the (1,1) ring."""
-    out = QUPoly.zero(1, 1)
+    out = {}
     for d in range(n):
-        base = comb(n - d, 2)
-        for (e,), c in q_binomial(n - 1, d).coeffs.items():
-            out = out + QUPoly.monomial(1, 1, (base + e, d), c)
-    return out
+        out.update({(comb(n - d, 2) + e, d): c for (e,), c in q_binomial(n - 1, d).coeffs.items()})
+    return QUPoly(1, 1, out)
 
 
 def check_sign_coeffs(session: CheckSession, n: int) -> dict | None:
@@ -245,9 +241,8 @@ def check_sign_coeffs(session: CheckSession, n: int) -> dict | None:
             g = rectangle_coeff(i, d, n)
             if g:
                 expected[(comb(n - d, 2) + i,) + (1,) * d] = g
-    hooks_c = QUPoly.zero(1, 1)
-    for lam, g in expected.items():
-        hooks_c = hooks_c + super_schur(lam, 1, 1).scale(g)
+    hooks = (super_schur(lam, 1, 1).scale(g) for lam, g in expected.items())
+    hooks_c = sum(hooks, QUPoly.zero(1, 1))
     if hooks_c != formula_b:
         return {"stage": "hook-expansion", "values": [hooks_c.pretty(), formula_b.pretty()]}
     table = session.ring(n, 1, 1).table()
@@ -261,13 +256,12 @@ def check_sign_coeffs(session: CheckSession, n: int) -> dict | None:
 
 
 def hilb11_formula(n: int) -> QUPoly:
-    """q-Stirling form of the (1,1) Hilbert series."""
-    out = QUPoly.zero(1, 1)
+    """q-Stirling form of the (1,1) Hilbert series: [d]_q! Stir_q(n,d) at u^(n-d)."""
+    out = {}
     for d in range(n + 1):
-        poly = q_factorial(d) * q_stirling(n, d)
-        for (e,), c in poly.coeffs.items():
-            out = out + QUPoly.monomial(1, 1, (e, n - d), c)
-    return out
+        poly = _kronecker(lambda x: _factorial(d, x) * _stirling(n, d, x))
+        out.update({(e, n - d): c for (e,), c in poly.coeffs.items()})
+    return QUPoly(1, 1, out)
 
 
 def check_hilb11(session: CheckSession, n: int) -> dict | None:
@@ -429,12 +423,9 @@ def check_n_le_kj(session: CheckSession, n: int, k: int, j: int) -> dict | None:
     direct = session.ring(n, k, j).frobenius()
     for mu in partitions_of(n):
         rebuilt = QUPoly.zero(k, j)
-        for (lam, lmu), c in table.entries.items():
-            if lmu != mu:
-                continue
-            term = super_schur(lam, k, j)
-            if not term.is_zero():
-                rebuilt = rebuilt + term.scale(c)
+        for (lam, nu), c in table.entries.items():
+            if nu == mu:
+                rebuilt = rebuilt + super_schur(lam, k, j).scale(c)
         if rebuilt != direct.mu_polynomial(mu):
             return {
                 "mu": list(mu),
@@ -500,16 +491,18 @@ def check_haiman(session: CheckSession, n: int) -> dict | None:
 def cauchy_ceiling_guard(k: int, j: int, n: int, degree: int, ceiling: int) -> None:
     """Refuse a Cauchy check over the ceiling, before it starts.
 
-    It bounds the tableaux, and the z^mu comparisons (one left-side product
-    each), mu a partition of 0..degree with at most n parts.
+    It bounds the z^mu comparisons (one left-side product each), mu a
+    partition of 0..degree with at most n parts, and then the tableaux,
+    whose count enumerates shapes of at most n parts: counting the
+    comparisons first bounds that enumeration by the ceiling.
     """
     where = f"the Cauchy check at k={k} j={j} n={n} degree {degree}"
-    tableaux = cauchy_tableau_bound(k, j, n, degree)
-    if tableaux > ceiling:
-        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
     comparisons = sum(partition_counts(degree, n))
     if comparisons > ceiling:
         raise CeilingExceeded(None, comparisons, ceiling, where, "z^mu comparisons")
+    tableaux = cauchy_tableau_bound(k, j, n, degree)
+    if tableaux > ceiling:
+        raise CeilingExceeded(None, tableaux, ceiling, where, "tableaux")
 
 
 def check_cauchy(session: CheckSession, n: int, kmax: int, jmax: int, degree: int) -> dict | None:

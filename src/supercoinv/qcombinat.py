@@ -4,6 +4,11 @@
 Schur polynomials and the q-analogues (``QUPoly(1, 0, ...)``, one variable q)
 are all values of it.
 
+Each q-analogue ([d]_q, [d]_q!, Gaussian binomial, Stir_q) is one integer
+recursion in x, its value at q = x.  The recursions add and multiply only
+terms with nonnegative coefficients, so at x = 1 they give the coefficient
+sum, which bounds every coefficient; ``_kronecker`` decodes x = 2^b above it.
+
 Partitions are tuples of weakly decreasing positive integers; ``()`` is the
 empty partition.  All enumeration functions list partitions in descending
 lexicographic order, which is the canonical order used everywhere in this
@@ -12,8 +17,9 @@ package (serialized tables, matrix layouts, reports).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import chain
+from math import prod
 
 Partition = tuple
 
@@ -96,12 +102,10 @@ class QUPoly:
     __slots__ = ("k", "j", "coeffs")
 
     def __init__(self, k: int, j: int, coeffs=None):
-        self.k = k
-        self.j = j
+        self.k, self.j = k, j
         coeffs = coeffs or {}
-        nv = k + j
-        if set(map(len, coeffs)) - {nv} or min(chain.from_iterable(coeffs), default=0) < 0:
-            raise ValueError(f"exponents must be tuples of {nv} nonnegative integers")
+        if set(map(len, coeffs)) - {k + j} or min(chain.from_iterable(coeffs), default=0) < 0:
+            raise ValueError(f"exponents must be tuples of {k + j} nonnegative integers")
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @property
@@ -188,25 +192,14 @@ class QUPoly:
         """Exact evaluation at a full assignment of numeric values."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        total = 0
-        for e, c in self.coeffs.items():
-            term = c
-            for x, m in zip(values, e):
-                if m:
-                    term *= x**m
-            total += term
-        return total
+        return sum(c * prod(x**m for x, m in zip(values, e)) for e, c in self.coeffs.items())
 
     def reindex(self, k2: int, j2: int) -> "QUPoly":
         """Embed into a (k2, j2) alphabet, mapping q_i -> q_i and u_i -> u_i."""
         if self.k > k2 or self.j > j2:
             raise ValueError("target alphabet too small")
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * (k2 + j2)
-            ne[: self.k] = e[: self.k]
-            ne[k2 : k2 + self.j] = e[self.k :]
-            out[tuple(ne)] = c
+        pad_q, pad_u = (0,) * (k2 - self.k), (0,) * (j2 - self.j)
+        out = {e[: self.k] + pad_q + e[self.k :] + pad_u: c for e, c in self.coeffs.items()}
         return QUPoly(k2, j2, out)
 
     def variable_names(self) -> list[str]:
@@ -221,21 +214,8 @@ class QUPoly:
         parts = []
         for e in sorted(self.coeffs, key=lambda e: (sum(e), tuple(-x for x in e))):
             c = self.coeffs[e]
-            factors = []
-            for name, m in zip(names, e):
-                if m == 1:
-                    factors.append(name)
-                elif m > 1:
-                    factors.append(f"{name}^{m}")
-            body = "".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}{body}")
+            body = "".join(name if m == 1 else f"{name}^{m}" for name, m in zip(names, e) if m)
+            parts.append({1: "", -1: "-"}.get(c, str(c)) + body if body else str(c))
         return " + ".join(parts).replace("+ -", "- ")
 
     def __eq__(self, other) -> bool:
@@ -260,53 +240,87 @@ class QUPoly:
         return cls(k, j, {tuple(rec["e"]): int(rec["c"]) for rec in data})
 
 
+@cache
+def _number(d: int, x: int) -> int:
+    """[d]_x = 1 + x + ... + x^(d-1); zero when d <= 0."""
+    return sum(x**i for i in range(d))
+
+
+@cache
+def _factorial(d: int, x: int) -> int:
+    """[d]_x! = [d]_x [d-1]_x ... [1]_x."""
+    return _factorial(d - 1, x) * _number(d, x) if d > 0 else 1
+
+
+@cache
+def _binomial(n: int, d: int, x: int) -> int:
+    """Gaussian binomial by [n,d] = [n-1,d-1] + x^d [n-1,d]; zero outside 0 <= d <= n."""
+    if 0 < d < n:
+        return _binomial(n - 1, d - 1, x) + x**d * _binomial(n - 1, d, x)
+    return int(0 <= d <= n)
+
+
+@cache
+def _stirling(n: int, d: int, x: int) -> int:
+    """q-Stirling number by Stir(n,d) = [d]_x Stir(n-1,d) + Stir(n-1,d-1), Stir(0,d) = [d == 0]."""
+    if n <= 0 or d <= 0:
+        return int(n == d == 0)
+    return _number(d, x) * _stirling(n - 1, d, x) + _stirling(n - 1, d - 1, x)
+
+
+def _kronecker(image, bound=None) -> QUPoly:
+    """The q-polynomial P with image(x) = P(x) and no coefficient beyond +-bound.
+
+    The bound defaults to image(1), for nonnegative coefficients.  At x = 2^b,
+    b a power-of-two number of bytes with 2^(b-1) > bound (near bounds share x
+    and the memoized recursions), P's coefficients are the balanced base-2^b
+    digits of image(x): plus 2^(b-1) each, one ``to_bytes`` reads them in linear time.
+    """
+    size = 1 << ((image(1) if bound is None else bound).bit_length() // 8).bit_length()
+    value, half = image(1 << 8 * size), 1 << 8 * size - 1
+    count = value.bit_length() // (8 * size) + 2  # the top digit, and one for its sign
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    raw = (value + offset).to_bytes(size * count, "little")
+    digits = (int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size))
+    return QUPoly(1, 0, {(e,): c for e, c in enumerate(digits) if c})
+
+
 def q_number(d: int) -> QUPoly:
     """[d]_q = 1 + q + ... + q^(d-1); zero when d <= 0."""
-    return QUPoly(1, 0, {(i,): 1 for i in range(max(d, 0))})
+    return _kronecker(partial(_number, d))
 
 
 @cache
 def q_factorial(d: int) -> QUPoly:
     """[d]_q! = [d]_q [d-1]_q ... [1]_q."""
-    if d <= 0:
-        return QUPoly.one(1, 0)
-    return q_factorial(d - 1) * q_number(d)
+    return _kronecker(partial(_factorial, d))
 
 
 @cache
 def q_binomial(n: int, d: int) -> QUPoly:
     """Gaussian binomial coefficient; zero outside 0 <= d <= n."""
-    if d < 0 or n < 0 or d > n:
-        return QUPoly.zero(1, 0)
-    if d == 0 or d == n:
-        return QUPoly.one(1, 0)
-    # Pascal recurrence: [n,d] = [n-1,d-1] + q^d [n-1,d]
-    return q_binomial(n - 1, d - 1) + QUPoly.monomial(1, 0, (d,)) * q_binomial(n - 1, d)
+    return _kronecker(partial(_binomial, n, d))
 
 
 @cache
 def q_stirling(n: int, d: int) -> QUPoly:
-    """q-Stirling number from Stir(n,d) = [d]_q Stir(n-1,d) + Stir(n-1,d-1).
-
-    Initial conditions Stir(0,d) = 1 if d == 0 else 0.
-    """
-    if n < 0 or d < 0:
-        return QUPoly.zero(1, 0)
-    if n == 0:
-        return QUPoly.one(1, 0) if d == 0 else QUPoly.zero(1, 0)
-    return q_number(d) * q_stirling(n - 1, d) + q_stirling(n - 1, d - 1)
+    """q-Stirling number Stir_q(n,d); zero unless 0 <= d <= n, and 1 at n = d."""
+    return _kronecker(partial(_stirling, n, d))
 
 
 def sagan_swanson_sum(n: int) -> QUPoly:
-    """Sum over d of [d]_q! Stir_q(n,d) (-q)^(n-d); identically 1 for n >= 0."""
+    """Sum over d of [d]_q! Stir_q(n,d) (-q)^(n-d); identically 1 for n >= 0.
+
+    One integer, decoded once: no coefficient of the sum exceeds the sum
+    over d of the terms' coefficient sums d! S(n,d).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = QUPoly.zero(1, 0)
-    for d in range(n + 1):
-        sign_pow = QUPoly.monomial(1, 0, (n - d,), (-1) ** (n - d))
-        # the monomial goes into the smaller factor, the cheaper product
-        total = total + q_factorial(d) * (q_stirling(n, d) * sign_pow)
-    return total
+
+    def value(x: int, y: int) -> int:  # the sum with y in place of -q in (-q)^(n-d)
+        return sum(_factorial(d, x) * _stirling(n, d, x) * y ** (n - d) for d in range(n + 1))
+
+    return _kronecker(lambda x: value(x, -x), value(1, 1))
 
 
 def rectangle_coeff(i: int, d: int, n: int) -> int:

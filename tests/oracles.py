@@ -21,9 +21,13 @@ branching, and ``ssyt_count`` counts a shape's tableaux by the hook-content
 formula.  ``solve_columns`` expands a vector in given columns by one
 linear solve, the reference for expansions read off leading monomials.
 ``cauchy_oracle`` runs the truncated super Cauchy comparison on ``QUPoly``
-coefficients indexed by every z-exponent, not only the dominant ones, and
+coefficients indexed by every z-exponent, not only the dominant ones,
+``cauchy_dominant_oracle`` the dominant-exponent comparison on ``QUPoly``
+products that the engine replaced by Kronecker integers, and
 ``cauchy_full_sweep`` is the Cauchy check's grid with every alphabet size nn
-compared.
+compared.  ``q_number``, ``q_factorial``, ``q_binomial``, ``q_stirling`` and
+``sagan_swanson_sum`` build the q-analogues by ``QUPoly`` products, the
+references for the engine's integer recursions.
 ``full_invariant_scan`` is the ideal-side series scan with the invariants of
 every degree among the generators, which the engine replaced by the
 polarized power sums and the quotient-side recursion.
@@ -62,7 +66,7 @@ from math import comb, factorial, gcd, lcm
 from supercoinv import coinvariant, superschur
 from supercoinv.coinvariant import shell_multidegrees
 from supercoinv.exactla import SubspaceBasis
-from supercoinv.qcombinat import conjugate, partitions_of
+from supercoinv.qcombinat import _partitions_within, conjugate, partitions_of
 from supercoinv.snchar import (
     _mn,
     _power_sum_on_class,
@@ -1150,6 +1154,85 @@ def cauchy_oracle(k: int, j: int, n: int, degree: int) -> int | None:
         if lhs_d != rhs_d:
             return d
     return None
+
+
+def cauchy_dominant_oracle(k: int, j: int, n: int, degree: int) -> int | None:
+    """The dominant-exponent Cauchy comparison on ``QUPoly`` products.
+
+    As ``superschur.super_cauchy_check`` compared before it held each side as
+    a Kronecker integer: the left side at z^mu is prod_i f_(mu_i), memoized
+    by prefix, and the right side sum over lam of K_(lam,mu) * super_schur(lam),
+    both compared as (q,u) coefficient dicts.  Reads ``super_schur`` from the
+    engine module at call time, as ``cauchy_oracle`` does.
+    """
+    f = [QUPoly.one(k, j)] + [QUPoly.zero(k, j)] * degree
+    for a in range(k):
+        q = QUPoly.variable(k, j, a)
+        for m in range(1, degree + 1):
+            f[m] = f[m] + q * f[m - 1]
+    for c in range(j):
+        u = QUPoly.variable(k, j, k + c)
+        for m in range(degree, 0, -1):
+            f[m] = f[m] + u * f[m - 1]
+    lhs = {(): f[0]}
+    for d in range(degree + 1):
+        shapes = [
+            (lam, superschur.super_schur(lam, k, j).coeffs)
+            for lam in superschur.expansion_shapes(k, j, n, d)
+        ]
+        for mu in _partitions_within(d, n, d):
+            if mu:
+                lhs[mu] = lhs[mu[:-1]] * f[mu[-1]]
+            rhs: dict[tuple, int] = {}
+            for lam, coeffs in shapes:
+                mult = superschur._kostka(lam, mu)
+                for e, c in coeffs.items():
+                    rhs[e] = rhs.get(e, 0) + mult * c
+            if lhs[mu].coeffs != {e: c for e, c in rhs.items() if c}:
+                return d
+    return None
+
+
+def q_number(d: int) -> QUPoly:
+    """[d]_q = 1 + q + ... + q^(d-1); zero when d <= 0."""
+    return QUPoly(1, 0, {(i,): 1 for i in range(max(d, 0))})
+
+
+@cache
+def q_factorial(d: int) -> QUPoly:
+    """[d]_q! = [d]_q [d-1]_q ... [1]_q, by ``QUPoly`` products."""
+    if d <= 0:
+        return QUPoly.one(1, 0)
+    return q_factorial(d - 1) * q_number(d)
+
+
+@cache
+def q_binomial(n: int, d: int) -> QUPoly:
+    """Gaussian binomial by [n,d] = [n-1,d-1] + q^d [n-1,d]; zero outside 0 <= d <= n."""
+    if d < 0 or n < 0 or d > n:
+        return QUPoly.zero(1, 0)
+    if d == 0 or d == n:
+        return QUPoly.one(1, 0)
+    return q_binomial(n - 1, d - 1) + QUPoly.monomial(1, 0, (d,)) * q_binomial(n - 1, d)
+
+
+@cache
+def q_stirling(n: int, d: int) -> QUPoly:
+    """q-Stirling number by Stir(n,d) = [d]_q Stir(n-1,d) + Stir(n-1,d-1), Stir(0,d) = [d == 0]."""
+    if n < 0 or d < 0:
+        return QUPoly.zero(1, 0)
+    if n == 0:
+        return QUPoly.one(1, 0) if d == 0 else QUPoly.zero(1, 0)
+    return q_number(d) * q_stirling(n - 1, d) + q_stirling(n - 1, d - 1)
+
+
+def sagan_swanson_sum(n: int) -> QUPoly:
+    """Sum over d of [d]_q! Stir_q(n,d) (-q)^(n-d), one ``QUPoly`` product per term."""
+    total = QUPoly.zero(1, 0)
+    for d in range(n + 1):
+        sign_pow = QUPoly.monomial(1, 0, (n - d,), (-1) ** (n - d))
+        total = total + q_factorial(d) * (q_stirling(n, d) * sign_pow)
+    return total
 
 
 def cauchy_full_sweep(n: int, kmax: int, jmax: int, degree: int) -> dict | None:

@@ -162,6 +162,33 @@ def test_hilb11_reports_the_alternating_sum_over_the_collapse(monkeypatch):
     assert report["witness"] == {"stage": "alternating-sum", "n": 2}
 
 
+@pytest.mark.parametrize("m, d, e", [(1, 1, 0), (2, 1, 3), (7, 3, 5), (15, 8, 0), (15, 2, 40)])
+def test_sagan_swanson_fails_at_a_perturbed_stirling_coefficient(m, d, e, monkeypatch):
+    # one q-Stirling coefficient +1 at size m, in the engine's integer
+    # recursion and in the QUPoly oracle: the check fails first at m, with
+    # the oracle's sum as its value
+    import oracles
+
+    from supercoinv import qcombinat
+
+    engine, oracle = qcombinat._stirling, oracles.q_stirling
+
+    def engine_perturbed(n, dd, x):
+        return engine(n, dd, x) + (x**e if (n, dd) == (m, d) else 0)
+
+    def oracle_perturbed(n, dd):
+        bump = QUPoly.monomial(1, 0, (e,)) if (n, dd) == (m, d) else QUPoly.zero(1, 0)
+        return oracle(n, dd) + bump
+
+    monkeypatch.setattr(qcombinat, "_stirling", engine_perturbed)
+    monkeypatch.setattr(oracles, "q_stirling", oracle_perturbed)
+    want = oracles.sagan_swanson_sum(m)
+    assert want != QUPoly.one(1, 0)
+    report = run_check("sagan_swanson", CheckSession(), {"n": 15})
+    assert report["status"] == "fail"
+    assert report["witness"] == {"n": m, "value": want.pretty()}
+
+
 def test_hilb11_formula_n2():
     assert hilb11_formula(2).coeffs == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 
@@ -1238,6 +1265,50 @@ def test_cli_cauchy_counts_its_comparisons(monkeypatch):
     assert err == (
         "resource ceiling exceeded: the Cauchy check at k=0 j=0 n=6 degree 60 has 241502"
         " z^mu comparisons, exceeding the ceiling of 50000\n"
+    )
+
+
+def test_cauchy_guard_counts_comparisons_before_it_enumerates_shapes(monkeypatch):
+    # 752 627 751 partitions of 0..3000 with at most 3 parts: refused from
+    # their count, before the tableau bound enumerates a single shape
+    def no_shapes(*args):
+        raise AssertionError("the tableau bound was computed")
+
+    monkeypatch.setattr(checks, "cauchy_tableau_bound", no_shapes)
+    with pytest.raises(coinvariant.CeilingExceeded, match="has 752627751 z\\^mu comparisons"):
+        checks.cauchy_ceiling_guard(1, 1, 3, 3000, 50000)
+    argv = ["cauchy", "--n", "3", "--k", "1", "--j", "1", "--degree-bound", "3000"]
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "752627751 z^mu comparisons" in err
+
+
+def test_cli_cauchy_guard_refuses_a_huge_degree_at_once():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(checks.__file__))}
+    argv = ["cauchy", "--n", "3", "--k", "1", "--j", "1", "--degree-bound", "3000"]
+    code = "import sys; from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "resource ceiling exceeded: the Cauchy check at k=1 j=1 n=3 degree 3000 has 752627751"
+        " z^mu comparisons, exceeding the ceiling of 50000\n"
+    )
+
+
+def test_cli_cauchy_names_the_comparisons_when_both_counts_exceed_the_ceiling():
+    # 53 comparisons and 6 704 tableaux, both above 50
+    argv = ["cauchy", "--n", "4", "--k", "2", "--j", "2", "--degree-bound", "8", "--ceiling", "50"]
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "resource ceiling exceeded: the Cauchy check at k=2 j=2 n=4 degree 8 has 53"
+        " z^mu comparisons, exceeding the ceiling of 50\n"
     )
 
 

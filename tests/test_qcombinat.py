@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import comb
 
+import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercoinv.qcombinat import (
     QUPoly,
+    _kronecker,
     _partitions_within,
     conjugate,
     in_Pkjn,
@@ -167,6 +169,45 @@ def test_sagan_swanson_hand_n2():
     # (-q) * Stir(2,1) + [2]! = -q + (1+q) = 1
     assert q_stirling(2, 1) == ONE
     assert q_factorial(2) == _q({0: 1, 1: 1})
+
+
+def test_q_analogues_match_their_product_oracles():
+    # the integer recursions decoded at x = 2^b against QUPoly products
+    for n in range(21):
+        assert q_number(n) == oracles.q_number(n), n
+        assert q_factorial(n) == oracles.q_factorial(n), n
+        for d in range(n + 1):
+            assert q_binomial(n, d) == oracles.q_binomial(n, d), (n, d)
+            assert q_stirling(n, d) == oracles.q_stirling(n, d), (n, d)
+
+
+def test_sagan_swanson_sum_matches_its_product_oracle():
+    for n in range(26):
+        assert sagan_swanson_sum(n) == oracles.sagan_swanson_sum(n), n
+
+
+def test_kronecker_decoder_edge_cases():
+    # images written out as sums of c x^e; the bound 2^31 - 1 gives b = 32
+    # bits, so +-(2^31 - 1) are the extreme digits
+    top = (1 << 31) - 1
+    cases = [
+        {},  # the zero polynomial
+        {0: 7},
+        {0: -7},
+        {0: top, 1: -top, 2: top},
+        {0: -top, 1: top, 3: -top},
+        {0: 1, 4: -1},  # a negative leading coefficient
+        {2: -top},
+        {0: top, 1: top},
+    ]
+    for coeffs in cases:
+        got = _kronecker(lambda x: sum(c * x**e for e, c in coeffs.items()), top)
+        assert got == _q(coeffs), coeffs
+    for bound in (0, 1, 127, 128, 255, 256, 1 << 40):
+        coeffs = {e: (-1) ** e * bound for e in range(9)}
+        assert _kronecker(lambda x: sum(c * x**e for e, c in coeffs.items()), bound) == _q(coeffs)
+    # without a bound, the value at 1 bounds nonnegative coefficients
+    assert _kronecker(lambda x: 5 + 3 * x**2) == _q({0: 5, 2: 3})
 
 
 def _rect_partition_count(i, height, width):

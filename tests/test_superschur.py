@@ -459,6 +459,62 @@ def test_super_cauchy_fails_on_a_wrong_column(monkeypatch):
         assert cauchy_oracle(k, j, 3, 5) == 3
 
 
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("j", range(3))
+def test_super_cauchy_matches_both_oracles_at_degree_8(k, j):
+    # the Kronecker comparison against the one at every z-exponent and the
+    # dominant-exponent one on QUPoly products, at the grid's top degree
+    for n in range(5):
+        got = super_cauchy_check(k, j, n, 8)
+        assert got == cauchy_oracle(k, j, n, 8) == oracles.cauchy_dominant_oracle(k, j, n, 8)
+
+
+def _with_first(k, j, exponent):
+    """The exponent vector of the first variable to that power."""
+    return (exponent,) + (0,) * (k + j - 1)
+
+
+def _wrong_degree(poly, lam, k, j, degree):
+    # q^4 in a shape of size 3: a term of the wrong total degree
+    return poly + QUPoly.monomial(k, j, _with_first(k, j, 4)) if sum(lam) == 3 else poly
+
+
+def _negative(poly, lam, k, j, degree):
+    # the lex-leading coefficient of a shape of size 3 negated
+    if sum(lam) != 3 or poly.is_zero():
+        return poly
+    return poly - QUPoly.monomial(k, j, max(poly.coeffs), 2 * poly.coeffs[max(poly.coeffs)])
+
+
+def _above_degree(poly, lam, k, j, degree):
+    # an exponent two above the degree bound, in a shape of size 1
+    extra = QUPoly.monomial(k, j, _with_first(k, j, degree + 2))
+    return poly + extra if sum(lam) == 1 else poly
+
+
+def _plus_one(poly, lam, k, j, degree):
+    # +1 on the lex-smallest coefficient of a shape of size 2
+    if sum(lam) != 2 or poly.is_zero():
+        return poly
+    return poly + QUPoly.monomial(k, j, min(poly.coeffs))
+
+
+@pytest.mark.parametrize("perturb", [_wrong_degree, _negative, _above_degree, _plus_one])
+def test_super_cauchy_fails_where_the_oracles_fail(perturb, monkeypatch):
+    right = superschur.super_schur
+    cases = [(1, 0, 2, 5), (0, 1, 3, 5), (1, 1, 2, 6), (2, 1, 3, 6), (2, 2, 4, 7), (1, 2, 1, 5)]
+    for k, j, n, degree in cases:
+
+        def wrong(lam, kk, jj, degree=degree):
+            return perturb(right(lam, kk, jj), lam, kk, jj, degree)
+
+        monkeypatch.setattr(superschur, "super_schur", wrong)
+        want = cauchy_oracle(k, j, n, degree)
+        assert want is not None, (perturb.__name__, k, j, n, degree)
+        assert super_cauchy_check(k, j, n, degree) == want, (perturb.__name__, k, j, n, degree)
+        assert oracles.cauchy_dominant_oracle(k, j, n, degree) == want
+
+
 def test_cauchy_tableau_bound_covers_the_tableaux():
     # the tableaux enumerated, counted exactly: s_lam(1^n) in z, and the
     # super Schur terms; k = 0 is where s_lam(1^(k+j)) would undercount
