@@ -247,11 +247,16 @@ def _run_expand(args) -> int:
 
 
 def _run_cauchy(args) -> int:
-    k, j, n, degree = args.k or 0, args.j or 0, args.n, args.degree_bound
-    checks.cauchy_ceiling_guard(k, j, n, degree, args.ceiling)
-    failure = super_cauchy_check(k, j, n, degree)
-    status = "pass" if failure is None else "fail"
-    payload = {"k": k, "j": j, "n": n, "degree": degree, "status": status, "first_failure": failure}
+    checks.cauchy_ceiling_guard(args.k or 0, args.j or 0, args.n, args.degree_bound, args.ceiling)
+    failure = super_cauchy_check(args.k or 0, args.j or 0, args.n, args.degree_bound)
+    payload = {
+        "k": args.k or 0,
+        "j": args.j or 0,
+        "n": args.n,
+        "degree": args.degree_bound,
+        "status": "pass" if failure is None else "fail",
+        "first_failure": failure,
+    }
     _emit(_CAUCHY[args.format](payload), args)
     return 0 if failure is None else 1
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import chain
-from math import prod
 
 Partition = tuple
 
@@ -102,10 +101,12 @@ class QUPoly:
     __slots__ = ("k", "j", "coeffs")
 
     def __init__(self, k: int, j: int, coeffs=None):
-        self.k, self.j = k, j
+        self.k = k
+        self.j = j
         coeffs = coeffs or {}
-        if set(map(len, coeffs)) - {k + j} or min(chain.from_iterable(coeffs), default=0) < 0:
-            raise ValueError(f"exponents must be tuples of {k + j} nonnegative integers")
+        nv = k + j
+        if set(map(len, coeffs)) - {nv} or min(chain.from_iterable(coeffs), default=0) < 0:
+            raise ValueError(f"exponents must be tuples of {nv} nonnegative integers")
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @property
@@ -192,14 +193,25 @@ class QUPoly:
         """Exact evaluation at a full assignment of numeric values."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        return sum(c * prod(x**m for x, m in zip(values, e)) for e, c in self.coeffs.items())
+        total = 0
+        for e, c in self.coeffs.items():
+            term = c
+            for x, m in zip(values, e):
+                if m:
+                    term *= x**m
+            total += term
+        return total
 
     def reindex(self, k2: int, j2: int) -> "QUPoly":
         """Embed into a (k2, j2) alphabet, mapping q_i -> q_i and u_i -> u_i."""
         if self.k > k2 or self.j > j2:
             raise ValueError("target alphabet too small")
-        pad_q, pad_u = (0,) * (k2 - self.k), (0,) * (j2 - self.j)
-        out = {e[: self.k] + pad_q + e[self.k :] + pad_u: c for e, c in self.coeffs.items()}
+        out = {}
+        for e, c in self.coeffs.items():
+            ne = [0] * (k2 + j2)
+            ne[: self.k] = e[: self.k]
+            ne[k2 : k2 + self.j] = e[self.k :]
+            out[tuple(ne)] = c
         return QUPoly(k2, j2, out)
 
     def variable_names(self) -> list[str]:
@@ -214,8 +226,21 @@ class QUPoly:
         parts = []
         for e in sorted(self.coeffs, key=lambda e: (sum(e), tuple(-x for x in e))):
             c = self.coeffs[e]
-            body = "".join(name if m == 1 else f"{name}^{m}" for name, m in zip(names, e) if m)
-            parts.append({1: "", -1: "-"}.get(c, str(c)) + body if body else str(c))
+            factors = []
+            for name, m in zip(names, e):
+                if m == 1:
+                    factors.append(name)
+                elif m > 1:
+                    factors.append(f"{name}^{m}")
+            body = "".join(factors)
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{c}{body}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __eq__(self, other) -> bool:
@@ -287,7 +312,7 @@ def _kronecker(image, bound=None) -> QUPoly:
 
 def q_number(d: int) -> QUPoly:
     """[d]_q = 1 + q + ... + q^(d-1); zero when d <= 0."""
-    return _kronecker(partial(_number, d))
+    return QUPoly(1, 0, {(i,): 1 for i in range(max(d, 0))})
 
 
 @cache

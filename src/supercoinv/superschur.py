@@ -16,9 +16,10 @@ Each super Schur polynomial has one lex-leading monomial, with coefficient
 The truncated super Cauchy comparison reads both sides only at the dominant
 z-exponents z^mu, mu a partition: both sides are symmetric in z, so agreeing
 there is agreeing everywhere.  At each z^mu the (q,u) coefficient is
-compared in full, as a Kronecker image per total degree, an integer whose
-radix exceeds every exponent and whose slot width every coefficient, so
-equal images are equal polynomials.  ``cauchy_tableau_bound`` and
+compared in full, as Kronecker images: integers in the first two exponents,
+keyed by the others, whose radix exceeds every left-side exponent and
+whose slot width every coefficient, so equal images are equal
+polynomials.  ``cauchy_tableau_bound`` and
 ``expansion_tableau_bound`` count the tableaux behind the monomials those
 computations build, for the resource ceiling.
 """
@@ -26,9 +27,9 @@ computations build, for the resource ceiling.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from math import factorial, prod
-from operator import mul
+from operator import add
 
 from .qcombinat import Partition, QUPoly, _partitions_within, conjugate, in_Pkjn
 from .snchar import syt_count
@@ -157,15 +158,24 @@ def specialize(poly: QUPoly, assignment: dict) -> QUPoly:
     out: dict[tuple, int] = {}
     for e, c in poly.coeffs.items():
         ne = list(e)
+        coeff = c
+        dead = False
         for src, tgt in assignment.items():
-            m, ne[src] = ne[src], 0
-            if m and tgt is None:
-                break  # the term vanishes
-            if m:
-                ne[tgt[0]] += m
-                c = -c if tgt[1] < 0 and m % 2 else c
-        else:
-            out[tuple(ne)] = out.get(tuple(ne), 0) + c
+            m = ne[src]
+            if not m:
+                continue
+            if tgt is None:
+                dead = True
+                break
+            ti, sign = tgt
+            ne[src] = 0
+            ne[ti] += m
+            if sign < 0 and m % 2:
+                coeff = -coeff
+        if dead:
+            continue
+        te = tuple(ne)
+        out[te] = out.get(te, 0) + coeff
     return QUPoly(poly.k, poly.j, out)
 
 
@@ -224,68 +234,113 @@ def super_cauchy_check(k: int, j: int, n: int, degree: int) -> int | None:
 
     Compares prod_i [ prod_a (1 - q_a z_i)^-1 * prod_c (1 + u_c z_i) ], in an
     auxiliary n-letter alphabet z up to the given total z-degree, with the
-    sum over P(k,j,n) of s_lam(q/u) s_lam(z), at each dominant z-exponent
-    z^mu, mu a partition of at most n parts, as a full (q,u) polynomial: on
-    the left prod_i f_(mu_i), memoized by prefix of mu, f_m the coefficient
-    of z^m in prod_a (1 - q_a z)^-1 prod_c (1 + u_c z); on the right the sum
-    over lam of K_(lam,mu) * super_schur(lam), the Kostka number ``_kostka``
-    being the coefficient of z^mu in s_lam(z).
+    sum over P(k,j,n) of s_lam(q/u) s_lam(z), coefficient by coefficient in z.
 
-    This decides the identity exactly.  Both sides are symmetric in z, the
-    right one whatever ``super_schur`` returns: K_(lam,mu) does not change
-    when the parts of mu are permuted (Bender-Knuth), a theorem, not a
-    property checked at run time.  Symmetric polynomials agree at every
-    z-monomial of degree d exactly when they agree at every z^mu, mu a
-    partition of d, so the degree returned is that of the comparison at
-    every z-monomial, and degree 0 fails like any other (test for None).
+    Only the coefficients at dominant z-exponents z^mu, mu a partition with
+    at most n parts, are compared, each as a full (q,u) polynomial:
 
-    Each (q,u) polynomial is held as {total degree: integer}, the integer
-    the sum over its terms c q^e of c X^(e_1 + e_2 R + ... + e_(k+j-1)
-    R^(k+j-2)), X = 2^b; the degree key gives the last exponent.  Equal
-    dicts are equal polynomials, whatever ``super_schur`` returns.  The
-    radix R is 1 + the largest of the degree bound and every exponent of
-    every s_lam term, so exponents of one total degree have distinct keys.
-    2^(b-1) exceeds every coefficient of either side, so the slots are
-    balanced base-X digits: at z^mu a left-side coefficient is at most
-    (k + j)^|mu|, as (1 - z)^-(k+j) bounds f_m at q = u = 1, and a
-    right-side one at most the sum over lam of f^lam, at least K_(lam,mu)
-    as standardizing a tableau is injective, times the absolute sum of
-    s_lam.  Both bounds are taken before anything is encoded.  No left-side
-    exponent reaches R, so the image of a product is the product of images.
+    - left side: prod_i f_(mu_i), where f_m is the coefficient of z^m in the
+      one-letter product prod_a (1 - q_a z)^-1 prod_c (1 + u_c z); products
+      are memoized by prefix of mu;
+    - right side: sum over lam of K_(lam,mu) * super_schur(lam), with the
+      Kostka number K_(lam,mu) from the horizontal-strip recursion
+      ``_kostka``, the coefficient of z^mu in s_lam(z).
+
+    This decides the identity exactly.  The left side is symmetric in z by
+    construction.  The right side is symmetric in z whatever ``super_schur``
+    returns, because s_lam(z) = sum over mu of K_(lam,mu) m_mu(z) is
+    symmetric: K_(lam,mu) does not change when the parts of mu are permuted
+    (Bender-Knuth), a theorem, not a property checked at run time.  Two symmetric
+    polynomials agree at every z-monomial of degree d exactly when they agree
+    at every z^mu with mu a partition of d, so the degree returned is that
+    of the comparison at every z-monomial.  Degree 0 is a failure like any
+    other, so a caller tests the result against None.  Only
+    z is reduced: ``super_schur`` is what the identity checks, so its (q,u)
+    side is compared in full.
+
+    Each (q,u) polynomial is held as {key: integer}, its Kronecker image:
+    a term c q^e goes to the integer c X^(e_1 mod R + R e_2), X = 2^w, under
+    the key (|e|, e_1 // R, e_3, ..., e_(k+j-1)), and the total degree |e|
+    gives the last exponent.  The key and the power of X give back e, so
+    equal images are equal polynomials whatever ``super_schur`` returns,
+    terms of the wrong degree and out-of-range exponents included, as long
+    as 2^(w-1) exceeds every coefficient of the two sides' difference: its
+    slots are then balanced base-X digits, all zero only if the integer is.
+    The radix R is degree + 1, above every left-side exponent, so the left
+    side's products are integer products.  At z^mu a left-side coefficient
+    is at most (k + j)^|mu|, as (1 - z)^-(k+j) bounds f_m at q = u = 1, and
+    a right-side one at most the sum over lam of f^lam (at least
+    K_(lam,mu), standardizing a tableau being injective) times the absolute
+    coefficient sum of s_lam; the slots hold the sum of the two bounds.
+    They start at twice (k + j)^degree, what the true s_lam need: the sum
+    over lam |- d of f^lam s_lam(1^k/1^j) is (k + j)^d.  A degree whose
+    bound does not fit starts the check over with wider slots.  An integer
+    spans at most w R (1 + e_2) bits, so the images grow with the degree
+    bound, not with k + j.
     """
     for name, value in (("k", k), ("j", j), ("n", n)):
         if value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value}")
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    shapes = [expansion_shapes(k, j, n, d) for d in range(degree + 1)]
-    schur = {lam: super_schur(lam, k, j).coeffs for row in shapes for lam in row}
-    radix = 1 + max(chain([degree], *chain.from_iterable(schur.values())))
-    right = sum(syt_count(lam) * sum(map(abs, c.values())) for lam, c in schur.items())
-    width = 8 * (max((k + j) ** degree, right).bit_length() // 8 + 1)
-    # each variable's bit offset in the image, and none for the last one
-    places = [width * radix**i for i in range(k + j - 1)] + [0]
-    images: dict = {}  # shape -> {total degree: image of its super Schur terms}
-    for lam, coeffs in schur.items():
-        image = images[lam] = {}
-        for e, c in coeffs.items():
-            image[sum(e)] = image.get(sum(e), 0) + (c << sum(map(mul, e, places)))
+    return _cauchy_first_failure(k, j, n, degree, (2 * max(k + j, 1) ** degree).bit_length() + 1)
+
+
+def _slot(e: tuple, width: int, radix: int) -> tuple:
+    """(key, bit offset) of the exponent e in a Cauchy image (``super_cauchy_check``)."""
+    a, b = (*e, 0, 0)[:2]
+    return (sum(e), a // radix, *e[2:-1]), width * (a % radix + radix * b)
+
+
+def _image(coeffs: dict, width: int, radix: int) -> dict:
+    """Kronecker image {key: integer} of a polynomial's coefficient dict."""
+    out: dict = {}
+    for e, c in coeffs.items():
+        key, offset = _slot(e, width, radix)
+        out[key] = out.get(key, 0) + (c << offset)
+    return out
+
+
+def _times(x: dict, y: dict) -> dict:
+    """Product of two images whose exponents stay below the radix."""
+    out: dict = {}
+    for key1, v1 in x.items():
+        for key2, v2 in y.items():
+            key = tuple(map(add, key1, key2))
+            out[key] = out.get(key, 0) + v1 * v2
+    return out
+
+
+def _cauchy_first_failure(k: int, j: int, n: int, degree: int, width: int) -> int | None:
+    """``super_cauchy_check`` in slots of ``width`` bits, started over wider when too narrow."""
+    radix = degree + 1
+    nv = k + j
     # f[m], one factor at a time in place: times (1 - q_a z)^-1 the new
     # f_m is f_m + q_a * (new f_(m-1)), times (1 + u_c z) it is f_m + u_c * f_(m-1)
-    f = [1] + [0] * degree
-    for a, place in enumerate(places[: k + j]):
+    f = [_image({(0,) * nv: 1}, width, radix)] + [{} for _ in range(degree)]
+    for a in range(nv):
+        step, shift = _slot(tuple(int(i == a) for i in range(nv)), width, radix)
         for m in range(1, degree + 1) if a < k else range(degree, 0, -1):
-            f[m] += f[m - 1] << place
-    lhs = {(): 1}  # image of the coefficient of z^mu, keyed by the partition mu
+            for key, v in f[m - 1].items():
+                key = tuple(map(add, key, step))
+                f[m][key] = f[m].get(key, 0) + (v << shift)
+    lhs = {(): f[0]}  # image of the coefficient of z^mu, keyed by the partition mu
     for d in range(degree + 1):
+        schur = {lam: super_schur(lam, k, j).coeffs for lam in expansion_shapes(k, j, n, d)}
+        right = sum(syt_count(lam) * sum(map(abs, c.values())) for lam, c in schur.items())
+        bound = (k + j) ** d + right  # above every coefficient of either side at degree d
+        if bound.bit_length() >= width:
+            return _cauchy_first_failure(k, j, n, degree, bound.bit_length() + 1)
+        images = {lam: _image(c, width, radix) for lam, c in schur.items()}
         for mu in _partitions_within(d, n, d):
             if mu:
-                lhs[mu] = lhs[mu[:-1]] * f[mu[-1]]
-            diff = {d: -lhs[mu]}  # right side minus left side, by total degree
-            for lam in shapes[d]:
+                lhs[mu] = _times(lhs[mu[:-1]], f[mu[-1]])
+            diff = {key: -v for key, v in lhs[mu].items()}  # right side minus left side
+            for lam, image in images.items():
                 mult = _kostka(lam, mu)
-                for t, v in images[lam].items() if mult else ():
-                    diff[t] = diff.get(t, 0) + mult * v
+                if mult:
+                    for key, v in image.items():
+                        diff[key] = diff.get(key, 0) + mult * v
             if any(diff.values()):
                 return d
     return None
@@ -313,6 +368,8 @@ def cauchy_tableau_bound(k: int, j: int, n: int, degree: int) -> int:
     n letters z, whose monomials carry the Kostka numbers the check may
     read, and the tableaux of ``super_schur(lam, k, j)``.
     """
-    shapes = (lam for d in range(degree + 1) for lam in expansion_shapes(k, j, n, d))
-    z_side = sum(_tableau_count(lam, n, 0) for lam in shapes)
-    return z_side + expansion_tableau_bound(k, j, n, degree)
+    return sum(
+        _tableau_count(lam, n, 0) + _tableau_count(lam, k, j)
+        for d in range(degree + 1)
+        for lam in expansion_shapes(k, j, n, d)
+    )

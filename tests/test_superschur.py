@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
@@ -513,6 +514,55 @@ def test_super_cauchy_fails_where_the_oracles_fail(perturb, monkeypatch):
         assert want is not None, (perturb.__name__, k, j, n, degree)
         assert super_cauchy_check(k, j, n, degree) == want, (perturb.__name__, k, j, n, degree)
         assert oracles.cauchy_dominant_oracle(k, j, n, degree) == want
+
+
+def test_super_cauchy_widens_its_slots_for_any_coefficient_size(monkeypatch):
+    # +2^w on one term of s_(2) and -1 on another of the same degree: where
+    # the second term's image sits one slot of w bits above the first's, the
+    # two cancel, so the check must size its slots from what super_schur
+    # returns, for every w and every pair of terms
+    right = superschur.super_schur
+    degree_two = [e for e in product(range(3), repeat=3) if sum(e) == 2]
+    for low, high in permutations(degree_two, 2):
+        for w in range(1, 41):
+
+            def carried(lam, kk, jj, low=low, high=high, w=w):
+                poly = right(lam, kk, jj)
+                return poly + QUPoly(2, 1, {low: 1 << w, high: -1}) if lam == (2,) else poly
+
+            monkeypatch.setattr(superschur, "super_schur", carried)
+            assert super_cauchy_check(2, 1, 2, 4) == 2, (low, high, w)
+        assert cauchy_oracle(2, 1, 2, 4) == 2
+
+
+def test_super_cauchy_tells_apart_exponents_above_the_degree_bound(monkeypatch):
+    # +1 and -1 on two terms of degree 5 in s_(2), at degree bound 4: no
+    # two exponent vectors may share an image, out of range as they are
+    right = superschur.super_schur
+    degree_five = [e for e in product(range(6), repeat=3) if sum(e) == 5]
+    for plus, minus in permutations(degree_five, 2):
+
+        def outside(lam, kk, jj, plus=plus, minus=minus):
+            poly = right(lam, kk, jj)
+            return poly + QUPoly(2, 1, {plus: 1, minus: -1}) if lam == (2,) else poly
+
+        monkeypatch.setattr(superschur, "super_schur", outside)
+        assert super_cauchy_check(2, 1, 2, 4) == 2, (plus, minus)
+    assert cauchy_oracle(2, 1, 2, 4) == 2
+
+
+def test_super_cauchy_images_stay_small_in_a_large_alphabet():
+    # k + j = 10: the images hold two exponents, so this takes well under a
+    # second where images in all k + j - 1 exponents would span gigabytes
+    env = {**os.environ, "PYTHONPATH": str(Path(superschur.__file__).parents[1])}
+    argv = ["cauchy", "--n", "1", "--k", "5", "--j", "5", "--degree-bound", "8"]
+    code = "import sys; from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"status": "pass"' in proc.stdout
+    assert super_cauchy_check(3, 3, 2, 8) is None
 
 
 def test_cauchy_tableau_bound_covers_the_tableaux():
