@@ -6,7 +6,8 @@ and the rings it reads; ``run_check`` times a check and reports it as a
 plain dict, which ``read_report`` reads back, and ``default_params`` holds
 every check's defaults.  Checks only share state through a CheckSession,
 which keeps one store per ring so a suite run never recomputes a quotient,
-and builds the rings that several checks read before any of them runs.
+and builds the rings that several checks read before any of them runs;
+``ring_groups`` splits a run into groups of checks that share no ring.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "CheckSession",
     "REGISTRY",
     "ring_reads",
+    "ring_groups",
     "run_check",
     "default_params",
     "cauchy_ceiling_guard",
@@ -71,10 +73,10 @@ class CheckSession:
     def build_shared(self, jobs) -> None:
         """Build each ring that two or more of the (check id, params) jobs read.
 
-        A ring is built to the most any of those checks reads of it, so a
-        worker forked after this inherits it and scans none of it again.  A
-        build that raises leaves its ring unbuilt: the first check that reads
-        it raises the same error in its turn.
+        A ring is built to the most any of those checks reads of it, so none
+        of them scans it again to read more of it.  A build that raises
+        leaves its ring unbuilt: the first check that reads it raises the
+        same error in its turn.
         """
         readers: dict = {}  # ring -> the kind each check reads of it
         for check_id, params in jobs:
@@ -606,6 +608,31 @@ def ring_reads(check_id: str, params: dict) -> dict:
     for ring, kind in REGISTRY[check_id][2](**params):
         reads[ring] = max(reads.get(ring, kind), kind, key=_KINDS.index)
     return reads
+
+
+def ring_groups(jobs) -> list:
+    """The indices of the (check id, params) jobs, in groups that share no ring, heaviest first.
+
+    Two jobs share a group when they read a common ring, transitively, so a
+    ring's checks all run in the process that builds it.  A group weighs
+    the sum of (k + j + 1)^n over its rings (a ring-free group weighs 0),
+    and ties go to the group with the least job index; each group lists its
+    jobs in index order.
+    """
+    groups = []  # (rings, job indices)
+    for i, (check_id, params) in enumerate(jobs):
+        rings, members = set(ring_reads(check_id, params)), [i]
+        for other in [g for g in groups if g[0] & rings]:
+            groups.remove(other)
+            rings |= other[0]
+            members += other[1]
+        groups.append((rings, sorted(members)))
+
+    def order(group) -> tuple:
+        rings, members = group
+        return -sum((k + j + 1) ** n for n, k, j in rings), members[0]
+
+    return [members for _rings, members in sorted(groups, key=order)]
 
 
 def default_params(check_id: str, n=None, k=None, j=None, m=None, degree_bound=None) -> dict:

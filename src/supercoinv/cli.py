@@ -202,27 +202,58 @@ def _run_verify(args) -> int:
         return 2
     flags = {"k": args.k, "j": args.j, "m": args.m, "degree_bound": args.degree_bound}
     jobs = [(cid, checks.default_params(cid, args.n, **flags)) for cid in ids]
+    groups = checks.ring_groups(jobs)
     from . import forked  # only verify runs tasks in workers
 
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=args.cache_dir)
-    # before the fork, so no two workers scan one ring
-    session.build_shared(jobs)
+    least = len(jobs)  # the least job index this process has seen raise
 
     def describe(i, exc) -> str:
         if i < 0:
             return f"error: a verify worker ended without a result ({exc})\n"
         return _error_line(exc) or f"error: check {jobs[i][0]} raised {exc!r}\n"
 
-    # no more workers than checks; the reports come in job (id) order
-    workers = min(args.jobs, len(jobs)) if hasattr(os, "fork") else 1
-    reports, error = forked.run(
-        len(jobs), workers, lambda i: checks.run_check(jobs[i][0], session, jobs[i][1]), describe
+    def run_group(g: int) -> tuple:
+        """(reports, None or (job index, error line)) of group g, which stops at its first error.
+
+        The group shares no ring with another, so the process that runs it
+        scans each of its rings, once.  A group whose every job comes after
+        an error already found here is skipped: it cannot hold the first.
+        """
+        nonlocal least
+        group = groups[g]
+        if group[0] > least:
+            return [], None
+        session.build_shared([jobs[i] for i in group])
+        reports = []
+        for i in group:
+            try:
+                reports.append(checks.run_check(jobs[i][0], session, jobs[i][1]))
+            except Exception as exc:
+                least = min(least, i)
+                return reports, (i, describe(i, exc))
+        return reports, None
+
+    # the groups come heaviest first; a group task returns its error, so the
+    # only error ``forked.run`` reports is a lost worker's
+    outcomes, lost = forked.run(
+        len(groups), _worker_count(args.jobs, len(groups)), run_group, describe
     )
-    if error is not None:
-        sys.stderr.write(error)
+    errors = [error for _reports, error in outcomes if error is not None]
+    if lost is not None or errors:
+        # the least job index that raised: the check a serial run in id order stops at
+        sys.stderr.write(lost or min(errors)[1])
         return 2
+    reports = sorted((rec for recs, _error in outcomes for rec in recs), key=lambda rec: rec["id"])
     _emit(_REPORTS[args.format](reports), args)
     return 0 if all(rec["status"] == "pass" for rec in reports) else 1
+
+
+def _worker_count(requested: int, tasks: int) -> int:
+    """The workers ``verify --jobs`` runs: no more than its tasks or the CPUs, one without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return min(requested, tasks, os.cpu_count() or 1)
 
 
 def _store(args) -> coinvariant.IdealComponentCache:

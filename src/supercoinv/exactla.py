@@ -128,8 +128,13 @@ class SubspaceBasis:
 
 def _primitive(row: dict, pivot: int) -> dict:
     """The primitive integer multiple of row with a positive value at pivot."""
+    d = row[pivot]
+    if d == 1:
+        return row  # a unit pivot makes the gcd 1
+    if d == -1:
+        return {i: -v for i, v in row.items()}
     g = gcd(*row.values())
-    if row[pivot] < 0:
+    if d < 0:
         g = -g
     if g == 1:
         return row

@@ -823,7 +823,9 @@ def test_cli_jobs_deterministic_at_envelope_sizes(tmp_path):
 
 def test_cli_verify_forks_no_more_workers_than_checks(monkeypatch):
     # the parent is one of the workers, so --jobs N forks N - 1 children, and
-    # a --jobs above the number of checks starts no idle ones
+    # a --jobs above the number of ring-sharing groups starts no idle ones; at
+    # n = 2 every check that reads a ring shares one, so with cauchy and
+    # sagan_swanson there are three groups
     forks = []
     real_fork = os.fork
 
@@ -832,14 +834,102 @@ def test_cli_verify_forks_no_more_workers_than_checks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    jobs = [(cid, default_params(cid, 2)) for cid in sorted(REGISTRY)]
+    assert len(checks.ring_groups(jobs)) == 3
     code, serial, err = _run_cli(["verify", "all", "--n", "2"])
     assert (code, forks) == (0, []), err
-    for jobs, children in (("20", len(REGISTRY) - 1), ("3", 2)):
+    for jobs, children in (("20", 2), ("2", 1)):
         forks.clear()
         code, pooled, err = _run_cli(["verify", "all", "--n", "2", "--jobs", jobs])
         assert code == 0, err
         assert len(forks) == children
         assert _reports_without_times(pooled) == _reports_without_times(serial)
+
+
+def test_verify_workers_are_capped_before_any_fork(monkeypatch):
+    # min(--jobs, groups, CPUs), decided without starting a worker
+    from supercoinv import cli
+
+    def no_fork():
+        raise AssertionError("the cap started a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for cpus, want in ((None, 1), (1, 1), (2, 2), (64, 9)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert cli._worker_count(10**9, 9) == want
+    assert cli._worker_count(3, 9) == 3
+    assert cli._worker_count(5, 1) == 1
+    monkeypatch.delattr(os, "fork")
+    assert cli._worker_count(10**9, 9) == 1
+
+
+def _job(check_id, n=None):
+    return check_id, default_params(check_id, n)
+
+
+def test_default_checks_fall_in_nine_groups_heaviest_first():
+    # five n = 4 rings tie six checks together; every other check reads its
+    # own rings or none; the weight is the sum of (k + j + 1)^n over the rings
+    ids = sorted(REGISTRY)
+    groups = checks.ring_groups([_job(cid) for cid in ids])
+    assert [[ids[i] for i in group] for group in groups] == [
+        ["parts_le_two"],  # (5,0,2): 243
+        ["cancellation", "hilb11", "restriction", "sign_coeffs", "universality", "witnesses"],
+        ["n_le_kj"],  # (3,3,0) and (3,1,2): 128
+        ["artin"],  # (5,1,0): 32, ahead of exterior's (5,0,1) by id
+        ["exterior"],
+        ["bound_closure"],  # (3,1,1): 27, ahead of haiman's (3,2,0) by id
+        ["haiman"],
+        ["cauchy"],  # no ring: 0
+        ["sagan_swanson"],
+    ]
+    n4 = {(4, 0, 0), (4, 1, 0), (4, 0, 1), (4, 1, 1), (4, 0, 2)}
+    assert {ring for i in groups[1] for ring in checks.ring_reads(*_job(ids[i]))} == n4
+
+
+def test_a_ring_read_by_two_checks_merges_their_groups():
+    # artin reads (5,1,0) and exterior (5,0,1): apart they are two groups;
+    # restriction at n = 5 reads both, so the three become one, in id order
+    apart = [_job("artin", 5), _job("exterior", 5)]
+    assert checks.ring_groups(apart) == [[0], [1]]
+    merged = apart + [_job("restriction", 5)]
+    assert checks.ring_groups(merged) == [[0, 1, 2]]
+    assert checks.ring_groups(merged[::-1]) == [[0, 1, 2]]
+    # a group of its own for a check that shares nothing
+    assert checks.ring_groups(merged + [_job("haiman", 5)]) == [[0, 1, 2], [3]]
+
+
+def test_cli_verify_prints_the_least_id_error_whatever_group_runs_first(monkeypatch):
+    # b and c raise in different groups; c declares a heavy ring it never
+    # reads, so its group runs first, yet every --jobs prints b's line
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ran = []
+
+    def check(label, raises):
+        def run(session, n):
+            ran.append(label)
+            if raises:
+                raise RuntimeError(label)
+
+        return run
+
+    stubs = {
+        "a": (check("a", False), 2, _NO_RINGS),
+        "b": (check("b", True), 2, _NO_RINGS),
+        "c": (check("c", True), 2, lambda n: [((9, 3, 3), "table")]),
+        "d": (check("d", False), 2, _NO_RINGS),
+    }
+    monkeypatch.setattr(checks, "REGISTRY", stubs)
+    assert checks.ring_groups([(cid, {"n": 2}) for cid in sorted(stubs)]) == [[2], [0], [1], [3]]
+    for jobs in ("1", "2", "3"):
+        got = _run_cli(["verify", "all", "--n", "2", "--jobs", jobs])
+        assert got == (2, "", "error: check b raised RuntimeError('b')\n"), jobs
+        if jobs == "1":
+            # d comes after the errors already found, so the lone worker skips it
+            assert ran == ["c", "a", "b"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -909,6 +999,8 @@ def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
     # no traceback, no hang and no child left behind
     from supercoinv import checks
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a second worker on any host
+
     parent = os.getpid()
     child_gone, child_holds = os.pipe()
 
@@ -935,6 +1027,8 @@ def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
     # an interrupt in the parent's own check kills and reaps the children,
     # here one that would block for ever, and reaches the caller as in a serial run
     from supercoinv import checks
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a second worker on any host
 
     parent = os.getpid()
     never, held = os.pipe()
@@ -996,9 +1090,10 @@ def test_cli_verify_all_scans_each_ring_once(monkeypatch):
 
 
 def test_cli_verify_jobs_scans_no_ring_in_two_processes(tmp_path, monkeypatch):
-    # the rings several checks read are built before the fork, so with two
-    # workers each (ring, kind) is still scanned by one process, and the same
-    # ones as in a serial run
+    # the checks that share a ring run in one process, so with two workers
+    # each (ring, kind) is still scanned by one process, and the same ones as
+    # in a serial run
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a second worker on any host
     log = tmp_path / "scans"
     for kind in ("frobenius", "hilbert"):
 
@@ -1018,9 +1113,6 @@ def test_cli_verify_jobs_scans_no_ring_in_two_processes(tmp_path, monkeypatch):
         scans = [scan for _pid, scan in lines]
         assert len(scans) == len(set(scans)), sorted(lines)
         scanned[jobs] = sorted(scans)
-        # the rings that several checks read are scanned by the parent
-        shared = {f"4 {k} {j} frobenius" for k, j in [(0, 1), (0, 2), (1, 0), (1, 1)]}
-        assert {scan for pid, scan in lines if pid == str(os.getpid())} >= shared
     assert scanned["2"] == scanned["1"]
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -90,6 +91,26 @@ def test_solve_columns_matches_rational_oracle(matrix, data):
     for probe in probes:
         solution = solve_columns(columns, probe, dim)
         assert (solution is None) == (not oracle.contains(probe))
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [{0: -1, 1: 4, 2: -6}],  # a -1 pivot with non-unit entries: the row is negated
+        [{1: -1, 2: 3}, {0: 2, 1: 2}],  # -1 stored first, then cleared from the new row
+        [{0: 1, 1: 1, 2: 2}, {0: 1, 2: 3}],  # a residual pivot of -1 after clearing 0
+        [{0: 1, 2: 5}, {1: 1, 2: -2}, {0: 3, 1: 3, 2: 1}],  # unit pivots, then -8 at 2
+    ],
+)
+def test_unit_pivots_match_rational_oracle(vectors):
+    dim = 3
+    for order in (vectors, vectors[::-1]):
+        basis = span_basis(order, dim)
+        oracle = OracleBasis(vectors, dim)
+        assert basis.pivots == oracle.pivots
+        for p, row, expect in zip(basis.pivots, rows_of(basis), oracle.vectors):
+            assert row[p] > 0 and gcd(*row.values()) == 1
+            assert {i: Fraction(v, row[p]) for i, v in row.items()} == expect
 
 
 def test_span_basis_clears_denominators():
