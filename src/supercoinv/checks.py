@@ -71,23 +71,19 @@ class CheckSession:
         return self._rings[key]
 
     def build_shared(self, jobs) -> None:
-        """Build each ring that two or more of the (check id, params) jobs read.
+        """Build the Frobenius series of each ring that two or more of the jobs read.
 
-        A ring is built to the most any of those checks reads of it, so none
-        of them scans it again to read more of it.  A build that raises
-        leaves its ring unbuilt: the first check that reads it raises the
-        same error in its turn.
+        The jobs are (check id, params) pairs.  The series serves the ring's
+        Hilbert series and its table, so none of them scans the ring again.
+        A build that raises leaves its ring unbuilt: the first check that
+        reads it raises the same error in its turn.
         """
-        readers: dict = {}  # ring -> the kind each check reads of it
-        for check_id, params in jobs:
-            for ring, kind in ring_reads(check_id, params).items():
-                readers.setdefault(ring, []).append(kind)
-        for ring, kinds in sorted(readers.items()):
-            if len(kinds) > 1:
-                try:
-                    getattr(self.ring(*ring), max(kinds, key=_KINDS.index))()
-                except Exception:
-                    pass  # reported by the check that reads the ring first
+        reads = [ring for check_id, params in jobs for ring in ring_reads(check_id, params)]
+        for ring in sorted({ring for ring in reads if reads.count(ring) > 1}):
+            try:
+                self.ring(*ring).frobenius()
+            except Exception:
+                pass  # reported by the check that reads the ring first
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +550,13 @@ def check_sagan_swanson(session: CheckSession, n: int) -> dict | None:
 
 # ---------------------------------------------------------------------------
 # registry: each check with the size ``verify`` runs it at without --n, and
-# a function of its parameters listing the (ring, kind) pairs it reads, the
-# kind being the store method it calls on the ring
-
-# building a ring's table holds its Frobenius series, which serves its Hilbert series
-_KINDS = ("hilbert", "frobenius", "table")
+# a function of its parameters listing the (n, k, j) of the rings it reads
 
 
 def _restriction_reads(n: int, k: int, j: int) -> list:
     """The ring and each ring with one alphabet killed, when there is one."""
     smaller = [(n, k - 1, j)] * (k > 0) + [(n, k, j - 1)] * (j > 0)
-    rings = [(n, k, j)] + smaller if smaller else []
-    return [(ring, "frobenius") for ring in rings]
+    return [(n, k, j)] + smaller if smaller else []
 
 
 def _reads_nothing(**params) -> list:
@@ -573,41 +564,26 @@ def _reads_nothing(**params) -> list:
 
 
 REGISTRY = {
-    "universality": (
-        check_universality,
-        4,
-        lambda n, configs: [((n, *c), "table") for c in configs],
-    ),
-    "cancellation": (
-        check_cancellation,
-        4,
-        lambda n, k, j, m: [((n, k, j), "frobenius"), ((n, k - m, j - m), "frobenius")],
-    ),
+    "universality": (check_universality, 4, lambda n, configs: [(n, *c) for c in configs]),
+    "cancellation": (check_cancellation, 4, lambda n, k, j, m: [(n, k, j), (n, k - m, j - m)]),
     "restriction": (check_restriction, 4, _restriction_reads),
-    "parts_le_two": (check_parts_le_two, 5, lambda n: [((n, 0, 2), "table")]),
-    "sign_coeffs": (check_sign_coeffs, 4, lambda n: [((n, 1, 1), "table")]),
-    "hilb11": (check_hilb11, 4, lambda n: [((n, 1, 1), "hilbert")]),
-    "bound_closure": (check_bound_and_closure, 3, lambda n, k, j: [((n, k, j), "table")]),
-    "n_le_kj": (
-        check_n_le_kj,
-        3,
-        lambda n, k, j: [((n, k + j, 0), "table"), ((n, k, j), "frobenius")],
-    ),
-    "witnesses": (check_witnesses, 4, lambda n: [((n, 0, 2), "table"), ((n, 1, 1), "table")]),
-    "artin": (check_artin, 5, lambda n: [((n, 1, 0), "hilbert")]),
-    "exterior": (check_exterior, 5, lambda n: [((n, 0, 1), "frobenius")]),
-    "haiman": (check_haiman, 3, lambda n: [((n, 2, 0), "hilbert")]),
+    "parts_le_two": (check_parts_le_two, 5, lambda n: [(n, 0, 2)]),
+    "sign_coeffs": (check_sign_coeffs, 4, lambda n: [(n, 1, 1)]),
+    "hilb11": (check_hilb11, 4, lambda n: [(n, 1, 1)]),
+    "bound_closure": (check_bound_and_closure, 3, lambda n, k, j: [(n, k, j)]),
+    "n_le_kj": (check_n_le_kj, 3, lambda n, k, j: [(n, k + j, 0), (n, k, j)]),
+    "witnesses": (check_witnesses, 4, lambda n: [(n, 0, 2), (n, 1, 1)]),
+    "artin": (check_artin, 5, lambda n: [(n, 1, 0)]),
+    "exterior": (check_exterior, 5, lambda n: [(n, 0, 1)]),
+    "haiman": (check_haiman, 3, lambda n: [(n, 2, 0)]),
     "cauchy": (check_cauchy, 3, _reads_nothing),
     "sagan_swanson": (check_sagan_swanson, 15, _reads_nothing),
 }
 
 
-def ring_reads(check_id: str, params: dict) -> dict:
-    """{(n, k, j): kind} of every ring the check reads at ``params``, the most it reads of each."""
-    reads: dict = {}
-    for ring, kind in REGISTRY[check_id][2](**params):
-        reads[ring] = max(reads.get(ring, kind), kind, key=_KINDS.index)
-    return reads
+def ring_reads(check_id: str, params: dict) -> set:
+    """The (n, k, j) of every ring the check reads at ``params``."""
+    return set(REGISTRY[check_id][2](**params))
 
 
 def ring_groups(jobs) -> list:
@@ -621,7 +597,7 @@ def ring_groups(jobs) -> list:
     """
     groups = []  # (rings, job indices)
     for i, (check_id, params) in enumerate(jobs):
-        rings, members = set(ring_reads(check_id, params)), [i]
+        rings, members = ring_reads(check_id, params), [i]
         for other in [g for g in groups if g[0] & rings]:
             groups.remove(other)
             rings |= other[0]

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import checks, coinvariant
@@ -208,11 +207,6 @@ def _run_verify(args) -> int:
     session = checks.CheckSession(ceiling=args.ceiling, cache_dir=args.cache_dir)
     least = len(jobs)  # the least job index this process has seen raise
 
-    def describe(i, exc) -> str:
-        if i < 0:
-            return f"error: a verify worker ended without a result ({exc})\n"
-        return _error_line(exc) or f"error: check {jobs[i][0]} raised {exc!r}\n"
-
     def run_group(g: int) -> tuple:
         """(reports, None or (job index, error line)) of group g, which stops at its first error.
 
@@ -231,29 +225,24 @@ def _run_verify(args) -> int:
                 reports.append(checks.run_check(jobs[i][0], session, jobs[i][1]))
             except Exception as exc:
                 least = min(least, i)
-                return reports, (i, describe(i, exc))
+                error = _error_line(exc) or f"error: check {jobs[i][0]} raised {exc!r}\n"
+                return reports, (i, error)
         return reports, None
 
-    # the groups come heaviest first; a group task returns its error, so the
-    # only error ``forked.run`` reports is a lost worker's
-    outcomes, lost = forked.run(
-        len(groups), _worker_count(args.jobs, len(groups)), run_group, describe
-    )
+    try:
+        # the groups come heaviest first; a group task returns its error
+        outcomes = forked.run(len(groups), args.jobs, run_group)
+    except ChildProcessError as exc:
+        sys.stderr.write(f"error: a verify worker ended without a result ({exc})\n")
+        return 2
     errors = [error for _reports, error in outcomes if error is not None]
-    if lost is not None or errors:
+    if errors:
         # the least job index that raised: the check a serial run in id order stops at
-        sys.stderr.write(lost or min(errors)[1])
+        sys.stderr.write(min(errors)[1])
         return 2
     reports = sorted((rec for recs, _error in outcomes for rec in recs), key=lambda rec: rec["id"])
     _emit(_REPORTS[args.format](reports), args)
     return 0 if all(rec["status"] == "pass" for rec in reports) else 1
-
-
-def _worker_count(requested: int, tasks: int) -> int:
-    """The workers ``verify --jobs`` runs: no more than its tasks or the CPUs, one without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return min(requested, tasks, os.cpu_count() or 1)
 
 
 def _store(args) -> coinvariant.IdealComponentCache:

@@ -427,8 +427,8 @@ class IdealComponentCache:
         # the digest goes last, so the text of every other field is written as hashed
         text = f'{text[:-1]}, "sha256": "{_digest(text)}"}}'
         os.makedirs(self.cache_dir, exist_ok=True)
-        # one temporary file per process: the workers of ``verify --jobs`` may
-        # write the same series into a shared directory at once
+        # one temporary file per process: separate commands that share one
+        # cache directory may write the same series at once
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -847,23 +847,6 @@ def test_cli_verify_forks_no_more_workers_than_checks(monkeypatch):
         assert _reports_without_times(pooled) == _reports_without_times(serial)
 
 
-def test_verify_workers_are_capped_before_any_fork(monkeypatch):
-    # min(--jobs, groups, CPUs), decided without starting a worker
-    from supercoinv import cli
-
-    def no_fork():
-        raise AssertionError("the cap started a worker")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    for cpus, want in ((None, 1), (1, 1), (2, 2), (64, 9)):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        assert cli._worker_count(10**9, 9) == want
-    assert cli._worker_count(3, 9) == 3
-    assert cli._worker_count(5, 1) == 1
-    monkeypatch.delattr(os, "fork")
-    assert cli._worker_count(10**9, 9) == 1
-
-
 def _job(check_id, n=None):
     return check_id, default_params(check_id, n)
 
@@ -917,7 +900,7 @@ def test_cli_verify_prints_the_least_id_error_whatever_group_runs_first(monkeypa
     stubs = {
         "a": (check("a", False), 2, _NO_RINGS),
         "b": (check("b", True), 2, _NO_RINGS),
-        "c": (check("c", True), 2, lambda n: [((9, 3, 3), "table")]),
+        "c": (check("c", True), 2, lambda n: [(9, 3, 3)]),
         "d": (check("d", False), 2, _NO_RINGS),
     }
     monkeypatch.setattr(checks, "REGISTRY", stubs)
@@ -946,35 +929,6 @@ def test_cli_verify_workers_report_the_error_a_serial_run_stops_at(argv):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_worker_stops_at_an_error_and_drains_the_queue(monkeypatch):
-    # every job still queued after a failure comes later in id order, so the
-    # worker takes it off the queue instead of leaving it to another worker
-    from supercoinv import checks, cli, forked
-
-    def broken(session, n):
-        raise ValueError("broken")
-
-    stubs = {"broken": (broken, 2, _NO_RINGS), "fine": (lambda session, n: None, 2, _NO_RINGS)}
-    monkeypatch.setattr(checks, "REGISTRY", stubs)
-    jobs = [("fine", {"n": 2}), ("broken", {"n": 2}), ("fine", {"n": 2})]
-    session = CheckSession()
-    read, write = os.pipe()
-    os.write(write, b"".join(i.to_bytes(forked._RECORD, "big") for i in [0, 1, 2, 2]))
-    os.close(write)
-    queue = forked._queued(read)
-    try:
-        done, error = forked._worker(
-            queue,
-            lambda i: checks.run_check(jobs[i][0], session, jobs[i][1]),
-            lambda i, exc: cli._error_line(exc),
-        )
-        assert [rec["id"] for rec in done.values()] == ["fine"]
-        assert error == (1, "error: broken\n")
-        assert next(queue, None) is None
-    finally:
-        os.close(read)
-
-
 def test_cli_verify_check_that_raises_gives_exit_2_at_every_worker_count(monkeypatch):
     # an unexpected exception is reported as the first raising check in id
     # order, exit 2 and one line, whether the run is serial or forked
@@ -994,9 +948,8 @@ def test_cli_verify_check_that_raises_gives_exit_2_at_every_worker_count(monkeyp
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
-    # a child that exits without writing its result: exit 2 and a message,
-    # no traceback, no hang and no child left behind
+def _verify_with_a_lost_worker(monkeypatch, end_child) -> str:
+    """The stderr of an exit-2 ``verify --jobs 2`` whose child ends by ``end_child()``."""
     from supercoinv import checks
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a second worker on any host
@@ -1004,23 +957,38 @@ def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
     parent = os.getpid()
     child_gone, child_holds = os.pipe()
 
-    def child_only_exit(session, n):
+    def child_only_ends(session, n):
         if os.getpid() != parent:
-            os._exit(3)
-        # in the parent, wait for the child to exit, so it takes the other check
+            end_child()
+        # in the parent, wait for the child to end, so it takes the other check
         os.close(child_holds)
         assert os.read(child_gone, 1) == b""
 
-    stubs = {"first": (child_only_exit, 2, _NO_RINGS), "second": (child_only_exit, 2, _NO_RINGS)}
+    stubs = {"first": (child_only_ends, 2, _NO_RINGS), "second": (child_only_ends, 2, _NO_RINGS)}
     monkeypatch.setattr(checks, "REGISTRY", stubs)
     try:
         code, out, err = _run_cli(["verify", "all", "--n", "2", "--jobs", "2"])
     finally:
         os.close(child_gone)
     assert (code, out) == (2, "")
-    assert err == "error: a verify worker ended without a result (exit status 3)\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    return err
+
+
+def test_cli_verify_worker_that_dies_gives_exit_2(monkeypatch):
+    # a child that exits without writing its result: exit 2 and a message,
+    # no traceback, no hang and no child left behind
+    err = _verify_with_a_lost_worker(monkeypatch, lambda: os._exit(3))
+    assert err == "error: a verify worker ended without a result (exit status 3)\n"
+
+
+def test_cli_verify_worker_killed_by_a_signal_gives_exit_2(monkeypatch):
+    # a child that sends itself SIGKILL is reported by its signal
+    import signal
+
+    err = _verify_with_a_lost_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert err == "error: a verify worker ended without a result (signal 9)\n"
 
 
 def test_cli_verify_interrupted_parent_stops_its_workers(monkeypatch):
@@ -1116,37 +1084,31 @@ def test_cli_verify_jobs_scans_no_ring_in_two_processes(tmp_path, monkeypatch):
     assert scanned["2"] == scanned["1"]
 
 
-def _strongest(kinds) -> str:
-    order = ["hilbert", "frobenius", "table"]
-    return max(kinds, key=order.index)
-
-
 @pytest.mark.parametrize("size", ["registered", 5])
 @pytest.mark.parametrize("check_id", sorted(REGISTRY))
 def test_registry_names_the_rings_each_check_reads(check_id, size, monkeypatch):
-    # each store method a check calls is recorded, on a fresh session, and
-    # the most it calls of each ring is what its registry entry declares
+    # the ring of each store method a check calls is recorded, on a fresh
+    # session, and the rings it calls are what its registry entry declares
     calls = []
 
     class Recording(coinvariant.IdealComponentCache):
         def hilbert(self):
-            calls.append(((self.n, self.k, self.j), "hilbert"))
+            calls.append((self.n, self.k, self.j))
             return super().hilbert()
 
         def frobenius(self):
-            calls.append(((self.n, self.k, self.j), "frobenius"))
+            calls.append((self.n, self.k, self.j))
             return super().frobenius()
 
         def table(self):
-            calls.append(((self.n, self.k, self.j), "table"))
+            calls.append((self.n, self.k, self.j))
             return super().table()
 
     monkeypatch.setattr(checks, "IdealComponentCache", Recording)
     params = default_params(check_id, None if size == "registered" else size)
     report = run_check(check_id, CheckSession(), params)
     assert report["status"] == "pass", report
-    read = {ring: _strongest(k for r, k in calls if r == ring) for ring, _kind in calls}
-    assert checks.ring_reads(check_id, params) == read
+    assert checks.ring_reads(check_id, params) == set(calls)
 
 
 def test_shared_ring_that_raises_is_left_for_its_first_check():
@@ -1166,13 +1128,14 @@ def test_shared_ring_that_raises_is_left_for_its_first_check():
         assert str(built.value) == str(fresh.value)
 
 
-def test_shared_rings_are_built_once_to_the_most_any_check_reads():
+def test_shared_rings_are_built_once_to_their_frobenius_series():
+    # the series serves each shared ring's Hilbert series and table
     jobs = [(cid, default_params(cid)) for cid in sorted(REGISTRY)]
     session = CheckSession()
     session.build_shared(jobs)
     held = {ring: sorted(store._held) for ring, store in session._rings.items()}
     shared = [(4, 0, 1), (4, 0, 2), (4, 1, 0), (4, 1, 1)]
-    assert held == {ring: ["frobenius", "table"] for ring in shared}
+    assert held == {ring: ["frobenius"] for ring in shared}
     session = CheckSession()
     session.build_shared([jobs[0]])  # one check shares nothing
     assert session._rings == {}
