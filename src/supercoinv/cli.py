@@ -4,73 +4,160 @@ Subcommands: ``compute`` (Hilbert/Frobenius series), ``expand`` (coefficient
 table), ``verify`` (run named checks or all of them), ``cauchy`` (truncated
 Cauchy identity), ``table`` (render a saved JSON artifact).  Exit codes:
 0 all good, 1 at least one check failed, 2 usage or resource errors.
+
+``_fast_args`` parses a plain command line; help, usage errors and every
+other line go to the argparse parser of ``build_parser``.  Both read the
+flags declared once in ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import checks, coinvariant
 from .coinvariant import CeilingExceeded, CoeffTable, FrobeniusSeries
 from .qcombinat import partition_sort_key
 from .superschur import super_cauchy_check
 
+# one --flag of a subcommand, as ``build_parser`` adds it: ``type`` is int or
+# None (the string itself), and ``choices`` None allows any value
+_Flag = namedtuple(
+    "_Flag", "name type default required choices help", defaults=(None, None, False, None, None)
+)
+# a subcommand's one positional; one not ``required`` is optional (nargs "?")
+_Positional = namedtuple("_Positional", "name default required help")
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMATS = ("json", "csv", "text")
+_CEILING_HELP = (
+    "max columns per multidegree of its quotient border (sum over variables v"
+    " of dim Q at deg - e_v); for Frobenius series, max values p(n)^2 of the"
+    " S_n character table; for coefficient tables and the Cauchy check, max"
+    " tableaux of the Schur polynomials they may build, and for the Cauchy"
+    " check, max z^mu comparisons; all counted exactly"
+)
+
+
+def _common(need_n=True, cached=True) -> list:
+    cache_dir = [_Flag("--cache-dir", help="series cache directory")] if cached else []
+    return [
+        _Flag("--n", int, required=need_n, help="number of positions"),
+        _Flag("--k", int, help="bosonic alphabet size"),
+        _Flag("--j", int, help="fermionic alphabet size"),
+        *cache_dir,
+        _Flag("--ceiling", int, coinvariant.DEFAULT_CEILING, help=_CEILING_HELP),
+        _Flag("--format", default="json", choices=_FORMATS),
+        _Flag("--out", help="write output to a file instead of stdout"),
+    ]
+
+
+# command -> (help, positional or None, flags in help order)
+_COMMANDS = {
+    "compute": (
+        "emit Hilbert or Frobenius series",
+        None,
+        [*_common(), _Flag("--series", default="hilbert", choices=("hilbert", "frobenius"))],
+    ),
+    "expand": ("emit the coefficient table of a ring", None, _common()),
+    "verify": (
+        "run verification checks",
+        _Positional("check", "all", False, "check id or 'all'"),
+        [
+            *_common(need_n=False),
+            _Flag("--m", int, help="cancellation depth"),
+            _Flag("--degree-bound", int),
+            _Flag("--jobs", int, 1),
+        ],
+    ),
+    "cauchy": (
+        "run the truncated Cauchy comparison",
+        None,
+        [*_common(cached=False), _Flag("--degree-bound", int, 6)],
+    ),
+    "table": (
+        "render a saved JSON artifact",
+        _Positional("input", None, True, "path to a JSON artifact"),
+        [_Flag("--format", default="text", choices=_FORMATS), _Flag("--out")],
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: it answers help and reports usage errors."""
+    import argparse  # only help and usage errors need it: see ``_fast_args``
+
     parser = argparse.ArgumentParser(
         prog="supercoinv",
         description="Exact multigraded series engine for diagonal coinvariant quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_n=True, cached=True):
-        p.add_argument("--n", type=int, required=need_n, help="number of positions")
-        p.add_argument("--k", type=int, default=None, help="bosonic alphabet size")
-        p.add_argument("--j", type=int, default=None, help="fermionic alphabet size")
-        if cached:
-            p.add_argument("--cache-dir", default=None, help="series cache directory")
-        p.add_argument(
-            "--ceiling",
-            type=int,
-            default=coinvariant.DEFAULT_CEILING,
-            help=(
-                "max columns per multidegree of its quotient border (sum over variables v"
-                " of dim Q at deg - e_v); for Frobenius series, max values p(n)^2 of the"
-                " S_n character table; for coefficient tables and the Cauchy check, max"
-                " tableaux of the Schur polynomials they may build, and for the Cauchy"
-                " check, max z^mu comparisons; all counted exactly"
-            ),
-        )
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-    p = sub.add_parser("compute", help="emit Hilbert or Frobenius series")
-    add_common(p)
-    p.add_argument("--series", choices=["hilbert", "frobenius"], default="hilbert")
-
-    p = sub.add_parser("expand", help="emit the coefficient table of a ring")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run verification checks")
-    add_common(p, need_n=False)
-    p.add_argument("check", nargs="?", default="all", help="check id or 'all'")
-    p.add_argument("--m", type=int, default=None, help="cancellation depth")
-    p.add_argument("--degree-bound", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = sub.add_parser("cauchy", help="run the truncated Cauchy comparison")
-    add_common(p, cached=False)
-    p.add_argument("--degree-bound", type=int, default=6)
-
-    p = sub.add_parser("table", help="render a saved JSON artifact")
-    p.add_argument("input", help="path to a JSON artifact")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--out", default=None)
+    for command, (help_text, positional, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if positional is not None:
+            nargs = None if positional.required else "?"
+            p.add_argument(
+                positional.name, nargs=nargs, default=positional.default, help=positional.help
+            )
+        for flag in flags:
+            p.add_argument(
+                flag.name,
+                type=flag.type,
+                default=flag.default,
+                required=flag.required,
+                choices=flag.choices,
+                help=flag.help,
+            )
     return parser
+
+
+def _fast_args(argv):
+    """The arguments ``build_parser`` would parse from a plain argv, or None.
+
+    Plain means: a command, then ``--flag value`` pairs and at most one
+    positional.  Each flag is spelled in full, given at most once, with a
+    value that does not start with "-" and that its type and choices accept;
+    every required flag and positional is given.  Any other argv (help,
+    abbreviations, ``--flag=value``, ``--``, negative numbers, an unknown
+    flag, a missing or extra positional) gives None, and argparse parses it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _help, positional, flags = _COMMANDS[argv[0]]
+    declared = {flag.name: flag for flag in flags}
+    given, rest = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in declared or token in given or value.startswith("-"):
+            return None
+        given[token] = value
+    args = {"command": argv[0]}
+    for flag in flags:
+        if flag.name in given:
+            value = given[flag.name]
+            if flag.type is not None:
+                try:
+                    value = flag.type(value)
+                except ValueError:
+                    return None
+            if flag.choices is not None and value not in flag.choices:
+                return None
+        elif flag.required:
+            return None
+        else:
+            value = flag.default
+        args[flag.name[2:].replace("-", "_")] = value
+    if positional is not None:
+        if positional.required and not rest:
+            return None
+        args[positional.name] = rest.pop() if rest else positional.default
+    return None if rest else SimpleNamespace(**args)
 
 
 def _emit(text: str, args) -> None:
@@ -99,6 +186,8 @@ def _coeff_table_text(table: CoeffTable) -> str:
 
 
 def _csv_rows(rows, header) -> str:
+    import csv  # only csv output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -325,11 +414,13 @@ def _render_artifact(data, fmt: str) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     for flag in ("n", "k", "j", "m", "degree_bound", "ceiling"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:

@@ -191,18 +191,26 @@ class CeilingExceeded(RuntimeError):
     """A cost over the resource ceiling, found before the work starts.
 
     ``deg`` is the multidegree whose space is too large, or None for a cost
-    that belongs to no multidegree.
+    that belongs to no multidegree.  With ``at_least`` the cost is ``dim`` or
+    more: a lower bound that already passes the ceiling.
     """
 
     def __init__(
-        self, deg: Multidegree | None, dim: int, limit: int, space: str, unit: str = "columns"
+        self,
+        deg: Multidegree | None,
+        dim: int,
+        limit: int,
+        space: str,
+        unit: str = "columns",
+        at_least: bool = False,
     ):
         self.deg = deg
         self.dim = dim
         self.limit = limit
         if deg is not None:
             space = f"{space} at multidegree r={list(deg[0])} s={list(deg[1])}"
-        super().__init__(f"{space} has {dim} {unit}, exceeding the ceiling of {limit}")
+        count = f"at least {dim}" if at_least else dim
+        super().__init__(f"{space} has {count} {unit}, exceeding the ceiling of {limit}")
 
 
 def _mu_key(mu: Partition) -> str:
@@ -876,6 +884,9 @@ def _series_scan(cache: IdealComponentCache, plan=None):
     n, k, j = cache.n, cache.k, cache.j
     sigmas, pairs = plan or ({}, {})
     zero = ((0,) * k, (0,) * j)
+    # shell 1 first: its borders have n columns each, so a ring too large to
+    # scan is refused before Q_0's n powers are built
+    _border_guard(cache, shell_multidegrees(n, k, j, 1), {zero: 1})
     unit = [({0: 1}, 1)]
     one = _QuotientComponent(
         dim=1,
@@ -886,7 +897,7 @@ def _series_scan(cache: IdealComponentCache, plan=None):
         labels=[(k + j) * n],
         origins=[None],  # 1 is no variable multiple
         source_labels={},
-        powers=unit * n,
+        powers=unit * n if k + j else [],  # with no variables no shell reads them
         swaps={},
     )
     below = {zero: one}
@@ -894,11 +905,7 @@ def _series_scan(cache: IdealComponentCache, plan=None):
     total = 1
     while True:
         degs = shell_multidegrees(n, k, j, total)
-        # the guard runs on the whole shell, in scan order, before any build
-        for deg in degs:
-            ncols = n * sum(below[pred].dim for pred in _predecessors(deg, k).values())
-            if ncols > cache.ceiling:
-                raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
+        _border_guard(cache, degs, {deg: comp.dim for deg, comp in below.items()})
         built = {
             deg: _koszul_component(cache, deg, below, plan)
             for deg in degs
@@ -915,6 +922,18 @@ def _series_scan(cache: IdealComponentCache, plan=None):
         total += 1
 
 
+def _border_guard(cache: IdealComponentCache, degs: list, dims: dict) -> None:
+    """Refuse the first of ``degs``, in scan order, whose quotient border passes the ceiling.
+
+    The border of deg has n columns per basis element of each predecessor
+    of deg; ``dims`` maps each multidegree of the shell below to its dim.
+    """
+    for deg in degs:
+        ncols = cache.n * sum(dims[pred] for pred in _predecessors(deg, cache.k).values())
+        if ncols > cache.ceiling:
+            raise CeilingExceeded(deg, ncols, cache.ceiling, "quotient border")
+
+
 def quotient_shells(cache: IdealComponentCache):
     """An iterator over the quotient shells of total degree 0..n, fewer when Q dies below n.
 
@@ -927,10 +946,14 @@ def quotient_shells(cache: IdealComponentCache):
 def _frobenius_scan(cache: IdealComponentCache) -> FrobeniusSeries:
     """The Frobenius series: each nonzero component's traces, decomposed."""
     n = cache.n
-    # decomposing reads the p(n)^2 values of the character table of S_n
+    # decomposing reads the p(n)^2 values of the character table of S_n;
+    # counting p(n) takes O(n^2) steps, so a table whose lower bound n^2
+    # (p(n) >= n for n >= 1) already passes the ceiling is refused uncounted
+    where = f"the character table of S_{n}"
+    if n * n > cache.ceiling:
+        raise CeilingExceeded(None, n * n, cache.ceiling, where, "character values", True)
     values = partition_counts(n, n)[n] ** 2
     if values > cache.ceiling:
-        where = f"the character table of S_{n}"
         raise CeilingExceeded(None, values, cache.ceiling, where, "character values")
     identity = (1,) * n
     series = FrobeniusSeries(n, cache.k, cache.j)

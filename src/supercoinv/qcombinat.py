@@ -61,7 +61,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def partition_counts(top: int, largest: int) -> list[int]:
     """Counts of the partitions of 0..top into parts <= largest, or into <= largest parts."""
     counts = [1] + [0] * top
-    for part in range(1, largest + 1):
+    # parts above top fit in no partition of 0..top
+    for part in range(1, min(largest, top) + 1):
         for d in range(part, top + 1):
             counts[d] += counts[d - part]
     return counts

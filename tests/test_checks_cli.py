@@ -1392,6 +1392,66 @@ def test_cli_frobenius_refuses_a_character_table_over_the_ceiling():
     )
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # shell 1's borders have n columns: refused before Q_0's n powers are built
+        (
+            ["compute", "--n", HUGE, "--k", "1"],
+            2,
+            f"resource ceiling exceeded: quotient border at multidegree r=[1] s=[] has {HUGE}"
+            " columns, exceeding the ceiling of 50000\n",
+        ),
+        (
+            ["compute", "--n", "1000000000", "--j", "2"],
+            2,
+            "resource ceiling exceeded: quotient border at multidegree r=[] s=[0, 1] has"
+            " 1000000000 columns, exceeding the ceiling of 50000\n",
+        ),
+        # p(n) >= n: a table of at least n^2 values is refused before p(n) is counted
+        (
+            ["expand", "--n", HUGE, "--k", "1"],
+            2,
+            f"resource ceiling exceeded: the character table of S_{HUGE} has at least"
+            f" {int(HUGE) ** 2} character values, exceeding the ceiling of 50000\n",
+        ),
+        (
+            ["compute", "--n", "20000", "--k", "0", "--j", "0", "--series", "frobenius"],
+            2,
+            "resource ceiling exceeded: the character table of S_20000 has at least 400000000"
+            " character values, exceeding the ceiling of 50000\n",
+        ),
+        # the comparisons count partitions of 0..degree into at most n parts
+        (["cauchy", "--n", HUGE, "--k", "1", "--j", "1"], 2, None),
+        # with no variables the ring is its unit, and neither side has a variable
+        (["compute", "--n", HUGE, "--format", "text"], 0, ""),
+        (["cauchy", "--n", HUGE, "--format", "text"], 0, ""),
+    ],
+)
+def test_cli_huge_n_answers_or_exits_2(argv, code, err):
+    # in a child whose address space is capped at 512 MB, with a timeout:
+    # nothing of size n is built, and no loop runs to n
+    prelude = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+        "from supercoinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coinvariant.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("resource ceiling exceeded: ")
+        assert err is None or proc.stderr == err
+    else:
+        assert proc.stderr == err
+        assert proc.stdout in ("1\n", f"cauchy k=0 j=0 n={HUGE}: pass\n")
+
+
 def test_cli_stored_frobenius_series_loads_over_the_character_ceiling(tmp_path):
     # (4,1,0) has borders of at most 24 columns and p(4)^2 = 25 character values
     argv = ["compute", "--n", "4", "--k", "1", "--series", "frobenius", "--ceiling", "24"]

@@ -59,11 +59,27 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
             assert span in {rec[0] for rec in trace["spans"]}, argv
 
 
+# what only help, usage errors and csv output need: argparse, the gettext
+# and locale its first message loads, and csv
+PARSER_MODULES = {"argparse", "gettext", "locale", "csv"}
+
+
+def _loaded(prelude: str) -> set:
+    """The modules loaded after running ``prelude`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = prelude + "import sys; print('\\n'.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_cli_import_loads_no_heavy_module():
     # the engine runs on integers and plain classes, cache digests use the
-    # interpreter's own SHA-256, and signal is imported only by an interrupted
-    # forked run: importing the CLI must load none of these modules a bare
-    # interpreter has not
+    # interpreter's own SHA-256, signal is imported only by an interrupted
+    # forked run, and argparse only for help and usage errors: importing the
+    # CLI must load none of these modules a bare interpreter has not
     heavy = {
         "fractions",
         "decimal",
@@ -72,18 +88,29 @@ def test_cli_import_loads_no_heavy_module():
         "hashlib",
         "concurrent.futures",
         "signal",
+        *PARSER_MODULES,
     }
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert heavy & (_loaded("import supercoinv.cli; ") - _loaded("")) == set()
 
-    def loaded(prelude: str) -> set:
-        code = prelude + "import sys; print('\\n'.join(sys.modules))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
 
-    assert heavy & (loaded("import supercoinv.cli; ") - loaded("")) == set()
+@pytest.mark.parametrize(
+    "argv", [["compute", "--n", "3", "--k", "1", "--j", "1"], ["verify", "all", "--n", "2"]]
+)
+def test_plain_commands_load_no_argparse(tmp_path, argv):
+    # a plain command line is parsed without argparse
+    argv = argv + ["--out", str(tmp_path / "out.json")]
+    prelude = f"from supercoinv.cli import main; assert main({argv!r}) == 0; "
+    assert PARSER_MODULES & (_loaded(prelude) - _loaded("")) == set()
+    assert (tmp_path / "out.json").read_text()
+
+
+def test_cli_help_comes_from_argparse(capsys):
+    from supercoinv.cli import main
+
+    assert main(["compute", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: supercoinv compute [-h] --n N [--k K] [--j J]")
+    assert "--series {hilbert,frobenius}" in out
 
 
 def test_verify_jobs_loads_no_process_pool(tmp_path):
